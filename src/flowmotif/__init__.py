@@ -52,7 +52,7 @@ from .possessions import (
 from .seeding import derive_seed
 from .synth import TeamStyleParams, generate_league, generate_match
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ClusterAssignment",

@@ -549,7 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="touch-shuffle-match",
     )
     p.add_argument(
-        "--max-repair-attempts", type=int, default=DEFAULT_MAX_REPAIR_ATTEMPTS
+        "--max-repair-attempts",
+        type=int,
+        default=DEFAULT_MAX_REPAIR_ATTEMPTS,
+        help="repair sweeps and resamples per replicate of touch-shuffle-match; "
+        "the other null models never repair",
     )
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_zscores)

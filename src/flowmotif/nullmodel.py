@@ -1,16 +1,30 @@
 """Randomized pass-network null models and per-match motif z-scores.
 
-The default policy reassigns the match's touch slots by a uniformly
-random permutation, so possession count, every possession length, and
-the per-player touch multiset are exactly preserved while the identity
-occupying each slot is randomized. Adjacent-duplicate touches produced
-by the permutation are repaired by swapping the offending slot with a
-random other slot; if a bounded repair budget runs out the permutation
-is resampled, and inputs that can never satisfy the no-adjacent-repeat
-constraint raise :class:`DegenerateInputError` instead of looping.
+Every policy keeps the possession count and every possession length and
+changes only who holds the ball in each touch slot, with no touch
+repeating the holder before it:
 
-Replicate seeds are derived from (master_seed, match_id, replicate), so
-distributions are reproducible bit-for-bit regardless of parallelism.
+- ``touch_shuffle_match`` (default) permutes the team-match's touch
+  slots at random, then repairs adjacent repeats by swapping the
+  offending slot with a random other slot, resampling the permutation
+  when ``max_repair_attempts`` sweeps do not suffice. It keeps the
+  per-player touch multiset of the match. The repair is biased: it does
+  not draw the valid arrangements uniformly.
+- ``touch_shuffle_possession`` draws each possession uniformly from the
+  valid arrangements of its own touch multiset, exactly. Rejection
+  rounds permute a possession for all rows of a batch at once and keep
+  the permutations with no adjacent repeat; rows still waiting after
+  ``POSSESSION_ROUNDS`` rounds are drawn from exact counts of valid
+  arrangements. A possession's observed arrangement is valid, so the
+  sampler always terminates.
+- ``uniform_walk`` makes each possession a walk on the match's players:
+  the first holder is uniform, and every pass goes to a uniformly chosen
+  other player. It is exact by construction.
+
+Each team-match draws all its replicates from one random stream, seeded
+from (master_seed, match_id, team_id), in batches of ``BATCH_ROWS``
+rows. Distributions are therefore reproducible bit-for-bit whatever the
+parallelism, and the two teams of a fixture draw different streams.
 """
 
 from __future__ import annotations
@@ -30,6 +44,12 @@ POLICIES = ("touch_shuffle_match", "touch_shuffle_possession", "uniform_walk")
 DEFAULT_REPLICATES = 1000
 DEFAULT_MAX_REPAIR_ATTEMPTS = 100
 
+# Replicates randomized and counted together as the rows of one array.
+BATCH_ROWS = 64
+# Rejection rounds of the possession shuffle before the stragglers are
+# drawn from completion counts.
+POSSESSION_ROUNDS = 64
+
 # Bound for |z| when the null distribution has zero variance but the real
 # count still deviates from it; keeps downstream feature vectors finite.
 Z_CAP = 10.0
@@ -41,6 +61,12 @@ class DegenerateInputError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class NullModelConfig:
+    """How ``null_distribution`` randomizes a team-match.
+
+    ``max_repair_attempts`` bounds the repair sweeps and the resamples of
+    ``touch_shuffle_match`` only; the other two policies never repair.
+    """
+
     replicates: int = DEFAULT_REPLICATES
     policy: str = "touch_shuffle_match"
     master_seed: int = 0
@@ -131,7 +157,8 @@ class _MatchLayout:
         if self.touches.size:
             in_run[self.starts + self.lengths - 1] = False
         self.adjacency = np.flatnonzero(in_run)
-        self.checked_policies: set[str] = set()
+        # Valid-arrangement counts of the possession shuffle, kept across batches.
+        self.arrangements: dict[bytes, int] = {}
 
     def window_starts(self, k: int) -> np.ndarray:
         """Global start index of every (k+1)-touch window, per possession."""
@@ -252,100 +279,187 @@ def _repair_adjacent(
     return False
 
 
-def _shuffle_slots(
-    pool: np.ndarray,
-    adjacency: np.ndarray,
-    rng: np.random.Generator,
-    max_attempts: int,
-) -> np.ndarray | None:
-    for _ in range(max_attempts):
-        arr = pool.copy()
-        rng.shuffle(arr)
-        if _repair_adjacent(arr, adjacency, rng, max_attempts):
-            return arr
-    return None
-
-
-def _check_match_feasible(layout: _MatchLayout) -> None:
-    if layout.touches.size == 0:
-        return
-    capacity = int(np.sum((layout.lengths + 1) // 2))
-    top = int(np.bincount(layout.touches).max())
-    if top > capacity:
-        raise DegenerateInputError(
-            f"match {layout.match_id!r}: one player holds {top} touch slots but only "
-            f"{capacity} can be filled without adjacent repeats"
-        )
-
-
-def _check_possession_feasible(layout: _MatchLayout, index: int) -> None:
-    start = int(layout.starts[index])
-    length = int(layout.lengths[index])
-    top = int(np.bincount(layout.touches[start : start + length]).max())
-    if top > (length + 1) // 2:
-        raise DegenerateInputError(
-            f"possession #{index} of match {layout.match_id!r}: one player holds "
-            f"{top} of {length} touches, which forces adjacent repeats"
-        )
-
-
-def _randomize_layout(
-    layout: _MatchLayout,
-    policy: str,
-    rng: np.random.Generator,
-    max_repair_attempts: int,
+def _match_rows(
+    layout: _MatchLayout, rng: np.random.Generator, n_rows: int, max_attempts: int
 ) -> np.ndarray:
-    if layout.touches.size == 0:
-        return layout.touches.copy()
-
-    if policy == "touch_shuffle_match":
-        if policy not in layout.checked_policies:
-            _check_match_feasible(layout)
-            layout.checked_policies.add(policy)
-        arr = _shuffle_slots(layout.touches, layout.adjacency, rng, max_repair_attempts)
-        if arr is None:
+    """Shuffled and repaired rows; a row is reshuffled when its repair runs out of sweeps."""
+    out = np.empty((n_rows, layout.touches.size), dtype=layout.touches.dtype)
+    for row in out:
+        for _ in range(max_attempts):
+            row[:] = layout.touches
+            rng.shuffle(row)
+            if _repair_adjacent(row, layout.adjacency, rng, max_attempts):
+                break
+        else:
             raise DegenerateInputError(
                 f"match {layout.match_id!r}: repair budget exhausted while removing "
                 "adjacent repeats"
             )
-        return arr
-
-    if policy == "touch_shuffle_possession":
-        if policy not in layout.checked_policies:
-            for i in range(layout.starts.size):
-                _check_possession_feasible(layout, i)
-            layout.checked_policies.add(policy)
-        out = np.empty_like(layout.touches)
-        for i, (start, length) in enumerate(
-            zip(layout.starts.tolist(), layout.lengths.tolist())
-        ):
-            stop = start + length
-            adj = np.arange(length - 1)  # all inner positions of this possession
-            arr = _shuffle_slots(layout.touches[start:stop], adj, rng, max_repair_attempts)
-            if arr is None:
-                raise DegenerateInputError(
-                    f"possession #{i} of match {layout.match_id!r}: repair budget "
-                    "exhausted while removing adjacent repeats"
-                )
-            out[start:stop] = arr
-        return out
-
-    # uniform_walk: every touch uniform over the match's player set, with no
-    # repeat of the immediately preceding holder inside a possession.
-    n_players = len(layout.players)
-    n_poss = layout.starts.size
-    first_draws = rng.integers(0, n_players, size=n_poss)
-    step_draws = rng.integers(0, n_players - 1, size=layout.touches.size - n_poss)
-    out = np.empty_like(layout.touches)
-    d = 0
-    for p, (start, length) in enumerate(zip(layout.starts.tolist(), layout.lengths.tolist())):
-        prev = int(first_draws[p])
-        out[start] = prev
-        for i in range(start + 1, start + length):
-            prev = (prev + 1 + int(step_draws[d])) % n_players
-            out[i] = prev
-            d += 1
     return out
+
+
+def _possession_rows(
+    layout: _MatchLayout, rng: np.random.Generator, n_rows: int
+) -> np.ndarray:
+    """Rows whose possessions are independent uniform valid arrangements.
+
+    A uniform permutation of a possession's touches that has no adjacent
+    repeat is uniform over the valid arrangements. So each round permutes
+    the possession once per row, all rows at once, and hands the valid
+    permutations in order to the rows still waiting for one. Rows still
+    waiting after ``POSSESSION_ROUNDS`` rounds are drawn by
+    ``_counted_arrangement``. A possession's rounds all have the same
+    array shapes: pooling the waiting rows of every possession into one
+    draw was as fast, but its ever-changing small arrays stay cached by
+    numpy and grew the process's memory by several percent.
+    """
+    out = np.empty((n_rows, layout.touches.size), dtype=layout.touches.dtype)
+    for start, length in zip(layout.starts.tolist(), layout.lengths.tolist()):
+        touches = layout.touches[start : start + length]
+        block = out[:, start : start + length]
+        filled = 0
+        for _ in range(POSSESSION_ROUNDS):
+            drawn = touches[np.argsort(rng.random((n_rows, length)), axis=1)]
+            valid = np.flatnonzero((drawn[:, 1:] != drawn[:, :-1]).all(axis=1))
+            valid = valid[: n_rows - filled]
+            block[filled : filled + valid.size] = drawn[valid]
+            filled += valid.size
+            if filled == n_rows:
+                break
+        for row in range(filled, n_rows):
+            block[row] = _counted_arrangement(touches, rng, layout.arrangements)
+    return out
+
+
+def _others(counts: list[int], holder: int) -> tuple[int, ...]:
+    """Sorted nonzero counts of every player but ``holder``."""
+    return tuple(sorted(c for i, c in enumerate(counts) if c and i != holder))
+
+
+def _arrangements(counts: tuple[int, ...], memo: dict[bytes, int]) -> int:
+    """Arrangements with no adjacent repeat of touches with these player counts.
+
+    ``counts`` is sorted and holds no zeros; players with equal counts are
+    interchangeable, so the number depends on nothing else. ``memo`` is
+    keyed by the counts as bytes, so a player may hold at most 255 touches
+    of a possession. The recursion is twice as deep as the touches.
+    """
+    key = bytes(counts)
+    n = memo.get(key)
+    if n is None:
+        n = 0 if counts else 1
+        for i, c in enumerate(counts):
+            if i and counts[i - 1] == c:
+                continue  # starts with a player of the same count: same number
+            n += counts.count(c) * _after(counts[:i] + counts[i + 1 :], c - 1, memo)
+        memo[key] = n
+    return n
+
+
+def _after(others: tuple[int, ...], held: int, memo: dict[bytes, int]) -> int:
+    """Valid arrangements that do not start with the last holder.
+
+    The last holder has ``held`` touches left and the other players
+    ``others``. The arrangements that do start with the last holder number
+    ``_after(others, held - 1)``, so the count alternates over the
+    arrangements with ``held``, ``held - 1``, ... 0 touches of theirs.
+    """
+    n = 0
+    for h in range(held + 1):
+        n = _arrangements(tuple(sorted(others + (h,))) if h else others, memo) - n
+    return n
+
+
+def _randbelow(rng: np.random.Generator, n: int) -> int:
+    """Uniform integer in [0, n), exact for any size of ``n``."""
+    bits = n.bit_length()
+    size = (bits + 7) // 8
+    while True:
+        x = int.from_bytes(rng.bytes(size), "little") >> (8 * size - bits)
+        if x < n:
+            return x
+
+
+def _counted_arrangement(
+    touches: np.ndarray, rng: np.random.Generator, memo: dict[bytes, int]
+) -> np.ndarray:
+    """One uniform valid arrangement of a possession's touches.
+
+    Draws a uniform rank among all valid arrangements and decodes it touch
+    by touch: each candidate holder takes as many ranks as there are valid
+    arrangements of the rest that do not start with them, so every holder
+    is drawn with exactly that weight.
+    """
+    players, counts = np.unique(touches, return_counts=True)
+    counts = counts.tolist()
+    out = np.empty_like(touches)
+    last = -1
+    rank = _randbelow(rng, _arrangements(_others(counts, last), memo))
+    for t in range(touches.size):
+        for j, c in enumerate(counts):
+            if j == last or c == 0:
+                continue
+            n = _after(_others(counts, j), c - 1, memo)
+            if rank < n:
+                break
+            rank -= n
+        counts[j] -= 1
+        out[t] = players[j]
+        last = j
+    return out
+
+
+def _walk_rows(layout: _MatchLayout, rng: np.random.Generator, n_rows: int) -> np.ndarray:
+    """Per-possession walks: a uniform first holder, then uniform steps to another player.
+
+    A step of 1..n-1 places modulo n reaches every other player equally
+    often, so each possession is a cumulative sum of steps modulo n.
+    """
+    n_players = len(layout.players)
+    steps = rng.integers(1, n_players, size=(n_rows, layout.touches.size))
+    steps[:, layout.starts] = rng.integers(0, n_players, size=(n_rows, layout.starts.size))
+    walk = np.cumsum(steps, axis=1)
+    before = np.zeros((n_rows, layout.starts.size), dtype=walk.dtype)
+    before[:, 1:] = walk[:, layout.starts[1:] - 1]
+    walk -= np.repeat(before, layout.lengths, axis=1)
+    return walk % n_players
+
+
+def _draw_rows(
+    layout: _MatchLayout,
+    policy: str,
+    rng: np.random.Generator,
+    n_rows: int,
+    max_repair_attempts: int,
+) -> np.ndarray:
+    """``n_rows`` independent replicates of the layout's touches, one per row."""
+    if layout.touches.size == 0:
+        return np.empty((n_rows, 0), dtype=layout.touches.dtype)
+    if policy == "touch_shuffle_match":
+        return _match_rows(layout, rng, n_rows, max_repair_attempts)
+    if policy == "touch_shuffle_possession":
+        return _possession_rows(layout, rng, n_rows)
+    return _walk_rows(layout, rng, n_rows)
+
+
+def _moments(
+    total: np.ndarray, total_sq: np.ndarray, reps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and Bessel-corrected std of counts from their sums over ``reps`` replicates.
+
+    The numerator ``reps*total_sq - total*total`` is formed in Python
+    integers, since in int64 it wraps once replicates x count passes about
+    3e9. With one replicate the std is undefined and returned as 0.
+    """
+    mean = total / reps
+    if reps < 2:
+        return mean, np.zeros_like(mean)
+    numerator = np.array(
+        [reps * sq - s * s for s, sq in zip(total.tolist(), total_sq.tolist())],
+        dtype=np.float64,
+    )
+    var = numerator / (reps * (reps - 1))
+    return mean, np.sqrt(np.maximum(var, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +482,7 @@ def randomize_possessions(
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     layout = _MatchLayout(possessions)
     rng = np.random.default_rng(seed)
-    return layout.rebuild(_randomize_layout(layout, policy, rng, max_repair_attempts))
+    return layout.rebuild(_draw_rows(layout, policy, rng, 1, max_repair_attempts)[0])
 
 
 def null_distribution(
@@ -378,8 +492,10 @@ def null_distribution(
 ) -> NullDistribution:
     """Motif-count moments over ``config.replicates`` randomized replicates.
 
-    Counts are accumulated as exact integers before the moments are taken,
-    so the result is independent of any execution order.
+    All replicates come from one random stream seeded from (master seed,
+    match id, team id). Counts are accumulated as exact integers before
+    the moments are taken, so the result is independent of any execution
+    order.
     """
     layout = _MatchLayout(possessions)
     pidx = _PatternIndex(k)
@@ -388,32 +504,23 @@ def null_distribution(
     total = np.zeros(n, dtype=np.int64)
     total_sq = np.zeros(n, dtype=np.int64)
     reps = config.replicates
-    batch_size = min(64, reps)
-    batch = np.empty((batch_size, layout.touches.size), dtype=layout.touches.dtype)
-    filled = 0
-    for r in range(reps):
-        rng = np.random.default_rng(derive_seed(config.master_seed, layout.match_id, r))
-        batch[filled] = _randomize_layout(layout, config.policy, rng, config.max_repair_attempts)
-        filled += 1
-        if filled == batch_size or r == reps - 1:
-            counts = pidx.window_counts_batch(batch[:filled], window_starts)
-            total += counts.sum(axis=0)
-            total_sq += (counts * counts).sum(axis=0)
-            filled = 0
-    mean = total / reps
-    if reps >= 2:
-        var = (reps * total_sq - total * total) / (reps * (reps - 1))
-        std = np.sqrt(np.maximum(var, 0.0))
-        degenerate = False
-    else:
-        std = np.zeros(n)
-        degenerate = True
+    rng = np.random.default_rng(
+        derive_seed(config.master_seed, layout.match_id, layout.team_id)
+    )
+    for done in range(0, reps, BATCH_ROWS):
+        rows = _draw_rows(
+            layout, config.policy, rng, min(BATCH_ROWS, reps - done), config.max_repair_attempts
+        )
+        counts = pidx.window_counts_batch(rows, window_starts)
+        total += counts.sum(axis=0)
+        total_sq += (counts * counts).sum(axis=0)
+    mean, std = _moments(total, total_sq, reps)
     return NullDistribution(
         k=k,
         mean=dict(zip(pidx.patterns, mean.tolist())),
         std=dict(zip(pidx.patterns, std.tolist())),
         replicates=reps,
-        degenerate=degenerate,
+        degenerate=reps < 2,
     )
 
 

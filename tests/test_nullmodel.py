@@ -1,4 +1,6 @@
+import math
 from collections import Counter
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from flowmotif import (
     touch_sequence,
     z_scores,
 )
+from flowmotif import nullmodel
+from flowmotif.nullmodel import BATCH_ROWS, _arrangements, _draw_rows, _MatchLayout, _moments
 from flowmotif.synth import TeamStyleParams, generate_match
 from helpers import chain_possession
 
@@ -117,17 +121,17 @@ def test_unknown_policy_rejected():
         randomize_possessions([chain_possession(["1", "2"])], "edge_rewire", 0)
 
 
-def test_repair_budget_exhaustion_names_the_possession():
+def test_repair_budget_exhaustion_names_the_match():
     # {A:3, B:2} admits exactly one valid arrangement; a budget of one
-    # sweep and one resample gives up at seed 0 for both shuffle policies.
+    # sweep and one resample gives up at seed 0 for the match shuffle.
     pos = chain_possession(["A", "B", "A", "B", "A"])
-    with pytest.raises(DegenerateInputError, match="possession #0"):
-        randomize_possessions([pos], "touch_shuffle_possession", 0, max_repair_attempts=1)
     with pytest.raises(DegenerateInputError, match="match"):
         randomize_possessions([pos], "touch_shuffle_match", 0, max_repair_attempts=1)
-    # same inputs succeed with the default budget
-    randomize_possessions([pos], "touch_shuffle_possession", 0)
+    # the same input succeeds with the default budget
     randomize_possessions([pos], "touch_shuffle_match", 0)
+    # the possession shuffle never repairs, so the budget does not bind it
+    (rnd,) = randomize_possessions([pos], "touch_shuffle_possession", 0, max_repair_attempts=1)
+    assert touch_sequence(rnd) == ("A", "B", "A", "B", "A")
 
 
 def test_null_distribution_is_bitwise_deterministic():
@@ -139,21 +143,135 @@ def test_null_distribution_is_bitwise_deterministic():
 
 
 def test_null_distribution_matches_object_path_recomputation():
-    # the vectorized replicate loop must agree exactly with composing the
-    # public randomize + count operations at the same derived seeds
+    # The batched replicate loop must agree exactly with counting every
+    # replicate through the object path. All replicates of a team-match are
+    # rows drawn from one stream seeded from (master seed, match id, team
+    # id) in batches of BATCH_ROWS; 100 replicates span two batches.
     possessions = synth_possessions(possessions=10)
-    config = NullModelConfig(replicates=40, master_seed=17)
-    null = null_distribution(possessions, 3, config)
-    match_id = possessions[0].match_id
-    samples = []
-    for r in range(config.replicates):
-        seed = derive_seed(config.master_seed, match_id, r)
-        replicate = randomize_possessions(possessions, config.policy, seed)
-        samples.append(count_motifs(replicate, 3).counts)
-    for pattern in null.mean:
-        values = [s[pattern] for s in samples]
-        assert null.mean[pattern] == pytest.approx(np.mean(values), abs=1e-12)
-        assert null.std[pattern] == pytest.approx(np.std(values, ddof=1), abs=1e-12)
+    layout = _MatchLayout(possessions)
+    reps = 100
+    for policy in POLICIES:
+        config = NullModelConfig(replicates=reps, policy=policy, master_seed=17)
+        null = null_distribution(possessions, 3, config)
+        rng = np.random.default_rng(derive_seed(17, layout.match_id, layout.team_id))
+        rows = np.concatenate(
+            [
+                _draw_rows(layout, policy, rng, n, config.max_repair_attempts)
+                for n in (BATCH_ROWS, reps - BATCH_ROWS)
+            ]
+        )
+        samples = [count_motifs(layout.rebuild(row), 3).counts for row in rows]
+        for pattern in null.mean:
+            values = [s[pattern] for s in samples]
+            assert null.mean[pattern] == pytest.approx(np.mean(values), abs=1e-12)
+            assert null.std[pattern] == pytest.approx(np.std(values, ddof=1), abs=1e-12)
+
+
+def test_two_teams_of_a_match_draw_different_streams():
+    touches = ["1", "2", "3", "1", "2", "4", "1"]
+    config = NullModelConfig(replicates=200, master_seed=3)
+    home = null_distribution([chain_possession(touches, team_id="home")], 3, config)
+    away = null_distribution([chain_possession(touches, team_id="away")], 3, config)
+    assert home.mean != away.mean
+
+
+def valid_arrangements(touches):
+    return sorted(
+        "".join(p)
+        for p in set(permutations(touches))
+        if all(a != b for a, b in zip(p, p[1:]))
+    )
+
+
+@pytest.mark.parametrize("touches", ["AB", "ACBA", "ABCBDAC", "ABABABABAB", "AAABBBCCD", "AAAAB"])
+def test_arrangement_counts_match_enumeration(touches):
+    counts = tuple(sorted(Counter(touches).values()))
+    assert _arrangements(counts, {}) == len(valid_arrangements(touches))
+
+
+def chi2_limit(df, z=4.75):
+    """Wilson-Hilferty upper quantile of chi-squared, here at p of about 1e-6."""
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+@pytest.mark.parametrize(
+    "layout,draws", [("ACBA ABCA", 50_000), ("ABCBDAC DBA", 200_000), ("ABABABABAB", 20_000)]
+)
+@pytest.mark.parametrize("rounds", [nullmodel.POSSESSION_ROUNDS, 0])
+def test_possession_shuffle_is_uniform_over_valid_arrangements(
+    layout, draws, rounds, monkeypatch
+):
+    # With no rejection rounds every possession is drawn from arrangement
+    # counts, which cost more per draw; ABABABABAB reaches them in most
+    # rows even with the default rounds.
+    monkeypatch.setattr(nullmodel, "POSSESSION_ROUNDS", rounds)
+    possessions = [chain_possession(list(t)) for t in layout.split()]
+    match = _MatchLayout(possessions)
+    cells = ["".join(c) for c in product(*map(valid_arrangements, layout.split()))]
+    if not rounds:
+        draws //= 10
+    batch = draws // 10
+    rng = np.random.default_rng(11)
+    names = np.array(match.players)
+    seen = Counter()
+    for _ in range(draws // batch):
+        rows = _draw_rows(match, "touch_shuffle_possession", rng, batch, 1)
+        seen.update(map("".join, names[rows].tolist()))
+    assert set(seen) <= set(cells)
+    expected = draws / len(cells)
+    chi2 = sum((seen[c] - expected) ** 2 / expected for c in cells)
+    assert chi2 < chi2_limit(len(cells) - 1), (chi2, len(cells))
+
+
+def test_possession_shuffle_terminates_on_tight_possessions():
+    # Two players alternating over 24 touches admit two arrangements, and A
+    # holding 14 of 30 touches leaves a few in a million permutations valid;
+    # the rejection rounds pass nearly all of them to the arrangement counts.
+    tight = "AB" * 12
+    heavy = "".join(a + b for a, b in zip("A" * 14, "BCDEFGHI" * 2)) + "HI"
+    assert Counter(heavy)["A"] == 14 and len(heavy) == 30
+    possessions = [chain_possession(list(t)) for t in (tight, heavy)]
+    layout = _MatchLayout(possessions)
+    rows = _draw_rows(layout, "touch_shuffle_possession", np.random.default_rng(5), 256, 1)
+    for row in rows:
+        for orig, rnd in zip(possessions, layout.rebuild(row)):
+            seq = touch_sequence(rnd)
+            assert all(a != b for a, b in zip(seq, seq[1:]))
+            assert Counter(seq) == Counter(touch_sequence(orig))
+    assert len({row.tobytes() for row in rows}) > 200
+
+
+def walk_probability(pattern, n_players):
+    """Probability of a pattern for a walk that never passes to the holder."""
+    p, seen = 1.0, {pattern[0]}
+    for ch in pattern[1:]:
+        p *= 1 / (n_players - 1) if ch in seen else (n_players - len(seen)) / (n_players - 1)
+        seen.add(ch)
+    return p
+
+
+def test_uniform_walk_mean_matches_closed_form():
+    possessions = synth_possessions()
+    reps = 4000
+    null = null_distribution(
+        possessions, 3, NullModelConfig(replicates=reps, policy="uniform_walk", master_seed=2)
+    )
+    n_players = len(set(all_touches(possessions)))
+    windows = sum(max(0, len(touch_sequence(p)) - 3) for p in possessions)
+    for pattern, mean in null.mean.items():
+        expected = windows * walk_probability(pattern, n_players)
+        assert abs(mean - expected) <= 5 * null.std[pattern] / math.sqrt(reps)
+
+
+def test_moments_do_not_overflow():
+    # 10^9 replicates with counts alternating 0 and 20: the int64 numerator
+    # reps*total_sq - total*total wraps and would give a variance of 7.77.
+    reps = 10**9
+    total = np.array([10 * reps], dtype=np.int64)
+    total_sq = np.array([200 * reps], dtype=np.int64)
+    mean, std = _moments(total, total_sq, reps)
+    assert mean[0] == 10.0
+    assert std[0] ** 2 == pytest.approx(100.0, rel=1e-6)
 
 
 def test_single_replicate_is_degenerate():
