@@ -103,21 +103,19 @@ def team_fingerprint(profiles: Sequence[ZScoreProfile]) -> TeamFingerprint:
     if not profiles:
         raise ValueError("at least one z-score profile is required")
     team_id, k = profiles[0].team_id, profiles[0].k
-    patterns = enumerate_patterns(k)
-    sums = [0.0] * len(patterns)
-    for prof in profiles:
+    sums = np.zeros(len(profiles[0].z))
+    for prof in profiles:  # added in profile order, so the float sums are reproducible
         if prof.team_id != team_id or prof.k != k:
             raise ValueError(
                 f"profile ({prof.team_id!r}, k={prof.k}) mixed into "
                 f"({team_id!r}, k={k})"
             )
-        for i, pattern in enumerate(patterns):
-            sums[i] += prof.z[pattern]
+        sums += prof.z
     n = len(profiles)
     return TeamFingerprint(
         team_id=team_id,
         k=k,
-        features=tuple(s / n for s in sums),
+        features=tuple((sums / n).tolist()),
         matches_used=n,
     )
 

@@ -21,8 +21,11 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analytics import (
+    PcaProjection,
     TeamFingerprint,
     kmeans,
     pca_project,
@@ -72,22 +75,21 @@ class RunManifest:
     duration_s: float
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _read_input(path: Path, digests: dict[str, str]) -> bytes:
+    """A file's bytes; its sha256 goes into ``digests`` for the manifest."""
+    data = path.read_bytes()
+    digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return data
 
 
 def _write_manifest(
-    path: Path, command: str, config: dict, inputs: list[Path], started: float
+    path: Path, command: str, config: dict, digests: dict[str, str], started: float
 ) -> None:
     manifest = RunManifest(
         command=command,
         version=__version__,
         config=config,
-        input_digests={str(p): _sha256(p) for p in sorted(inputs)},
+        input_digests=digests,
         duration_s=time.perf_counter() - started,
     )
     path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
@@ -125,15 +127,19 @@ def _report_diagnostics(path: Path, diagnostics: tuple[ParseDiagnostic, ...]) ->
         print(str(diag), file=sys.stderr)
 
 
-def _load_match_logs(paths: list[str], fmt: str) -> tuple[list[MatchEventLog], bool]:
-    """Parse all input files into match logs; True flag means any were corrupt."""
-    files = _collect_input_files(paths, fmt)
+def _load_match_logs(
+    paths: list[str], fmt: str, digests: dict[str, str]
+) -> tuple[list[MatchEventLog], bool]:
+    """Parse all input files into match logs; True flag means any were corrupt.
+
+    Every file is read once, and hashed into ``digests`` as it is read,
+    including the files whose framing is broken.
+    """
     events = []
     had_errors = False
-    for path in files:
+    for path in _collect_input_files(paths, fmt):
         try:
-            with open(path, "rb") as fh:
-                result = parse_pass_events(fh, fmt)
+            result = parse_pass_events(io.BytesIO(_read_input(path, digests)), fmt)
         except FormatError as exc:
             print(f"# {path}", file=sys.stderr)
             print(f"error: {exc}", file=sys.stderr)
@@ -174,11 +180,13 @@ def _count_for_log(payload: tuple[MatchEventLog, int, float]) -> MotifCountVecto
 
 def cmd_motifs(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    logs, had_errors = _load_match_logs(args.inputs, args.format)
+    digests: dict[str, str] = {}
+    logs, had_errors = _load_match_logs(args.inputs, args.format, digests)
     vectors = _parallel_map(_count_for_log, [(log, args.k, args.tmax) for log in logs])
+    patterns = enumerate_patterns(args.k)
     rows = []
     for vec in vectors:
-        for pattern, count in vec.counts.items():
+        for pattern, count in zip(patterns, vec.counts.tolist()):
             rows.append([vec.match_id, vec.team_id, str(vec.k), pattern, str(count)])
     out = Path(args.out)
     out.write_text(_csv_text(["match_id", "team_id", "k", "pattern", "count"], rows))
@@ -186,7 +194,7 @@ def cmd_motifs(args: argparse.Namespace) -> int:
         out.with_name(out.name + ".manifest.json"),
         "motifs",
         {"k": args.k, "t_max": args.tmax, "format": args.format},
-        _collect_input_files(args.inputs, args.format),
+        digests,
         started,
     )
     return 2 if had_errors else 0
@@ -204,7 +212,8 @@ def _zscore_for_log(
 
 def cmd_zscores(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    logs, had_errors = _load_match_logs(args.inputs, args.format)
+    digests: dict[str, str] = {}
+    logs, had_errors = _load_match_logs(args.inputs, args.format, digests)
     config = NullModelConfig(
         replicates=args.replicates,
         policy=_POLICY_FLAGS[args.null_model],
@@ -214,20 +223,29 @@ def cmd_zscores(args: argparse.Namespace) -> int:
     results = _parallel_map(
         _zscore_for_log, [(log, args.k, args.tmax, config) for log in logs]
     )
+    patterns = enumerate_patterns(args.k)
     rows = []
     for counts, null, profile in results:
-        for pattern in enumerate_patterns(counts.k):
+        columns = zip(
+            patterns,
+            counts.counts.tolist(),
+            null.mean.tolist(),
+            null.std.tolist(),
+            profile.z.tolist(),
+            profile.degenerate.tolist(),
+        )
+        for pattern, count, mean, std, z, degenerate in columns:
             rows.append(
                 [
                     counts.match_id,
                     counts.team_id,
                     str(counts.k),
                     pattern,
-                    str(counts.counts[pattern]),
-                    _fnum(null.mean[pattern]),
-                    _fnum(null.std[pattern]),
-                    _fnum(profile.z[pattern]),
-                    "true" if pattern in profile.degenerate else "false",
+                    str(count),
+                    _fnum(mean),
+                    _fnum(std),
+                    _fnum(z),
+                    "true" if degenerate else "false",
                 ]
             )
     out = Path(args.out)
@@ -259,7 +277,7 @@ def cmd_zscores(args: argparse.Namespace) -> int:
             "max_repair_attempts": args.max_repair_attempts,
             "format": args.format,
         },
-        _collect_input_files(args.inputs, args.format),
+        digests,
         started,
     )
     return 2 if had_errors else 0
@@ -270,49 +288,40 @@ def cmd_zscores(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dict_reader(path: Path, fh, required: tuple[str, ...]) -> csv.DictReader:
-    reader = csv.DictReader(fh)
+def _dict_reader(
+    path: Path, digests: dict[str, str], required: tuple[str, ...]
+) -> csv.DictReader:
+    text = _read_input(path, digests).decode("utf-8")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     missing = [c for c in required if c not in (reader.fieldnames or [])]
     if missing:
         raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
     return reader
 
 
-def _read_zscore_profiles(path: Path) -> list[ZScoreProfile]:
-    profiles: dict[tuple[str, str], dict] = {}
-    with open(path, newline="") as fh:
-        reader = _dict_reader(path, fh, ("match_id", "team_id", "k", "pattern", "z", "degenerate"))
-        for row in reader:
-            key = (row["match_id"], row["team_id"])
-            entry = profiles.setdefault(
-                key, {"k": int(row["k"]), "z": {}, "degenerate": set()}
-            )
-            entry["z"][row["pattern"]] = float(row["z"])
-            if row["degenerate"] == "true":
-                entry["degenerate"].add(row["pattern"])
+def _read_zscore_profiles(path: Path, digests: dict[str, str]) -> list[ZScoreProfile]:
+    profiles: dict[tuple[str, str], tuple[int, dict[str, tuple[float, bool]]]] = {}
+    columns = ("match_id", "team_id", "k", "pattern", "z", "degenerate")
+    for row in _dict_reader(path, digests, columns):
+        k, cells = profiles.setdefault((row["match_id"], row["team_id"]), (int(row["k"]), {}))
+        cells[row["pattern"]] = (float(row["z"]), row["degenerate"] == "true")
     out = []
-    for (match_id, team_id), entry in profiles.items():
-        missing = [p for p in enumerate_patterns(entry["k"]) if p not in entry["z"]]
+    for (match_id, team_id), (k, cells) in profiles.items():
+        patterns = enumerate_patterns(k)
+        missing = [p for p in patterns if p not in cells]
         if missing:
             raise ValueError(
                 f"{path}: match {match_id!r} team {team_id!r} missing pattern(s) {missing}"
             )
-        out.append(
-            ZScoreProfile(
-                match_id=match_id,
-                team_id=team_id,
-                k=entry["k"],
-                z=entry["z"],
-                degenerate=frozenset(entry["degenerate"]),
-            )
-        )
+        z, degenerate = zip(*(cells[p] for p in patterns))
+        out.append(ZScoreProfile(match_id, team_id, k, np.array(z), np.array(degenerate)))
     return out
 
 
 def cmd_fingerprint(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    src = Path(args.zscores)
-    profiles = _read_zscore_profiles(src)
+    digests: dict[str, str] = {}
+    profiles = _read_zscore_profiles(Path(args.zscores), digests)
     by_team: dict[str, list[ZScoreProfile]] = {}
     for prof in profiles:
         by_team.setdefault(prof.team_id, []).append(prof)
@@ -326,21 +335,20 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
         _csv_text(["team_id", "k", "pattern", "mean_z", "matches_used"], rows)
     )
     _write_manifest(
-        out.with_name(out.name + ".manifest.json"), "fingerprint", {}, [src], started
+        out.with_name(out.name + ".manifest.json"), "fingerprint", {}, digests, started
     )
     return 0
 
 
-def _read_fingerprints(path: Path) -> list[TeamFingerprint]:
+def _read_fingerprints(path: Path, digests: dict[str, str]) -> list[TeamFingerprint]:
     raw: dict[str, dict] = {}
-    with open(path, newline="") as fh:
-        reader = _dict_reader(path, fh, ("team_id", "k", "pattern", "mean_z", "matches_used"))
-        for row in reader:
-            entry = raw.setdefault(
-                row["team_id"],
-                {"k": int(row["k"]), "features": {}, "matches_used": int(row["matches_used"])},
-            )
-            entry["features"][row["pattern"]] = float(row["mean_z"])
+    columns = ("team_id", "k", "pattern", "mean_z", "matches_used")
+    for row in _dict_reader(path, digests, columns):
+        entry = raw.setdefault(
+            row["team_id"],
+            {"k": int(row["k"]), "features": {}, "matches_used": int(row["matches_used"])},
+        )
+        entry["features"][row["pattern"]] = float(row["mean_z"])
     fingerprints = []
     for team, entry in raw.items():
         patterns = enumerate_patterns(entry["k"])
@@ -363,16 +371,35 @@ def _read_fingerprints(path: Path) -> list[TeamFingerprint]:
 # ---------------------------------------------------------------------------
 
 
-def _pca_rows(coordinates: dict[str, tuple[float, ...]]) -> list[list[str]]:
-    return [
-        [team, *(_fnum(v) for v in coordinates[team])] for team in sorted(coordinates)
+def _write_pca(
+    out_dir: Path, projection: PcaProjection, dims: int, colors: dict[str, int]
+) -> None:
+    """``pca.csv`` and ``pca_scatter.svg``; a team not in ``colors`` gets palette color 0."""
+    teams = sorted(projection.coordinates)
+    out_dir.joinpath("pca.csv").write_text(
+        _csv_text(
+            ["team_id"] + [f"pc{i + 1}" for i in range(dims)],
+            [[team, *(_fnum(v) for v in projection.coordinates[team])] for team in teams],
+        )
+    )
+    points = [
+        (
+            projection.coordinates[team][0],
+            projection.coordinates[team][1] if dims >= 2 else 0.0,
+            team,
+            colors.get(team, 0),
+        )
+        for team in teams
     ]
+    out_dir.joinpath("pca_scatter.svg").write_text(
+        scatter_svg(points, title="teams by motif fingerprint (PCA)")
+    )
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    src = Path(args.fingerprints)
-    fingerprints = _read_fingerprints(src)
+    digests: dict[str, str] = {}
+    fingerprints = _read_fingerprints(Path(args.fingerprints), digests)
     clustering = kmeans(fingerprints, args.clusters, seed=args.seed)
     dendrogram = ward_cluster(fingerprints)
     projection = pca_project(fingerprints, args.pca_dims, standardize=args.pca_standardize)
@@ -399,24 +426,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     out_dir.joinpath("dendrogram.json").write_text(
         json.dumps(dendrogram.to_dict(), indent=2, sort_keys=True) + "\n"
     )
-    out_dir.joinpath("pca.csv").write_text(
-        _csv_text(
-            ["team_id"] + [f"pc{i + 1}" for i in range(args.pca_dims)],
-            _pca_rows(projection.coordinates),
-        )
-    )
-    points = [
-        (
-            projection.coordinates[team][0],
-            projection.coordinates[team][1] if args.pca_dims >= 2 else 0.0,
-            team,
-            clustering.assignments[team],
-        )
-        for team in sorted(projection.coordinates)
-    ]
-    out_dir.joinpath("pca_scatter.svg").write_text(
-        scatter_svg(points, title="teams by motif fingerprint (PCA)")
-    )
+    _write_pca(out_dir, projection, args.pca_dims, clustering.assignments)
     out_dir.joinpath("dendrogram.svg").write_text(dendrogram_svg(dendrogram))
     _write_manifest(
         out_dir / "manifest.json",
@@ -427,7 +437,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "pca_dims": args.pca_dims,
             "pca_standardize": args.pca_standardize,
         },
-        [src],
+        digests,
         started,
     )
     return 0
@@ -435,17 +445,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_pca(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    src = Path(args.fingerprints)
-    fingerprints = _read_fingerprints(src)
+    digests: dict[str, str] = {}
+    fingerprints = _read_fingerprints(Path(args.fingerprints), digests)
     projection = pca_project(fingerprints, args.pca_dims, standardize=args.pca_standardize)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_dir.joinpath("pca.csv").write_text(
-        _csv_text(
-            ["team_id"] + [f"pc{i + 1}" for i in range(args.pca_dims)],
-            _pca_rows(projection.coordinates),
-        )
-    )
+    _write_pca(out_dir, projection, args.pca_dims, {})
     out_dir.joinpath("pca_explained.json").write_text(
         json.dumps(
             {"explained_variance_ratio": list(projection.explained_variance_ratio)},
@@ -453,23 +458,11 @@ def cmd_pca(args: argparse.Namespace) -> int:
         )
         + "\n"
     )
-    points = [
-        (
-            projection.coordinates[team][0],
-            projection.coordinates[team][1] if args.pca_dims >= 2 else 0.0,
-            team,
-            0,
-        )
-        for team in sorted(projection.coordinates)
-    ]
-    out_dir.joinpath("pca_scatter.svg").write_text(
-        scatter_svg(points, title="teams by motif fingerprint (PCA)")
-    )
     _write_manifest(
         out_dir / "manifest.json",
         "pca",
         {"pca_dims": args.pca_dims, "pca_standardize": args.pca_standardize},
-        [src],
+        digests,
         started,
     )
     return 0
@@ -482,8 +475,8 @@ def cmd_pca(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    spec_path = Path(args.teams)
-    raw = json.loads(spec_path.read_text())
+    digests: dict[str, str] = {}
+    raw = json.loads(_read_input(Path(args.teams), digests))
     if not isinstance(raw, list):
         raise ValueError("team spec file must be a JSON array of team parameter objects")
     teams = [TeamStyleParams(**entry) for entry in raw]
@@ -499,7 +492,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         out_dir / "manifest.json",
         "synth",
         {"seed": args.seed, "t_max": args.tmax, "format": args.format},
-        [spec_path],
+        digests,
         started,
     )
     return 0

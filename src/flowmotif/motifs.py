@@ -4,12 +4,21 @@ A k-pass motif is the window of k+1 consecutive touches relabeled by
 order of first appearance (first distinct player A, second B, ...), so
 the pattern keeps the structure of the exchange and forgets who played.
 For k=3 the alphabet is ABAB, ABAC, ABCA, ABCB, ABCD.
+
+Counting codes a team-match's touches as integers once (``TouchCodes``)
+and classifies all windows at once (``pattern_index``); the null model
+counts its randomized replicates through the same two steps. The string
+functions ``canonicalize`` and ``extract_motifs`` spell the definition out
+one window at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .possessions import Possession, touch_sequence
 
@@ -82,22 +91,106 @@ def extract_motifs(possession: Possession, k: int = DEFAULT_K) -> list[MotifPatt
     return [canonicalize(seq[i : i + k + 1]) for i in range(len(seq) - k)]
 
 
+class TouchCodes:
+    """The touches of one team-match's possessions as integer player codes.
+
+    Players are coded 0, 1, 2, ... in order of first appearance, and
+    ``players[c]`` is the player of code ``c``. ``touches`` holds every
+    possession's touches back to back, and ``lengths`` the touch count of
+    each possession. ``match_id``/``team_id`` are only used when
+    ``possessions`` is empty; otherwise they are taken from the
+    possessions, which must all agree.
+    """
+
+    def __init__(
+        self, possessions: Sequence[Possession], match_id: str = "", team_id: str = ""
+    ) -> None:
+        if possessions:
+            match_id, team_id = possessions[0].match_id, possessions[0].team_id
+        codes: dict[str, int] = {}
+        touches: list[int] = []
+        lengths: list[int] = []
+        for pos in possessions:
+            if pos.match_id != match_id or pos.team_id != team_id:
+                raise ValueError(
+                    f"possession ({pos.match_id!r}, {pos.team_id!r}) mixed into "
+                    f"({match_id!r}, {team_id!r})"
+                )
+            touches.append(codes.setdefault(pos.passes[0].passer, len(codes)))
+            touches.extend([codes.setdefault(p.receiver, len(codes)) for p in pos.passes])
+            lengths.append(len(pos.passes) + 1)
+        self.match_id = match_id
+        self.team_id = team_id
+        self.players = tuple(codes)
+        self.touches = np.array(touches, dtype=np.int64)
+        self.lengths = lengths
+
+    def window_starts(self, k: int) -> np.ndarray:
+        """Index of the first touch of every (k+1)-touch window within a possession."""
+        starts: list[int] = []
+        base = 0
+        for length in self.lengths:
+            starts.extend(range(base, base + length - k))
+            base += length
+        return np.array(starts, dtype=np.int64)
+
+
+class _PatternIndex:
+    """Classifies touch windows of a fixed k by their pattern, all at once.
+
+    A window's pattern is fixed by which of its touches share a player.
+    Adjacent touches never do, so the key of a window has one bit per pair
+    of touches two or more apart, set when the pair shares a player. The
+    keys of the alphabet come from the same function, applied to each
+    pattern's own letters as players.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.patterns = enumerate_patterns(k)
+        self._left, self._right = np.triu_indices(k + 1, 2)
+        self._bits = 1 << np.arange(self._left.size, dtype=np.int64)
+        letters = np.array([[ord(c) for c in p] for p in self.patterns])
+        keys = self._keys(letters, np.zeros(1, dtype=np.int64))[:, 0]
+        self._order = np.argsort(keys)
+        self._sorted_keys = keys[self._order]
+
+    def _keys(self, touch_rows: np.ndarray, window_starts: np.ndarray) -> np.ndarray:
+        left = touch_rows[:, window_starts[:, None] + self._left]
+        right = touch_rows[:, window_starts[:, None] + self._right]
+        return (left == right) @ self._bits
+
+    def window_counts(self, touch_rows: np.ndarray, window_starts: np.ndarray) -> np.ndarray:
+        """Per-row count of every pattern over the windows, aligned with ``patterns``."""
+        n_rows, n_patterns = touch_rows.shape[0], len(self.patterns)
+        keys = self._keys(touch_rows, window_starts)
+        idx = self._order[np.searchsorted(self._sorted_keys, keys)]
+        idx += np.arange(0, n_rows * n_patterns, n_patterns)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=n_rows * n_patterns)
+        return counts.reshape(n_rows, n_patterns)
+
+
+@cache
+def pattern_index(k: int) -> _PatternIndex:
+    """The window classifier for k, built once per process."""
+    return _PatternIndex(k)
+
+
 @dataclass(slots=True)
 class MotifCountVector:
     """Per-match, per-team motif occurrence counts over the full alphabet.
 
-    ``counts`` holds every pattern of ``enumerate_patterns(k)`` as a key,
-    in alphabet order, with zeros for patterns that never occurred.
+    ``counts`` is an int64 array aligned with ``enumerate_patterns(k)``,
+    with zeros for patterns that never occurred.
     """
 
     match_id: str
     team_id: str
     k: int
-    counts: dict[MotifPattern, int]
+    counts: np.ndarray
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
 
 def count_motifs(
@@ -112,17 +205,8 @@ def count_motifs(
     ``match_id``/``team_id`` are only used when ``possessions`` is empty;
     otherwise they are taken from the possessions, which must all agree.
     """
-    counts = {pattern: 0 for pattern in enumerate_patterns(k)}
-    possessions = list(possessions)
-    if possessions:
-        match_id = possessions[0].match_id
-        team_id = possessions[0].team_id
-    for pos in possessions:
-        if pos.match_id != match_id or pos.team_id != team_id:
-            raise ValueError(
-                f"possession ({pos.match_id!r}, {pos.team_id!r}) mixed into "
-                f"({match_id!r}, {team_id!r})"
-            )
-        for pattern in extract_motifs(pos, k):
-            counts[pattern] += 1
-    return MotifCountVector(match_id=match_id, team_id=team_id, k=k, counts=counts)
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    codes = TouchCodes(list(possessions), match_id, team_id)
+    counts = pattern_index(k).window_counts(codes.touches[None, :], codes.window_starts(k))
+    return MotifCountVector(codes.match_id, codes.team_id, k, counts[0])

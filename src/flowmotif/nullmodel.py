@@ -29,14 +29,14 @@ parallelism, and the two teams of a fixture draw different streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .events import PassEvent
-from .motifs import MotifCountVector, MotifPattern, enumerate_patterns
-from .possessions import Possession, touch_sequence
+from .motifs import MotifCountVector, TouchCodes, pattern_index
+from .possessions import Possession
 from .seeding import derive_seed
 
 POLICIES = ("touch_shuffle_match", "touch_shuffle_possession", "uniform_walk")
@@ -85,13 +85,14 @@ class NullModelConfig:
 class NullDistribution:
     """Per-pattern sample moments of motif counts over the replicates.
 
-    ``std`` is Bessel-corrected; with a single replicate it is undefined
-    and reported as 0 with ``degenerate`` set.
+    ``mean`` and ``std`` are float arrays aligned with
+    ``enumerate_patterns(k)``. ``std`` is Bessel-corrected; with a single
+    replicate it is undefined and reported as 0 with ``degenerate`` set.
     """
 
     k: int
-    mean: dict[MotifPattern, float]
-    std: dict[MotifPattern, float]
+    mean: np.ndarray
+    std: np.ndarray
     replicates: int
     degenerate: bool
 
@@ -100,83 +101,48 @@ class NullDistribution:
 class ZScoreProfile:
     """Standardized motif prevalence of one team in one match.
 
-    ``degenerate`` lists the patterns whose z-score came from a
-    zero-variance or single-replicate null rather than the plain formula.
+    ``z`` is a float array and ``degenerate`` a bool array, both aligned
+    with ``enumerate_patterns(k)``. ``degenerate`` marks the patterns whose
+    z-score came from a zero-variance or single-replicate null rather than
+    the plain formula.
     """
 
     match_id: str
     team_id: str
     k: int
-    z: dict[MotifPattern, float]
-    degenerate: frozenset[MotifPattern] = field(default_factory=frozenset)
+    z: np.ndarray
+    degenerate: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Match layout: possessions flattened into arrays for fast shuffling/counting
+# Match layout: the coded touches plus what the shuffles need
 # ---------------------------------------------------------------------------
 
 
-class _MatchLayout:
-    """Touch slots of one match as integer-coded numpy arrays.
+class _MatchLayout(TouchCodes):
+    """A team-match's coded touches, ready to randomize.
 
-    ``adjacency`` holds every slot index i such that i+1 belongs to the
-    same possession; the no-adjacent-repeat constraint applies exactly at
-    those positions.
+    ``starts`` holds each possession's first slot. ``adjacency`` holds
+    every slot index i such that i+1 belongs to the same possession; the
+    no-adjacent-repeat constraint applies exactly at those positions.
     """
 
     def __init__(self, possessions: Sequence[Possession]) -> None:
-        if possessions:
-            self.match_id = possessions[0].match_id
-            self.team_id = possessions[0].team_id
-        else:
-            self.match_id = ""
-            self.team_id = ""
-        codes: dict[str, int] = {}
-        touch_codes: list[int] = []
-        lengths: list[int] = []
-        for pos in possessions:
-            if pos.match_id != self.match_id or pos.team_id != self.team_id:
-                raise ValueError(
-                    f"possession ({pos.match_id!r}, {pos.team_id!r}) mixed into "
-                    f"({self.match_id!r}, {self.team_id!r})"
-                )
-            seq = touch_sequence(pos)
-            lengths.append(len(seq))
-            for who in seq:
-                code = codes.get(who)
-                if code is None:
-                    code = len(codes)
-                    codes[who] = code
-                touch_codes.append(code)
+        super().__init__(possessions)
         self.possessions = tuple(possessions)
-        self.players = tuple(codes)
-        self.touches = np.asarray(touch_codes, dtype=np.int64)
-        self.lengths = np.asarray(lengths, dtype=np.int64)
-        self.starts = np.concatenate(([0], np.cumsum(self.lengths)))[:-1]
+        lengths = np.array(self.lengths, dtype=np.int64)
+        ends = np.cumsum(lengths)
+        self.starts = ends - lengths
         in_run = np.ones(self.touches.size, dtype=bool)
-        if self.touches.size:
-            in_run[self.starts + self.lengths - 1] = False
+        in_run[ends - 1] = False
         self.adjacency = np.flatnonzero(in_run)
         # Valid-arrangement counts of the possession shuffle, kept across batches.
-        self.arrangements: dict[bytes, int] = {}
-
-    def window_starts(self, k: int) -> np.ndarray:
-        """Global start index of every (k+1)-touch window, per possession."""
-        chunks = [
-            start + np.arange(length - k)
-            for start, length in zip(self.starts.tolist(), self.lengths.tolist())
-            if length > k
-        ]
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        self.arrangements: dict[tuple[int, ...], int] = {}
 
     def rebuild(self, touches: np.ndarray) -> list[Possession]:
         """Possessions with the given touch assignment and original timestamps."""
         out = []
-        for pos, start, length in zip(
-            self.possessions, self.starts.tolist(), self.lengths.tolist()
-        ):
+        for pos, start, length in zip(self.possessions, self.starts.tolist(), self.lengths):
             names = [self.players[c] for c in touches[start : start + length].tolist()]
             passes = tuple(
                 PassEvent(pos.match_id, pos.team_id, names[j], names[j + 1], p.timestamp)
@@ -184,65 +150,6 @@ class _MatchLayout:
             )
             out.append(Possession(pos.match_id, pos.team_id, passes))
         return out
-
-
-class _PatternIndex:
-    """Vectorized window canonicalization for a fixed k.
-
-    Packs each window's restricted-growth code into a single integer and
-    maps it to its position in ``enumerate_patterns(k)``.
-    """
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self.patterns = enumerate_patterns(k)
-        base = k + 1
-        self._weights = base ** np.arange(k + 1, dtype=np.int64)
-        keys = np.array(
-            [
-                sum((ord(c) - ord("A")) * int(w) for c, w in zip(p, self._weights))
-                for p in self.patterns
-            ],
-            dtype=np.int64,
-        )
-        self._order = np.argsort(keys)
-        self._sorted_keys = keys[self._order]
-
-    def window_counts(self, touches: np.ndarray, window_starts: np.ndarray) -> np.ndarray:
-        """Occurrence count of every alphabet pattern over the windows."""
-        return self.window_counts_batch(touches[None, :], window_starts)[0]
-
-    def window_counts_batch(
-        self, touch_rows: np.ndarray, window_starts: np.ndarray
-    ) -> np.ndarray:
-        """Per-row pattern counts for a stack of touch assignments.
-
-        Counting involves no randomness, so batching replicates here is
-        purely an amortization of numpy call overhead; row r's counts are
-        exactly ``window_counts(touch_rows[r], window_starts)``.
-        """
-        n_patterns = len(self.patterns)
-        n_rows = touch_rows.shape[0]
-        if window_starts.size == 0:
-            return np.zeros((n_rows, n_patterns), dtype=np.int64)
-        k = self.k
-        w = touch_rows[:, window_starts[:, None] + np.arange(k + 1)]
-        w = w.reshape(-1, k + 1)
-        flat = np.arange(w.shape[0])
-        codes = np.zeros_like(w)
-        high = np.zeros(w.shape[0], dtype=w.dtype)  # highest code used per window
-        for j in range(1, k + 1):
-            prev_eq = w[:, :j] == w[:, j : j + 1]
-            seen = prev_eq.any(axis=1)
-            prior = codes[flat, prev_eq.argmax(axis=1)]
-            col = np.where(seen, prior, high + 1)
-            codes[:, j] = col
-            np.maximum(high, col, out=high)
-        packed = codes @ self._weights
-        idx = self._order[np.searchsorted(self._sorted_keys, packed)]
-        idx += np.repeat(np.arange(n_rows, dtype=np.int64), window_starts.size) * n_patterns
-        counts = np.bincount(idx, minlength=n_rows * n_patterns)
-        return counts.reshape(n_rows, n_patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +221,7 @@ def _possession_rows(
     numpy and grew the process's memory by several percent.
     """
     out = np.empty((n_rows, layout.touches.size), dtype=layout.touches.dtype)
-    for start, length in zip(layout.starts.tolist(), layout.lengths.tolist()):
+    for start, length in zip(layout.starts.tolist(), layout.lengths):
         touches = layout.touches[start : start + length]
         block = out[:, start : start + length]
         filled = 0
@@ -336,27 +243,25 @@ def _others(counts: list[int], holder: int) -> tuple[int, ...]:
     return tuple(sorted(c for i, c in enumerate(counts) if c and i != holder))
 
 
-def _arrangements(counts: tuple[int, ...], memo: dict[bytes, int]) -> int:
+def _arrangements(counts: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
     """Arrangements with no adjacent repeat of touches with these player counts.
 
     ``counts`` is sorted and holds no zeros; players with equal counts are
-    interchangeable, so the number depends on nothing else. ``memo`` is
-    keyed by the counts as bytes, so a player may hold at most 255 touches
-    of a possession. The recursion is twice as deep as the touches.
+    interchangeable, so the number depends on nothing else, and ``memo``
+    is keyed by the counts. The recursion is twice as deep as the touches.
     """
-    key = bytes(counts)
-    n = memo.get(key)
+    n = memo.get(counts)
     if n is None:
         n = 0 if counts else 1
         for i, c in enumerate(counts):
             if i and counts[i - 1] == c:
                 continue  # starts with a player of the same count: same number
             n += counts.count(c) * _after(counts[:i] + counts[i + 1 :], c - 1, memo)
-        memo[key] = n
+        memo[counts] = n
     return n
 
 
-def _after(others: tuple[int, ...], held: int, memo: dict[bytes, int]) -> int:
+def _after(others: tuple[int, ...], held: int, memo: dict[tuple[int, ...], int]) -> int:
     """Valid arrangements that do not start with the last holder.
 
     The last holder has ``held`` touches left and the other players
@@ -381,7 +286,7 @@ def _randbelow(rng: np.random.Generator, n: int) -> int:
 
 
 def _counted_arrangement(
-    touches: np.ndarray, rng: np.random.Generator, memo: dict[bytes, int]
+    touches: np.ndarray, rng: np.random.Generator, memo: dict[tuple[int, ...], int]
 ) -> np.ndarray:
     """One uniform valid arrangement of a possession's touches.
 
@@ -498,7 +403,7 @@ def null_distribution(
     order.
     """
     layout = _MatchLayout(possessions)
-    pidx = _PatternIndex(k)
+    pidx = pattern_index(k)
     window_starts = layout.window_starts(k)
     n = len(pidx.patterns)
     total = np.zeros(n, dtype=np.int64)
@@ -511,17 +416,11 @@ def null_distribution(
         rows = _draw_rows(
             layout, config.policy, rng, min(BATCH_ROWS, reps - done), config.max_repair_attempts
         )
-        counts = pidx.window_counts_batch(rows, window_starts)
+        counts = pidx.window_counts(rows, window_starts)
         total += counts.sum(axis=0)
         total_sq += (counts * counts).sum(axis=0)
     mean, std = _moments(total, total_sq, reps)
-    return NullDistribution(
-        k=k,
-        mean=dict(zip(pidx.patterns, mean.tolist())),
-        std=dict(zip(pidx.patterns, std.tolist())),
-        replicates=reps,
-        degenerate=reps < 2,
-    )
+    return NullDistribution(k=k, mean=mean, std=std, replicates=reps, degenerate=reps < 2)
 
 
 def z_scores(real: MotifCountVector, null: NullDistribution) -> ZScoreProfile:
@@ -532,25 +431,8 @@ def z_scores(real: MotifCountVector, null: NullDistribution) -> ZScoreProfile:
     """
     if real.k != null.k:
         raise ValueError(f"k mismatch: counts have k={real.k}, null has k={null.k}")
-    z: dict[MotifPattern, float] = {}
-    flagged = set()
-    for pattern in enumerate_patterns(real.k):
-        count = real.counts[pattern]
-        mean = null.mean[pattern]
-        std = null.std[pattern]
-        if std > 0.0:
-            z[pattern] = (count - mean) / std
-        elif count == mean:
-            z[pattern] = 0.0
-        else:
-            z[pattern] = Z_CAP if count > mean else -Z_CAP
-            flagged.add(pattern)
-        if null.degenerate:
-            flagged.add(pattern)
-    return ZScoreProfile(
-        match_id=real.match_id,
-        team_id=real.team_id,
-        k=real.k,
-        z=z,
-        degenerate=frozenset(flagged),
-    )
+    diff = real.counts - null.mean
+    spread = null.std > 0.0
+    z = np.divide(diff, null.std, out=np.sign(diff) * Z_CAP, where=spread)
+    degenerate = (~spread & (diff != 0.0)) | null.degenerate
+    return ZScoreProfile(real.match_id, real.team_id, real.k, z, degenerate)

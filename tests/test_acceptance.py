@@ -85,7 +85,7 @@ def _league_match_z(args: tuple[int, int, int]) -> tuple[int, list[float]]:
         possessions, K, NullModelConfig(replicates=LEAGUE_REPLICATES, master_seed=master)
     )
     profile = z_scores(counts, null)
-    return team_index, [profile.z[p] for p in PATTERNS]
+    return team_index, profile.z.tolist()
 
 
 def test_criterion_1_paper_worked_example():
@@ -161,8 +161,7 @@ def test_criterion_5_null_self_consistency():
     for r in range(reps):
         seed = derive_seed(42, match_id, r)
         replicate = randomize_possessions(possessions, "touch_shuffle_match", seed)
-        vec = count_motifs(replicate, K)
-        counts[r] = [vec.counts[p] for p in PATTERNS]
+        counts[r] = count_motifs(replicate, K).counts
     total = counts.sum(axis=0)
     total_sq = (counts * counts).sum(axis=0)
     zs = []
@@ -173,20 +172,12 @@ def test_criterion_5_null_self_consistency():
         mean = s / rest
         var = (rest * sq - s * s) / (rest * (rest - 1))
         std = np.sqrt(np.maximum(var, 0.0))
-        held_out = MotifCountVector(
-            match_id, "tA", K, dict(zip(PATTERNS, counts[i].tolist()))
-        )
+        held_out = MotifCountVector(match_id, "tA", K, counts[i])
         null = NullDistribution(
-            k=K,
-            mean=dict(zip(PATTERNS, mean.tolist())),
-            std=dict(zip(PATTERNS, std.tolist())),
-            replicates=rest,
-            degenerate=False,
+            k=K, mean=mean, std=std, replicates=rest, degenerate=False
         )
         profile = z_scores(held_out, null)
-        zs.extend(
-            profile.z[p] for p in PATTERNS if p not in profile.degenerate
-        )
+        zs.extend(profile.z[~profile.degenerate].tolist())
     zs = np.array(zs)
     mean_z, std_z = float(zs.mean()), float(zs.std(ddof=1))
     elapsed = time.perf_counter() - t0

@@ -26,7 +26,11 @@ def fp(team, *values, k=3, matches=1):
 
 def profile(team, z_value, match="m0"):
     return ZScoreProfile(
-        match_id=match, team_id=team, k=3, z={p: float(z_value) for p in PATTERNS}
+        match_id=match,
+        team_id=team,
+        k=3,
+        z=np.full(DIM, float(z_value)),
+        degenerate=np.zeros(DIM, dtype=bool),
     )
 
 

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -181,6 +183,15 @@ def test_full_pipeline_to_cluster_and_pca(league_dir, tmp_path):
     assert len(coords) == 4 and set(coords[0]) == {"team_id", "pc1", "pc2"}
     explained = json.loads((pca_dir / "pca_explained.json").read_text())
     assert len(explained["explained_variance_ratio"]) == 2
+    # one writer for both: cluster colors the points by cluster, pca does not
+    assert (pca_dir / "pca.csv").read_bytes() == (cluster_dir / "pca.csv").read_bytes()
+    clusters = {r["cluster"] for r in assignments}
+    assert len(fills(cluster_dir / "pca_scatter.svg")) == len(clusters)
+    assert len(fills(pca_dir / "pca_scatter.svg")) == 1
+
+
+def fills(svg_path):
+    return set(re.findall(r'<circle [^>]*fill="([^"]+)"', svg_path.read_text()))
 
 
 def test_cluster_with_too_few_teams_exits_2(league_dir, tmp_path, capsys):
@@ -240,3 +251,78 @@ def test_cluster_rejects_malformed_fingerprint_csv(tmp_path, capsys):
     )
     assert main(["cluster", str(incomplete), "--out", str(tmp_path / "c2")]) == 2
     assert "missing pattern" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["motifs", "zscores"])
+def test_manifest_digests_every_input_once_read(tmp_path, command):
+    # The digests come from the bytes that were parsed, so a file whose
+    # header is broken, and which is rejected whole, is listed as well.
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "good.csv").write_text(WORKED_EXAMPLE_CSV)
+    (inputs / "bad_header.csv").write_text("match,team\nM2,T1\n")
+    (inputs / "bad_record.csv").write_text(WORKED_EXAMPLE_CSV.replace("M1", "M3") + "M3,T1,x\n")
+    out = tmp_path / "out.csv"
+    argv = [command, str(inputs), "--out", str(out)]
+    assert main(argv + (["--replicates", "3"] if command == "zscores" else [])) == 2
+    manifest = json.loads(out.with_name("out.csv.manifest.json").read_text())
+    assert manifest["input_digests"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs.iterdir()
+    }
+
+
+def test_fingerprint_rejects_zscores_missing_a_pattern(tmp_path, capsys):
+    zs = tmp_path / "z.csv"
+    zs.write_text(
+        "match_id,team_id,k,pattern,count,null_mean,null_std,z,degenerate\n"
+        "m,a,3,ABAB,1,1.0,0.0,0.0,false\n"
+    )
+    assert main(["fingerprint", str(zs), "--out", str(tmp_path / "f.csv")]) == 2
+    assert "missing pattern" in capsys.readouterr().err
+
+
+# sha256 of zscores.csv and fingerprints.csv for the league of ``league_dir``
+# at seed 3. Output bytes are versioned: a change that moves them bumps
+# ``__version__`` and records new values here.
+GOLDEN = {
+    ("touch-shuffle-match", "40"): (
+        "ccbc1779eca5d1fe38f949f4771076584af704f6285e741d0f475591409b3671",
+        "55808df6813bf86b85478b15a0255f7719b87ba7125eac8874325b4e8abb5d34",
+    ),
+    ("touch-shuffle-possession", "40"): (
+        "88fd74c987c07f6c52b3240575307230a109b9747eb531b111542a8bb8e561be",
+        "fc51dd0cfb894035562d7352772f155a95ce89cf7883fd4e3c0c0cae9a39f648",
+    ),
+    ("uniform-walk", "40"): (
+        "512092ed9ce7a399ce4d62343739432e32f57d980df17b88c4721f25d13be49f",
+        "9fa13e7351fc7f44fba011f66cb683f4853b54a1663dec845dfb00c03785137a",
+    ),
+    # one replicate: every z is flagged, most are capped at +-10
+    ("uniform-walk", "1"): (
+        "2ab1b7d377e9a7e5793856738138163fdc3c543cc47c6c395dadecccea6f78ed",
+        "82703d6cb475c57f0504bc86b08e491823a5b701fe97bf6b2b751f40c03152a2",
+    ),
+}
+
+
+@pytest.mark.parametrize("policy,replicates", sorted(GOLDEN))
+def test_zscores_and_fingerprint_bytes_are_pinned(league_dir, tmp_path, policy, replicates):
+    zs, fps = tmp_path / "z.csv", tmp_path / "f.csv"
+    argv = ["zscores", str(league_dir), "--null-model", policy, "--replicates", replicates]
+    assert main(argv + ["--seed", "3", "--out", str(zs)]) == 0
+    assert main(["fingerprint", str(zs), "--out", str(fps)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (zs, fps))
+    assert digests == GOLDEN[policy, replicates]
+
+
+@pytest.mark.parametrize(
+    "k,digest",
+    [
+        ("3", "26766b89deb7cce432d1b6b835ab0ee590cbd5e0153009e9f850d947af019e0f"),
+        ("5", "b0bd2a50122467fbf5d8b82eea36cd72f323884aa7c315933c9a1b3caf699f55"),
+    ],
+)
+def test_motifs_bytes_are_pinned(league_dir, tmp_path, k, digest):
+    out = tmp_path / "m.csv"
+    assert main(["motifs", str(league_dir), "--k", k, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

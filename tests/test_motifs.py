@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,13 +121,14 @@ def test_extracted_patterns_are_in_alphabet(walk, k):
 
 def test_count_motifs_paper_example():
     vec = count_motifs([chain_possession(["2", "4", "5", "6", "4", "6"])], 3)
-    assert vec.counts == {"ABAB": 0, "ABAC": 0, "ABCA": 1, "ABCB": 1, "ABCD": 1}
+    # aligned with ["ABAB", "ABAC", "ABCA", "ABCB", "ABCD"]
+    assert vec.counts.tolist() == [0, 0, 1, 1, 1]
 
 
 def test_count_motifs_empty_is_all_zero():
     vec = count_motifs([], 3, match_id="m", team_id="t")
     assert vec.match_id == "m"
-    assert set(vec.counts) == set(enumerate_patterns(3))
+    assert vec.counts.tolist() == [0] * len(enumerate_patterns(3))
     assert vec.total == 0
 
 
@@ -153,4 +156,18 @@ def test_count_conservation(walks, k):
     possessions = [chain_possession(w) for w in walks]
     vec = count_motifs(possessions, k)
     assert vec.total == sum(max(0, len(p) - k + 1) for p in possessions)
-    assert list(vec.counts) == enumerate_patterns(k)
+    assert len(vec.counts) == len(enumerate_patterns(k))
+
+
+@given(st.lists(touch_walks(), max_size=8), st.integers(2, 5))
+def test_count_motifs_matches_brute_force_oracle(walks, k):
+    possessions = [chain_possession(w) for w in walks]
+    expected = Counter(p for w in walks for p in oracle_window_patterns(w, k))
+    vec = count_motifs(possessions, k)
+    assert vec.counts.tolist() == [expected[p] for p in enumerate_patterns(k)]
+
+
+def test_count_motifs_rejects_k_below_two():
+    for possessions in ([], [chain_possession(["1", "2", "3"])]):
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            count_motifs(possessions, 1)
