@@ -1,0 +1,32 @@
+"""Micro-benchmark of ``null_distribution``, one case per null-model policy.
+
+Run from the root of a checkout (these files sit outside the test paths,
+so the test suite does not run them):
+
+    python -m pytest microbench --benchmark-only
+
+Every case scores the same four synthetic team-matches at 1000
+replicates: two of the README's league shape (squad 10, 25 possessions,
+3.2 passes per possession) and two of a back-passing team (4.0 passes per
+possession, back-pass bias 0.5), whose repeated players exercise the
+slower routes of the possession shuffle.
+"""
+
+import pytest
+
+from flowmotif import NullModelConfig, null_distribution, segment_possessions
+from flowmotif.nullmodel import POLICIES
+from flowmotif.synth import TeamStyleParams, generate_league
+
+TEAMS = [
+    TeamStyleParams(10, 25, 3.2, 0.0, matches=2, team_id="plain"),
+    TeamStyleParams(10, 25, 4.0, 0.5, matches=2, team_id="backpass"),
+]
+TEAM_MATCHES = [segment_possessions(log) for log in generate_league(TEAMS, seed=1)]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_null_distribution(benchmark, policy):
+    config = NullModelConfig(replicates=1000, policy=policy, master_seed=3)
+    nulls = benchmark(lambda: [null_distribution(p, 3, config) for p in TEAM_MATCHES])
+    assert len(nulls) == len(TEAM_MATCHES)

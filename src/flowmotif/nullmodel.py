@@ -11,12 +11,17 @@ repeating the holder before it:
   per-player touch multiset of the match. The repair is biased: it does
   not draw the valid arrangements uniformly.
 - ``touch_shuffle_possession`` draws each possession uniformly from the
-  valid arrangements of its own touch multiset, exactly. Rejection
-  rounds permute a possession for all rows of a batch at once and keep
-  the permutations with no adjacent repeat; rows still waiting after
-  ``POSSESSION_ROUNDS`` rounds are drawn from exact counts of valid
-  arrangements. A possession's observed arrangement is valid, so the
-  sampler always terminates.
+  valid arrangements of its own touch multiset, exactly. Each possession
+  takes one of three routes, fixed per team-match by its sorted player
+  counts: possessions whose players are all distinct are uniform
+  permutations, drawn together by one sort of random keys; possessions
+  whose table of valid arrangements is built from at most
+  ``TABLE_LIMIT`` candidates, two-player ones of any length included,
+  take a uniform row of that table; the rest take rejection rounds,
+  which keep the uniform permutations with no adjacent repeat, and rows
+  still waiting after ``POSSESSION_ROUNDS`` rounds are drawn from exact
+  counts of valid arrangements. A possession's observed arrangement is
+  valid, so the sampler always terminates.
 - ``uniform_walk`` makes each possession a walk on the match's players:
   the first holder is uniform, and every pass goes to a uniformly chosen
   other player. It is exact by construction.
@@ -29,7 +34,10 @@ parallelism, and the two teams of a fixture draw different streams.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +57,9 @@ BATCH_ROWS = 64
 # Rejection rounds of the possession shuffle before the stragglers are
 # drawn from completion counts.
 POSSESSION_ROUNDS = 64
+# Largest number of candidate arrangements a possession's table of valid
+# arrangements may be built from; larger possessions take rejection rounds.
+TABLE_LIMIT = 1024
 
 # Bound for |z| when the null distribution has zero variance but the real
 # count still deviates from it; keeps downstream feature vectors finite.
@@ -139,6 +150,11 @@ class _MatchLayout(TouchCodes):
         # Valid-arrangement counts of the possession shuffle, kept across batches.
         self.arrangements: dict[tuple[int, ...], int] = {}
 
+    @cached_property
+    def routes(self) -> _PossessionRoutes:
+        """How the possession shuffle draws each possession, fixed for the team-match."""
+        return _PossessionRoutes(self)
+
     def rebuild(self, touches: np.ndarray) -> list[Possession]:
         """Possessions with the given touch assignment and original timestamps."""
         out = []
@@ -205,23 +221,134 @@ def _match_rows(
     return out
 
 
+def _table_cost(signature: tuple[int, ...]) -> int:
+    """Candidate arrangements the table of a signature is built from.
+
+    Two players can only alternate, so their table is written out from
+    at most two candidates; any other table is filtered from all
+    L!/(c1! c2! ...) distinct permutations of the L touches.
+    """
+    if len(signature) == 2:
+        return 2
+    return math.factorial(sum(signature)) // math.prod(map(math.factorial, signature))
+
+
+@cache
+def _arrangement_table(signature: tuple[int, ...]) -> np.ndarray:
+    """Every valid arrangement of touches with these sorted player counts, one per row.
+
+    Player ``i`` of a row holds ``signature[i]`` touches, and the rows are
+    in lexicographic order. The table is grown one touch at a time over
+    all valid prefixes at once, so the only objects it leaves are arrays.
+    """
+    length = sum(signature)
+    if len(signature) == 2:
+        # the players alternate, and the one with more touches starts
+        alternate = np.arange(length, dtype=np.int8) % 2
+        low, high = signature
+        if high == low:
+            rows = [alternate, 1 - alternate]
+        elif high == low + 1:
+            rows = [1 - alternate]
+        else:
+            rows = []
+        table = np.array(rows, dtype=np.int8).reshape(-1, length)
+    else:
+        players = np.arange(len(signature), dtype=np.int8)
+        table = np.empty((1, 0), dtype=np.int8)
+        left = np.array([signature])
+        last = np.full((1, 1), -1)
+        for _ in range(length):
+            prefix, player = np.nonzero((left > 0) & (players != last))
+            table = np.column_stack([table[prefix], players[player]])
+            left = left[prefix]
+            left[np.arange(prefix.size), player] -= 1
+            last = table[:, -1:]
+    table.flags.writeable = False
+    return table
+
+
+class _PossessionRoutes:
+    """The possession shuffle's route for every possession of a team-match.
+
+    A possession's route follows from its signature, its sorted player
+    counts. Each route draws all its possessions for all rows at once:
+
+    - all players distinct: one sort of uniform keys, offset by the
+      possession's index so that each permutation stays inside its
+      possession (``distinct_*``);
+    - a table built from at most ``TABLE_LIMIT`` candidates: one uniform
+      row per possession of the table of its valid arrangements, mapped to
+      its players by count (``table_*``). Players with equal counts are
+      interchangeable, so any order among them gives the same rows;
+    - the rest (``rejected``): rejection rounds, one possession at a time.
+    """
+
+    def __init__(self, layout: _MatchLayout) -> None:
+        distinct: list[range] = []
+        tabled: list[tuple[range, np.ndarray]] = []
+        self.rejected: list[tuple[int, int]] = []
+        code = np.min_scalar_type(len(layout.players))
+        for start, length in zip(layout.starts.tolist(), layout.lengths):
+            slots = range(start, start + length)
+            counts = Counter(layout.touches[start : start + length].tolist())
+            signature = tuple(sorted(counts.values()))
+            if len(counts) == length:
+                distinct.append(slots)
+            elif _table_cost(signature) <= TABLE_LIMIT:
+                holders = np.array(sorted(counts, key=counts.get), dtype=code)
+                tabled.append((slots, holders[_arrangement_table(signature)]))
+            else:
+                self.rejected.append((start, length))
+
+        self.distinct_slots = np.array([i for slots in distinct for i in slots], dtype=np.int64)
+        self.distinct_offset = np.repeat(
+            np.arange(len(distinct), dtype=np.float64), [len(slots) for slots in distinct]
+        )
+        self.distinct_touches = layout.touches[self.distinct_slots]
+
+        lengths = np.array([len(slots) for slots, _ in tabled], dtype=np.int64)
+        self.table_sizes = np.array([len(table) for _, table in tabled], dtype=np.int64)
+        self.table_slots = np.array([i for slots, _ in tabled for i in slots], dtype=np.int64)
+        self.table_column = np.repeat(np.arange(lengths.size), lengths)
+        self.table_stride = np.repeat(lengths, lengths)
+        # The tables lie back to back in ``tables``; row r of a slot's table
+        # holds its touch at ``table_base + r * table_stride``.
+        self.tables = np.concatenate([np.empty(0, code)] + [table.ravel() for _, table in tabled])
+        table_start = np.cumsum(self.table_sizes * lengths) - self.table_sizes * lengths
+        first_slot = np.cumsum(lengths) - lengths
+        self.table_base = np.repeat(table_start - first_slot, lengths)
+        self.table_base += np.arange(self.table_slots.size)
+
+
 def _possession_rows(
     layout: _MatchLayout, rng: np.random.Generator, n_rows: int
 ) -> np.ndarray:
     """Rows whose possessions are independent uniform valid arrangements.
 
-    A uniform permutation of a possession's touches that has no adjacent
-    repeat is uniform over the valid arrangements. So each round permutes
-    the possession once per row, all rows at once, and hands the valid
-    permutations in order to the rows still waiting for one. Rows still
-    waiting after ``POSSESSION_ROUNDS`` rounds are drawn by
-    ``_counted_arrangement``. A possession's rounds all have the same
+    The possessions take the routes of ``layout.routes``, in order: the
+    all-distinct ones, the tabled ones, then the rest one at a time. A
+    uniform permutation of a possession's touches that has no adjacent
+    repeat is uniform over the valid arrangements. So each rejection
+    round permutes the possession once per row, all rows at once, and
+    hands the valid permutations in order to the rows still waiting for
+    one. Rows still waiting after ``POSSESSION_ROUNDS`` rounds are drawn
+    by ``_counted_arrangement``. A possession's rounds all have the same
     array shapes: pooling the waiting rows of every possession into one
     draw was as fast, but its ever-changing small arrays stay cached by
     numpy and grew the process's memory by several percent.
     """
+    routes = layout.routes
     out = np.empty((n_rows, layout.touches.size), dtype=layout.touches.dtype)
-    for start, length in zip(layout.starts.tolist(), layout.lengths):
+    if routes.distinct_slots.size:
+        keys = rng.random((n_rows, routes.distinct_slots.size))
+        keys += routes.distinct_offset
+        out[:, routes.distinct_slots] = routes.distinct_touches[keys.argsort(axis=1)]
+    if routes.table_sizes.size:
+        picks = rng.integers(0, routes.table_sizes, (n_rows, routes.table_sizes.size))
+        flat = picks[:, routes.table_column] * routes.table_stride + routes.table_base
+        out[:, routes.table_slots] = routes.tables[flat]
+    for start, length in routes.rejected:
         touches = layout.touches[start : start + length]
         block = out[:, start : start + length]
         filled = 0

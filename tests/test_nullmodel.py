@@ -20,7 +20,14 @@ from flowmotif import (
     z_scores,
 )
 from flowmotif import nullmodel
-from flowmotif.nullmodel import BATCH_ROWS, _arrangements, _draw_rows, _MatchLayout, _moments
+from flowmotif.nullmodel import (
+    BATCH_ROWS,
+    _arrangement_table,
+    _arrangements,
+    _draw_rows,
+    _MatchLayout,
+    _moments,
+)
 from flowmotif.synth import TeamStyleParams, generate_match
 from helpers import chain_possession
 
@@ -195,9 +202,39 @@ def test_arrangement_counts_match_enumeration(touches):
     assert _arrangements(counts, {}) == len(valid_arrangements(touches))
 
 
+@pytest.mark.parametrize("touches", ["AB", "ACBA", "ABCBDAC", "ABABABABAB", "AAABBBCCD", "AAAAB"])
+def test_arrangement_tables_match_enumeration(touches):
+    # Player i of a table holds the i-th smallest count; ties follow the letters.
+    counts = Counter(touches)
+    holders = sorted(counts, key=counts.get)
+    table = _arrangement_table(tuple(sorted(counts.values())))
+    rows = sorted("".join(holders[i] for i in row) for row in table.tolist())
+    assert rows == valid_arrangements(touches)
+    assert table.dtype == np.int8 and not table.flags.writeable
+
+
+def test_possession_routes_follow_the_signature(monkeypatch):
+    # CA has distinct players, ACBA is tabled from 12 permutations and
+    # ABCABCABC has 1680 > TABLE_LIMIT; a two-player chain of any length is
+    # tabled from two candidates.
+    layout = _MatchLayout([chain_possession(list(t)) for t in ("CA", "ACBA", "ABCABCABC")])
+    routes = layout.routes
+    assert routes.distinct_slots.tolist() == [0, 1]
+    assert routes.table_slots.tolist() == [2, 3, 4, 5]
+    assert routes.table_sizes.tolist() == [6]
+    assert routes.rejected == [(6, 9)]
+    long_pair = _MatchLayout([chain_possession(["A", "B"] * 400 + ["A"])])
+    assert long_pair.routes.table_sizes.tolist() == [1] and not long_pair.routes.rejected
+    monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 0)
+    layout = _MatchLayout([chain_possession(list(t)) for t in ("CA", "ACBA", "ABCABCABC")])
+    assert layout.routes.distinct_slots.tolist() == [0, 1]
+    assert layout.routes.rejected == [(2, 4), (6, 9)]
+
+
 def test_possession_shuffle_takes_a_player_with_hundreds_of_touches():
-    # Two players alternating over 520 touches hold 260 each; the counts
-    # memo once took its keys as bytes, which cannot hold a count of 256.
+    # Two players alternating over 520 touches hold 260 each. The chain now
+    # takes the table route; through the arrangement counts it once failed on
+    # a count of 256 (the memo took its keys as bytes), then took seconds.
     (pos,) = randomize_possessions(
         [chain_possession(["A", "B"] * 260)], "touch_shuffle_possession", seed=4
     )
@@ -216,22 +253,11 @@ def chi2_limit(df, z=4.75):
     return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
 
 
-@pytest.mark.parametrize(
-    "layout,draws", [("ACBA ABCA", 50_000), ("ABCBDAC DBA", 200_000), ("ABABABABAB", 20_000)]
-)
-@pytest.mark.parametrize("rounds", [nullmodel.POSSESSION_ROUNDS, 0])
-def test_possession_shuffle_is_uniform_over_valid_arrangements(
-    layout, draws, rounds, monkeypatch
-):
-    # With no rejection rounds every possession is drawn from arrangement
-    # counts, which cost more per draw; ABABABABAB reaches them in most
-    # rows even with the default rounds.
-    monkeypatch.setattr(nullmodel, "POSSESSION_ROUNDS", rounds)
+def assert_uniform_over_valid_arrangements(layout, draws):
+    """Chi-squared test of the possession shuffle against enumeration."""
     possessions = [chain_possession(list(t)) for t in layout.split()]
     match = _MatchLayout(possessions)
     cells = ["".join(c) for c in product(*map(valid_arrangements, layout.split()))]
-    if not rounds:
-        draws //= 10
     batch = draws // 10
     rng = np.random.default_rng(11)
     names = np.array(match.players)
@@ -245,10 +271,45 @@ def test_possession_shuffle_is_uniform_over_valid_arrangements(
     assert chi2 < chi2_limit(len(cells) - 1), (chi2, len(cells))
 
 
+# ABCD CDE takes the all-distinct route alone, ACBA ABCA and ABABABABAB the
+# tables, and CA ACBA ABCABCABC all three routes at once.
+LAYOUTS = [
+    ("ACBA ABCA", 50_000),
+    ("ABCBDAC DBA", 200_000),
+    ("ABABABABAB", 20_000),
+    ("ABCD CDE", 50_000),
+    ("CA ACBA ABCABCABC", 200_000),
+]
+
+
+@pytest.mark.parametrize("layout,draws", LAYOUTS)
+@pytest.mark.parametrize("rounds", [nullmodel.POSSESSION_ROUNDS, 0])
+def test_possession_shuffle_is_uniform_over_valid_arrangements(
+    layout, draws, rounds, monkeypatch
+):
+    # With no rejection rounds and no tables every possession with a
+    # repeated player is drawn from arrangement counts, which cost more per
+    # draw.
+    if not rounds:
+        monkeypatch.setattr(nullmodel, "POSSESSION_ROUNDS", 0)
+        monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 0)
+        draws //= 10
+    assert_uniform_over_valid_arrangements(layout, draws)
+
+
+@pytest.mark.parametrize("layout,draws", [c for c in LAYOUTS if c[0] != "ABCD CDE"])
+def test_rejection_route_is_uniform_over_valid_arrangements(layout, draws, monkeypatch):
+    # With no tables every possession with a repeated player takes the
+    # rejection rounds; ABABABABAB passes most rows on to the counts.
+    monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 0)
+    assert_uniform_over_valid_arrangements(layout, draws)
+
+
 def test_possession_shuffle_terminates_on_tight_possessions():
-    # Two players alternating over 24 touches admit two arrangements, and A
-    # holding 14 of 30 touches leaves a few in a million permutations valid;
-    # the rejection rounds pass nearly all of them to the arrangement counts.
+    # Two players alternating over 24 touches admit two arrangements, drawn
+    # from their table, and A holding 14 of 30 touches leaves a few in a
+    # million permutations valid, so the rejection rounds pass nearly every
+    # row to the arrangement counts.
     tight = "AB" * 12
     heavy = "".join(a + b for a, b in zip("A" * 14, "BCDEFGHI" * 2)) + "HI"
     assert Counter(heavy)["A"] == 14 and len(heavy) == 30
