@@ -224,8 +224,8 @@ def _match_rows(
 def _table_cost(signature: tuple[int, ...]) -> int:
     """Candidate arrangements the table of a signature is built from.
 
-    Two players can only alternate, so their table is written out from
-    at most two candidates; any other table is filtered from all
+    Two players can only alternate, so growing their table holds at most
+    two prefixes at any length; any other table is filtered from all
     L!/(c1! c2! ...) distinct permutations of the L touches.
     """
     if len(signature) == 2:
@@ -242,28 +242,16 @@ def _arrangement_table(signature: tuple[int, ...]) -> np.ndarray:
     all valid prefixes at once, so the only objects it leaves are arrays.
     """
     length = sum(signature)
-    if len(signature) == 2:
-        # the players alternate, and the one with more touches starts
-        alternate = np.arange(length, dtype=np.int8) % 2
-        low, high = signature
-        if high == low:
-            rows = [alternate, 1 - alternate]
-        elif high == low + 1:
-            rows = [1 - alternate]
-        else:
-            rows = []
-        table = np.array(rows, dtype=np.int8).reshape(-1, length)
-    else:
-        players = np.arange(len(signature), dtype=np.int8)
-        table = np.empty((1, 0), dtype=np.int8)
-        left = np.array([signature])
-        last = np.full((1, 1), -1)
-        for _ in range(length):
-            prefix, player = np.nonzero((left > 0) & (players != last))
-            table = np.column_stack([table[prefix], players[player]])
-            left = left[prefix]
-            left[np.arange(prefix.size), player] -= 1
-            last = table[:, -1:]
+    players = np.arange(len(signature), dtype=np.int8)
+    table = np.empty((1, 0), dtype=np.int8)
+    left = np.array([signature])
+    last = np.full((1, 1), -1)
+    for _ in range(length):
+        prefix, player = np.nonzero((left > 0) & (players != last))
+        table = np.column_stack([table[prefix], players[player]])
+        left = left[prefix]
+        left[np.arange(prefix.size), player] -= 1
+        last = table[:, -1:]
     table.flags.writeable = False
     return table
 

@@ -235,6 +235,12 @@ def test_possession_shuffle_takes_a_player_with_hundreds_of_touches():
     # Two players alternating over 520 touches hold 260 each. The chain now
     # takes the table route; through the arrangement counts it once failed on
     # a count of 256 (the memo took its keys as bytes), then took seconds.
+    # The counts route still serves long possessions of three or more
+    # players, so its memo is checked directly at counts of 256.
+    memo = {}
+    assert _arrangements((1, 256), memo) == 0
+    assert _arrangements((1, 1, 256), memo) == 0
+    assert memo[(256,)] == 0
     (pos,) = randomize_possessions(
         [chain_possession(["A", "B"] * 260)], "touch_shuffle_possession", seed=4
     )
