@@ -155,7 +155,10 @@ def _load_match_logs(
 def _thread_count() -> int:
     raw = os.environ.get("FLOWMOTIF_THREADS", "")
     if raw.strip():
-        return max(1, int(raw))
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise ValueError(f"FLOWMOTIF_THREADS must be an integer, got {raw!r}") from None
     return os.cpu_count() or 1
 
 
@@ -545,8 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-repair-attempts",
         type=int,
         default=DEFAULT_MAX_REPAIR_ATTEMPTS,
-        help="repair sweeps and resamples per replicate of touch-shuffle-match; "
-        "the other null models never repair",
+        help="repair sweeps and resamples per replicate of touch-shuffle-match, "
+        "whose replicates are shuffled and repaired together in batches with an "
+        "unchanged, still biased law; the other null models never repair",
     )
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_zscores)

@@ -7,9 +7,10 @@ repeating the holder before it:
 - ``touch_shuffle_match`` (default) permutes the team-match's touch
   slots at random, then repairs adjacent repeats by swapping the
   offending slot with a random other slot, resampling the permutation
-  when ``max_repair_attempts`` sweeps do not suffice. It keeps the
-  per-player touch multiset of the match. The repair is biased: it does
-  not draw the valid arrangements uniformly.
+  when ``max_repair_attempts`` sweeps do not suffice. The rows of a batch
+  are shuffled and repaired together, each with the law of a row repaired
+  on its own. It keeps the per-player touch multiset of the match. The
+  repair is biased: it does not draw the valid arrangements uniformly.
 - ``touch_shuffle_possession`` draws each possession uniformly from the
   valid arrangements of its own touch multiset, exactly. Each possession
   takes one of three routes, fixed per team-match by its sorted player
@@ -173,52 +174,56 @@ class _MatchLayout(TouchCodes):
 # ---------------------------------------------------------------------------
 
 
-def _repair_adjacent(
-    arr: np.ndarray,
-    adjacency: np.ndarray,
-    rng: np.random.Generator,
-    max_attempts: int,
-) -> bool:
-    """Swap duplicate-adjacent slots with uniformly random other slots.
-
-    Each sweep rechecks all adjacency positions and swaps every slot still
-    offending; returns False once the sweep budget is exhausted so the
-    caller can resample the whole permutation.
-    """
-    size = arr.size
-    succ = adjacency + 1
-    for _ in range(max_attempts):
-        bad = adjacency[arr[adjacency] == arr[succ]]
-        if bad.size == 0:
-            return True
-        partners = rng.integers(0, size - 1, size=bad.size)
-        for i, j in zip(bad.tolist(), partners.tolist()):
-            if arr[i] != arr[i + 1]:
-                continue  # fixed by an earlier swap in this sweep
-            slot = i + 1
-            if j >= slot:
-                j += 1
-            arr[slot], arr[j] = arr[j], arr[slot]
-    return False
-
-
 def _match_rows(
     layout: _MatchLayout, rng: np.random.Generator, n_rows: int, max_attempts: int
 ) -> np.ndarray:
-    """Shuffled and repaired rows; a row is reshuffled when its repair runs out of sweeps."""
-    out = np.empty((n_rows, layout.touches.size), dtype=layout.touches.dtype)
-    for row in out:
+    """Shuffled and repaired rows, all rows of the batch together.
+
+    Each row is a uniform permutation of the touches. A repair sweep finds,
+    in every row, the slots that repeat the holder before them and swaps
+    each, in slot order, with a uniform other slot of its row, unless an
+    earlier swap of the sweep fixed it. ``slots[c]`` holds every row's c-th
+    offending slot as an index into ``flat``, so each c swaps on all rows
+    at once, and ``steps`` the distance to its partner, taken only while the
+    slot still repeats. A row with fewer offending slots points at the
+    spare last cell, whose -1 is no player's code, so nothing moves. A row
+    still dirty after ``max_attempts`` sweeps is reshuffled; the rows start
+    together and a clean row stays clean, so such rows are all due at once.
+    """
+    touches = layout.touches
+    size = touches.size
+    cells = n_rows * size
+    flat = np.full(cells + 1, -1, dtype=touches.dtype)
+    out = flat[:-1].reshape(n_rows, size)
+    out[:] = touches
+    rng.permuted(out, axis=1, out=out)
+    in_run = np.zeros((n_rows, size), dtype=bool)
+    in_run[:, layout.adjacency] = True
+    in_run = in_run.reshape(-1)[:-1]
+    base = np.arange(n_rows) * size
+    for _ in range(max_attempts):
         for _ in range(max_attempts):
-            row[:] = layout.touches
-            rng.shuffle(row)
-            if _repair_adjacent(row, layout.adjacency, rng, max_attempts):
-                break
-        else:
-            raise DegenerateInputError(
-                f"match {layout.match_id!r}: repair budget exhausted while removing "
-                "adjacent repeats"
-            )
-    return out
+            bad = np.flatnonzero((flat[1:cells] == flat[: cells - 1]) & in_run)
+            if not bad.size:
+                return out
+            row = bad // size
+            per_row = np.bincount(row, minlength=n_rows)
+            rank = np.arange(bad.size) - (np.cumsum(per_row) - per_row)[row]
+            slots = np.full((per_row.max(), n_rows), cells)
+            slots[rank, row] = bad + 1
+            steps = rng.integers(0, size - 1, slots.shape) + base
+            steps += steps >= slots
+            steps -= slots
+            for slot, prev, step in zip(slots, slots - 1, steps):
+                held = flat[slot]
+                swap = slot + (flat[prev] == held) * step
+                flat[slot] = flat[swap]
+                flat[swap] = held
+        dirty = np.flatnonzero(per_row)
+        out[dirty] = rng.permuted(np.tile(touches, (dirty.size, 1)), axis=1)
+    raise DegenerateInputError(
+        f"match {layout.match_id!r}: repair budget exhausted while removing adjacent repeats"
+    )
 
 
 def _table_cost(signature: tuple[int, ...]) -> int:

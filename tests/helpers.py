@@ -2,15 +2,18 @@
 
 The oracles here deliberately reimplement behavior with different code:
 canonical labels via first-occurrence lists, alphabets via brute-force
-enumeration over all identifier sequences, and ESS via direct deviation
-sums. Tests compare the library against these, never the other way round.
+enumeration over all identifier sequences, ESS via direct deviation sums,
+and the match shuffle one row at a time. Tests compare the library against
+these, never the other way round.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from flowmotif import MatchEventLog, PassEvent, Possession
+import numpy as np
+
+from flowmotif import DegenerateInputError, MatchEventLog, PassEvent, Possession
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -80,3 +83,40 @@ def oracle_ess(rows) -> float:
     dim = len(rows[0])
     means = [sum(r[j] for r in rows) / n for j in range(dim)]
     return sum((r[j] - means[j]) ** 2 for r in rows for j in range(dim))
+
+
+def oracle_repair_adjacent(arr, adjacency, rng, max_attempts) -> bool:
+    """One row's repair sweeps, in place; False once ``max_attempts`` sweeps ran out.
+
+    Each sweep rechecks all adjacency positions and swaps every slot still
+    offending with a uniformly random other slot, in slot order.
+    """
+    size = arr.size
+    succ = adjacency + 1
+    for _ in range(max_attempts):
+        bad = adjacency[arr[adjacency] == arr[succ]]
+        if bad.size == 0:
+            return True
+        partners = rng.integers(0, size - 1, size=bad.size)
+        for i, j in zip(bad.tolist(), partners.tolist()):
+            if arr[i] != arr[i + 1]:
+                continue  # fixed by an earlier swap in this sweep
+            slot = i + 1
+            if j >= slot:
+                j += 1
+            arr[slot], arr[j] = arr[j], arr[slot]
+    return False
+
+
+def oracle_match_rows(touches, adjacency, rng, n_rows, max_attempts):
+    """The match shuffle one row at a time: shuffle, repair, reshuffle when the repair runs out."""
+    out = np.empty((n_rows, touches.size), dtype=touches.dtype)
+    for row in out:
+        for _ in range(max_attempts):
+            row[:] = touches
+            rng.shuffle(row)
+            if oracle_repair_adjacent(row, adjacency, rng, max_attempts):
+                break
+        else:
+            raise DegenerateInputError("repair budget exhausted")
+    return out

@@ -128,6 +128,13 @@ def test_zscores_deterministic_across_runs_and_threads(league_dir, tmp_path, mon
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_bad_thread_count_names_the_variable(league_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FLOWMOTIF_THREADS", "abc")
+    argv = ["zscores", str(league_dir), "--replicates", "2", "--out", str(tmp_path / "z.csv")]
+    assert main(argv) == 2
+    assert "FLOWMOTIF_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+
+
 def test_zscores_header_and_single_replicate_degeneracy(league_dir, tmp_path):
     out = tmp_path / "z1.csv"
     assert (
@@ -285,9 +292,11 @@ def test_fingerprint_rejects_zscores_missing_a_pattern(tmp_path, capsys):
 # at seed 3. Output bytes are versioned: a change that moves them bumps
 # ``__version__`` and records new values here.
 GOLDEN = {
+    # re-recorded in version 0.4.0: the match shuffle draws all rows of a
+    # batch together, with the same law from a new order of the stream
     ("touch-shuffle-match", "40"): (
-        "ccbc1779eca5d1fe38f949f4771076584af704f6285e741d0f475591409b3671",
-        "55808df6813bf86b85478b15a0255f7719b87ba7125eac8874325b4e8abb5d34",
+        "cb8f61838e6925cf606267cee9fe607c8c81056d3a959e9fe1476b9c10a37102",
+        "e828ffbabf0b1944fdf4d7f5da67934dd0f9e9d2c40bfaa4aee4ac626fce8425",
     ),
     # re-recorded in version 0.3.0: the possession shuffle's routes draw
     # from the random stream in a new order

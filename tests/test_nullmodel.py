@@ -29,7 +29,7 @@ from flowmotif.nullmodel import (
     _moments,
 )
 from flowmotif.synth import TeamStyleParams, generate_match
-from helpers import chain_possession
+from helpers import chain_possession, oracle_match_rows
 
 POLICIES = ("touch_shuffle_match", "touch_shuffle_possession", "uniform_walk")
 
@@ -140,6 +140,32 @@ def test_repair_budget_exhaustion_names_the_match():
     # the possession shuffle never repairs, so the budget does not bind it
     (rnd,) = randomize_possessions([pos], "touch_shuffle_possession", 0, max_repair_attempts=1)
     assert touch_sequence(rnd) == ("A", "B", "A", "B", "A")
+
+
+def test_match_shuffle_reshuffles_rows_inside_a_batch():
+    # Two shared players among 16 touches leave about 3% of shuffles dirty
+    # after two sweeps, so with a budget of two some rows of a batch are
+    # reshuffled while the others are done; the draw then parts from the
+    # one with the default budget, which sweeps those rows a third time.
+    possessions = [chain_possession(list(t)) for t in ("ABCDEFGH", "ABIJKLMN")]
+    layout = _MatchLayout(possessions)
+    expected = Counter(all_touches(possessions))
+
+    def draw(seed, budget):
+        rng = np.random.default_rng(seed)
+        return np.concatenate(
+            [_draw_rows(layout, "touch_shuffle_match", rng, BATCH_ROWS, budget) for _ in range(2)]
+        )
+
+    rows = draw(8, 2)
+    assert np.array_equal(rows, draw(8, 2))
+    assert not np.array_equal(rows, draw(8, nullmodel.DEFAULT_MAX_REPAIR_ATTEMPTS))
+    for row in rows:
+        randomized = layout.rebuild(row)
+        assert Counter(all_touches(randomized)) == expected
+        for pos in randomized:
+            seq = touch_sequence(pos)
+            assert all(a != b for a, b in zip(seq, seq[1:]))
 
 
 def test_null_distribution_is_bitwise_deterministic():
@@ -257,6 +283,35 @@ def test_possession_shuffle_takes_a_player_with_hundreds_of_touches():
 def chi2_limit(df, z=4.75):
     """Wilson-Hilferty upper quantile of chi-squared, here at p of about 1e-6."""
     return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+@pytest.mark.parametrize(
+    "layout,draws",
+    [
+        ("BACBAC", 40_000),
+        ("CACDA BACA", 40_000),
+        ("ACBA ABCA", 40_000),
+        ("ABAB", 6_400),
+        ("ABA BAB", 6_400),
+    ],
+)
+def test_match_shuffle_draws_the_law_of_the_row_by_row_repair(layout, draws):
+    # The repaired shuffle is biased and its law has no closed form, so the
+    # batched rows are compared with the one-row-at-a-time oracle by a
+    # two-sample chi-squared test. ABAB and ABA BAB split over two cells.
+    match = _MatchLayout([chain_possession(list(t)) for t in layout.split()])
+    names = np.array(match.players)
+    oracle_rng, rng = np.random.default_rng(5), np.random.default_rng(6)
+    oracle = oracle_match_rows(match.touches, match.adjacency, oracle_rng, draws, 100)
+    batches = [
+        _draw_rows(match, "touch_shuffle_match", rng, BATCH_ROWS, 100)
+        for _ in range(draws // BATCH_ROWS)
+    ]
+    a = Counter(map("".join, names[oracle].tolist()))
+    b = Counter(map("".join, names[np.concatenate(batches)].tolist()))
+    cells = set(a) | set(b)
+    chi2 = sum((a[c] - b[c]) ** 2 / (a[c] + b[c]) for c in cells)
+    assert chi2 < chi2_limit(len(cells) - 1), (chi2, len(cells))
 
 
 def assert_uniform_over_valid_arrangements(layout, draws):
