@@ -87,7 +87,10 @@ class ParseResult:
 def _as_text(stream: IO[bytes] | IO[str]) -> IO[str]:
     raw = stream.read()
     if isinstance(raw, bytes):
-        return io.StringIO(raw.decode("utf-8"))
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8 text: {exc}") from None
     return io.StringIO(raw)
 
 
@@ -178,8 +181,9 @@ def parse_pass_events(stream: IO[bytes] | IO[str], format: str = "csv") -> Parse
     """Parse a UTF-8 stream of pass records.
 
     Well-formed records come back as events in input order; malformed ones
-    become diagnostics with their line number. A broken CSV header raises
-    :class:`FormatError` because nothing after it can be trusted.
+    become diagnostics with their line number. A broken CSV header or bytes
+    that are not UTF-8 raise :class:`FormatError` because nothing in the
+    stream can be trusted.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")

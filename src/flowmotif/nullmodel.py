@@ -13,16 +13,13 @@ repeating the holder before it:
   repair is biased: it does not draw the valid arrangements uniformly.
 - ``touch_shuffle_possession`` draws each possession uniformly from the
   valid arrangements of its own touch multiset, exactly. Each possession
-  takes one of three routes, fixed per team-match by its sorted player
-  counts: possessions whose players are all distinct are uniform
-  permutations, drawn together by one sort of random keys; possessions
-  whose table of valid arrangements is built from at most
-  ``TABLE_LIMIT`` candidates, two-player ones of any length included,
-  take a uniform row of that table; the rest take rejection rounds,
-  which keep the uniform permutations with no adjacent repeat, and rows
-  still waiting after ``POSSESSION_ROUNDS`` rounds are drawn from exact
-  counts of valid arrangements. A possession's observed arrangement is
-  valid, so the sampler always terminates.
+  takes one of two routes, fixed by its sorted player counts: possessions
+  whose table of valid arrangements grows within ``TABLE_LIMIT``
+  candidate prefixes take a uniform row of that table; the rest take
+  rejection rounds, which keep the uniform permutations with no adjacent
+  repeat, and rows still waiting after ``POSSESSION_ROUNDS`` rounds are
+  drawn from exact counts of valid arrangements. A possession's observed
+  arrangement is valid, so the sampler always terminates.
 - ``uniform_walk`` makes each possession a walk on the match's players:
   the first holder is uniform, and every pass goes to a uniformly chosen
   other player. It is exact by construction.
@@ -35,7 +32,6 @@ parallelism, and the two teams of a fixture draw different streams.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -58,8 +54,9 @@ BATCH_ROWS = 64
 # Rejection rounds of the possession shuffle before the stragglers are
 # drawn from completion counts.
 POSSESSION_ROUNDS = 64
-# Largest number of candidate arrangements a possession's table of valid
-# arrangements may be built from; larger possessions take rejection rounds.
+# Most candidate prefixes one growth step of a possession's table of valid
+# arrangements may hold; possessions whose table outgrows it take rejection
+# rounds.
 TABLE_LIMIT = 1024
 
 # Bound for |z| when the null distribution has zero variance but the real
@@ -226,36 +223,37 @@ def _match_rows(
     )
 
 
-def _table_cost(signature: tuple[int, ...]) -> int:
-    """Candidate arrangements the table of a signature is built from.
-
-    Two players can only alternate, so growing their table holds at most
-    two prefixes at any length; any other table is filtered from all
-    L!/(c1! c2! ...) distinct permutations of the L touches.
-    """
-    if len(signature) == 2:
-        return 2
-    return math.factorial(sum(signature)) // math.prod(map(math.factorial, signature))
-
-
 @cache
-def _arrangement_table(signature: tuple[int, ...]) -> np.ndarray:
+def _arrangement_table(signature: tuple[int, ...], limit: int) -> np.ndarray | None:
     """Every valid arrangement of touches with these sorted player counts, one per row.
 
     Player ``i`` of a row holds ``signature[i]`` touches, and the rows are
     in lexicographic order. The table is grown one touch at a time over
     all valid prefixes at once, so the only objects it leaves are arrays.
+    A prefix is kept only if it can still be completed: with ``rest``
+    touches left after it, the player just placed holds at most half of
+    them and every other player at most half of ``rest + 1``. So no step
+    holds more prefixes than the table has rows. Returns None as soon as
+    one step has more than ``limit`` candidate prefixes, and for more
+    players than int8 codes can name.
     """
-    length = sum(signature)
+    if len(signature) > np.iinfo(np.int8).max:
+        return None
     players = np.arange(len(signature), dtype=np.int8)
     table = np.empty((1, 0), dtype=np.int8)
     left = np.array([signature])
     last = np.full((1, 1), -1)
-    for _ in range(length):
-        prefix, player = np.nonzero((left > 0) & (players != last))
-        table = np.column_stack([table[prefix], players[player]])
+    for rest in range(sum(signature) - 1, -1, -1):
+        free = (left > 0) & (players != last)
+        if np.count_nonzero(free) > limit:
+            return None
+        prefix, player = np.nonzero(free)
+        rows = np.arange(prefix.size)
         left = left[prefix]
-        left[np.arange(prefix.size), player] -= 1
+        left[rows, player] -= 1
+        keep = (2 * left <= rest + 1).all(axis=1) & (2 * left[rows, player] <= rest)
+        table = np.column_stack([table[prefix[keep]], players[player[keep]]])
+        left = left[keep]
         last = table[:, -1:]
     table.flags.writeable = False
     return table
@@ -267,38 +265,25 @@ class _PossessionRoutes:
     A possession's route follows from its signature, its sorted player
     counts. Each route draws all its possessions for all rows at once:
 
-    - all players distinct: one sort of uniform keys, offset by the
-      possession's index so that each permutation stays inside its
-      possession (``distinct_*``);
-    - a table built from at most ``TABLE_LIMIT`` candidates: one uniform
-      row per possession of the table of its valid arrangements, mapped to
-      its players by count (``table_*``). Players with equal counts are
-      interchangeable, so any order among them gives the same rows;
-    - the rest (``rejected``): rejection rounds, one possession at a time.
+    - a table from ``_arrangement_table``: one uniform row per possession
+      of the table of its valid arrangements, mapped to its players by
+      count (``table_*``). Players with equal counts are interchangeable,
+      so any order among them gives the same rows;
+    - no table (``rejected``): rejection rounds, one possession at a time.
     """
 
     def __init__(self, layout: _MatchLayout) -> None:
-        distinct: list[range] = []
         tabled: list[tuple[range, np.ndarray]] = []
         self.rejected: list[tuple[int, int]] = []
         code = np.min_scalar_type(len(layout.players))
         for start, length in zip(layout.starts.tolist(), layout.lengths):
-            slots = range(start, start + length)
             counts = Counter(layout.touches[start : start + length].tolist())
-            signature = tuple(sorted(counts.values()))
-            if len(counts) == length:
-                distinct.append(slots)
-            elif _table_cost(signature) <= TABLE_LIMIT:
-                holders = np.array(sorted(counts, key=counts.get), dtype=code)
-                tabled.append((slots, holders[_arrangement_table(signature)]))
-            else:
+            table = _arrangement_table(tuple(sorted(counts.values())), TABLE_LIMIT)
+            if table is None:
                 self.rejected.append((start, length))
-
-        self.distinct_slots = np.array([i for slots in distinct for i in slots], dtype=np.int64)
-        self.distinct_offset = np.repeat(
-            np.arange(len(distinct), dtype=np.float64), [len(slots) for slots in distinct]
-        )
-        self.distinct_touches = layout.touches[self.distinct_slots]
+            else:
+                holders = np.array(sorted(counts, key=counts.get), dtype=code)
+                tabled.append((range(start, start + length), holders[table]))
 
         lengths = np.array([len(slots) for slots, _ in tabled], dtype=np.int64)
         self.table_sizes = np.array([len(table) for _, table in tabled], dtype=np.int64)
@@ -320,23 +305,21 @@ def _possession_rows(
     """Rows whose possessions are independent uniform valid arrangements.
 
     The possessions take the routes of ``layout.routes``, in order: the
-    all-distinct ones, the tabled ones, then the rest one at a time. A
-    uniform permutation of a possession's touches that has no adjacent
-    repeat is uniform over the valid arrangements. So each rejection
-    round permutes the possession once per row, all rows at once, and
-    hands the valid permutations in order to the rows still waiting for
-    one. Rows still waiting after ``POSSESSION_ROUNDS`` rounds are drawn
-    by ``_counted_arrangement``. A possession's rounds all have the same
-    array shapes: pooling the waiting rows of every possession into one
-    draw was as fast, but its ever-changing small arrays stay cached by
-    numpy and grew the process's memory by several percent.
+    tabled ones, then the rest one at a time. A uniform permutation of a
+    possession's touches that has no adjacent repeat is uniform over the
+    valid arrangements. So each rejection round permutes the possession
+    once per row, all rows at once, and hands the valid permutations in
+    order to the rows still waiting for one. A uniform permutation of last
+    round's rows is again a uniform permutation of the touches, so the
+    rounds permute one array in place. Rows still waiting after
+    ``POSSESSION_ROUNDS`` rounds are drawn by ``_counted_arrangement``. A
+    possession's rounds all have the same array shapes: pooling the
+    waiting rows of every possession into one draw was as fast, but its
+    ever-changing small arrays stay cached by numpy and grew the process's
+    memory by several percent.
     """
     routes = layout.routes
     out = np.empty((n_rows, layout.touches.size), dtype=layout.touches.dtype)
-    if routes.distinct_slots.size:
-        keys = rng.random((n_rows, routes.distinct_slots.size))
-        keys += routes.distinct_offset
-        out[:, routes.distinct_slots] = routes.distinct_touches[keys.argsort(axis=1)]
     if routes.table_sizes.size:
         picks = rng.integers(0, routes.table_sizes, (n_rows, routes.table_sizes.size))
         flat = picks[:, routes.table_column] * routes.table_stride + routes.table_base
@@ -344,9 +327,10 @@ def _possession_rows(
     for start, length in routes.rejected:
         touches = layout.touches[start : start + length]
         block = out[:, start : start + length]
+        drawn = np.tile(touches, (n_rows, 1))
         filled = 0
         for _ in range(POSSESSION_ROUNDS):
-            drawn = touches[np.argsort(rng.random((n_rows, length)), axis=1)]
+            rng.permuted(drawn, axis=1, out=drawn)
             valid = np.flatnonzero((drawn[:, 1:] != drawn[:, :-1]).all(axis=1))
             valid = valid[: n_rows - filled]
             block[filled : filled + valid.size] = drawn[valid]

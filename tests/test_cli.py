@@ -101,6 +101,28 @@ def test_corrupt_file_reports_diagnostics_and_exits_2(tmp_path, capsys):
     assert match_ids == {"M1", "M2"}
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_undecodable_file_is_reported_and_the_rest_scored(tmp_path, capsys, fmt):
+    # A file that is not UTF-8 is rejected whole, like a broken header; the
+    # other files are still scored and every file is digested.
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    good = inputs / f"good.{fmt}"
+    good.write_text(
+        WORKED_EXAMPLE_CSV if fmt == "csv" else '{"match_id":"M1","team_id":"T1",'
+        '"passer":"2","receiver":"4","timestamp_s":0.0}\n'
+    )
+    bad = inputs / f"bad.{fmt}"
+    bad.write_bytes(good.read_bytes().replace(b"M1", b"M2").replace(b"2", b"\xff\xfe", 1))
+    out = tmp_path / "motifs.csv"
+    assert main(["motifs", str(inputs), "--format", fmt, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"# {bad}\nerror: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in err
+    assert {r["match_id"] for r in read_rows(out)} == {"M1"}
+    manifest = json.loads(out.with_name("motifs.csv.manifest.json").read_text())
+    assert sorted(manifest["input_digests"]) == [str(bad), str(good)]
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     assert main(["motifs", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -298,11 +320,11 @@ GOLDEN = {
         "cb8f61838e6925cf606267cee9fe607c8c81056d3a959e9fe1476b9c10a37102",
         "e828ffbabf0b1944fdf4d7f5da67934dd0f9e9d2c40bfaa4aee4ac626fce8425",
     ),
-    # re-recorded in version 0.3.0: the possession shuffle's routes draw
-    # from the random stream in a new order
+    # re-recorded in version 0.5.0: the possession shuffle tables the
+    # all-distinct possessions and permutes its rejection rounds in place
     ("touch-shuffle-possession", "40"): (
-        "896281e3df63a199fe9c11f5386b3d5c22f38081b0b36800818305d79b6384bd",
-        "ac515001912a82f43710020b4f8717147105d876064b00bac0a2308f33f721c7",
+        "056d751acc5a0d66bbd0011548036a3aef7cc7e2e1762a4f82e1ced3a78b1fc6",
+        "cf20772612d8053fb2102b5f65537a6ee7272fcdef33b3fcab195b97648745a8",
     ),
     ("uniform-walk", "40"): (
         "512092ed9ce7a399ce4d62343739432e32f57d980df17b88c4721f25d13be49f",

@@ -22,6 +22,7 @@ from flowmotif import (
 from flowmotif import nullmodel
 from flowmotif.nullmodel import (
     BATCH_ROWS,
+    TABLE_LIMIT,
     _arrangement_table,
     _arrangements,
     _draw_rows,
@@ -228,33 +229,79 @@ def test_arrangement_counts_match_enumeration(touches):
     assert _arrangements(counts, {}) == len(valid_arrangements(touches))
 
 
-@pytest.mark.parametrize("touches", ["AB", "ACBA", "ABCBDAC", "ABABABABAB", "AAABBBCCD", "AAAAB"])
+@pytest.mark.parametrize(
+    "touches", ["AB", "ACBA", "ABCBDAC", "ABABABABAB", "AAABBBCCD", "AAAAB", "ABCABCABC"]
+)
 def test_arrangement_tables_match_enumeration(touches):
     # Player i of a table holds the i-th smallest count; ties follow the letters.
     counts = Counter(touches)
     holders = sorted(counts, key=counts.get)
-    table = _arrangement_table(tuple(sorted(counts.values())))
+    table = _arrangement_table(tuple(sorted(counts.values())), TABLE_LIMIT)
     rows = sorted("".join(holders[i] for i in row) for row in table.tolist())
     assert rows == valid_arrangements(touches)
     assert table.dtype == np.int8 and not table.flags.writeable
 
 
+def signatures(touches, players):
+    """Every sorted tuple of at most ``players`` positive counts summing to ``touches``."""
+    if touches == 0:
+        yield ()
+    elif players:
+        for first in range(1, touches + 1):
+            for rest in signatures(touches - first, players - 1):
+                if not rest or first <= rest[0]:
+                    yield (first,) + rest
+
+
+def test_arrangement_tables_hold_every_valid_arrangement():
+    # Growth keeps only prefixes that can be completed, so a table has one
+    # row per valid arrangement; signatures with none give empty tables.
+    memo = {}
+    tabled = 0
+    for length in range(1, 12):
+        for signature in signatures(length, 5):
+            table = _arrangement_table(signature, TABLE_LIMIT)
+            if table is not None:
+                assert len(table) == _arrangements(signature, memo), signature
+                tabled += 1
+    assert tabled > 100
+    # seven distinct players reach 2520 prefixes by the fifth touch; seven
+    # touches of one player among six others leave 720 arrangements, but
+    # their candidates reach 1080 by the ninth touch
+    assert _arrangement_table((1,) * 7, TABLE_LIMIT) is None
+    assert _arrangement_table((1, 1, 1, 1, 1, 1, 7), TABLE_LIMIT) is None
+
+
 def test_possession_routes_follow_the_signature(monkeypatch):
-    # CA has distinct players, ACBA is tabled from 12 permutations and
-    # ABCABCABC has 1680 > TABLE_LIMIT; a two-player chain of any length is
-    # tabled from two candidates.
-    layout = _MatchLayout([chain_possession(list(t)) for t in ("CA", "ACBA", "ABCABCABC")])
-    routes = layout.routes
-    assert routes.distinct_slots.tolist() == [0, 1]
-    assert routes.table_slots.tolist() == [2, 3, 4, 5]
-    assert routes.table_sizes.tolist() == [6]
-    assert routes.rejected == [(6, 9)]
+    # CA, ACBA and ABCABCABC (174 of 1680 permutations valid) are tabled,
+    # and so is a two-player chain of any length; seven distinct players
+    # outgrow TABLE_LIMIT and take rejection rounds.
+    possessions = [chain_possession(list(t)) for t in ("CA", "ACBA", "ABCABCABC", "ABCDEFG")]
+    routes = _MatchLayout(possessions).routes
+    assert routes.table_slots.tolist() == list(range(15))
+    assert routes.table_sizes.tolist() == [2, 6, 174]
+    assert routes.rejected == [(15, 7)]
     long_pair = _MatchLayout([chain_possession(["A", "B"] * 400 + ["A"])])
     assert long_pair.routes.table_sizes.tolist() == [1] and not long_pair.routes.rejected
     monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 0)
-    layout = _MatchLayout([chain_possession(list(t)) for t in ("CA", "ACBA", "ABCABCABC")])
-    assert layout.routes.distinct_slots.tolist() == [0, 1]
-    assert layout.routes.rejected == [(2, 4), (6, 9)]
+    routes = _MatchLayout(possessions).routes
+    assert routes.table_slots.size == 0
+    assert routes.rejected == [(0, 2), (2, 4), (6, 9), (15, 7)]
+
+
+@pytest.mark.parametrize("players,repeated", [(200, 0), (130, 1)])
+def test_possession_shuffle_takes_more_players_than_int8_codes(players, repeated):
+    # Every signature asks for a table, whose int8 player codes would wrap
+    # past 127 players.
+    names = [f"p{i}" for i in range(players)]
+    touches = names + names[1 : 1 + repeated]
+    possessions = [chain_possession(touches), chain_possession(["x", "y", "x"])]
+    for seed in range(3):
+        randomized = randomize_possessions(possessions, "touch_shuffle_possession", seed)
+        for orig, rnd in zip(possessions, randomized):
+            seq = touch_sequence(rnd)
+            assert all(a != b for a, b in zip(seq, seq[1:]))
+            assert Counter(seq) == Counter(touch_sequence(orig))
 
 
 def test_possession_shuffle_takes_a_player_with_hundreds_of_touches():
@@ -332,8 +379,8 @@ def assert_uniform_over_valid_arrangements(layout, draws):
     assert chi2 < chi2_limit(len(cells) - 1), (chi2, len(cells))
 
 
-# ABCD CDE takes the all-distinct route alone, ACBA ABCA and ABABABABAB the
-# tables, and CA ACBA ABCABCABC all three routes at once.
+# Every possession here is tabled; with TABLE_LIMIT at 0 every one takes
+# rejection rounds, and with no rounds as well, the arrangement counts.
 LAYOUTS = [
     ("ACBA ABCA", 50_000),
     ("ABCBDAC DBA", 200_000),
