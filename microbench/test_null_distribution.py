@@ -8,8 +8,12 @@ so the test suite does not run them):
 Every case scores the same four synthetic team-matches at 1000
 replicates: two of the README's league shape (squad 10, 25 possessions,
 3.2 passes per possession) and two of a back-passing team (4.0 passes per
-possession, back-pass bias 0.5), whose repeated players exercise the
-slower routes of the possession shuffle.
+possession, back-pass bias 0.5). Only the match shuffle draws every
+replicate. The walk draws none: its moments are exact. The possession
+shuffle takes exact moments for the possessions it can table and samples
+the rest, which the back-passing team's repeated players make more
+common. So the walk case times the exact moments alone, and the
+possession case mostly its rejection rounds.
 """
 
 import pytest

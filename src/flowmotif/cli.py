@@ -18,7 +18,7 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,13 +66,18 @@ _POLICY_FLAGS = {
 
 @dataclass(frozen=True, slots=True)
 class RunManifest:
-    """Everything needed to reproduce a run bit-exactly (plus its duration)."""
+    """Everything needed to reproduce a run bit-exactly, plus its duration and counts.
+
+    ``counts`` holds what the command counted along the way; like the
+    duration it is no part of any result.
+    """
 
     command: str
     version: str
     config: dict
     input_digests: dict[str, str]
     duration_s: float
+    counts: dict[str, int] = field(default_factory=dict)
 
 
 def _read_input(path: Path, digests: dict[str, str]) -> bytes:
@@ -83,7 +88,12 @@ def _read_input(path: Path, digests: dict[str, str]) -> bytes:
 
 
 def _write_manifest(
-    path: Path, command: str, config: dict, digests: dict[str, str], started: float
+    path: Path,
+    command: str,
+    config: dict,
+    digests: dict[str, str],
+    started: float,
+    counts: dict[str, int] | None = None,
 ) -> None:
     manifest = RunManifest(
         command=command,
@@ -91,6 +101,7 @@ def _write_manifest(
         config=config,
         input_digests=digests,
         duration_s=time.perf_counter() - started,
+        counts=counts or {},
     )
     path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
@@ -205,12 +216,12 @@ def cmd_motifs(args: argparse.Namespace) -> int:
 
 def _zscore_for_log(
     payload: tuple[MatchEventLog, int, float, NullModelConfig]
-) -> tuple[MotifCountVector, NullDistribution, ZScoreProfile]:
+) -> tuple[MotifCountVector, NullDistribution, ZScoreProfile, int]:
     log, k, t_max, config = payload
     possessions = segment_possessions(log, SegmentationConfig(t_max))
     counts = count_motifs(possessions, k, match_id=log.match_id, team_id=log.team_id)
     null = null_distribution(possessions, k, config)
-    return counts, null, z_scores(counts, null)
+    return counts, null, z_scores(counts, null), len(possessions)
 
 
 def cmd_zscores(args: argparse.Namespace) -> int:
@@ -228,7 +239,7 @@ def cmd_zscores(args: argparse.Namespace) -> int:
     )
     patterns = enumerate_patterns(args.k)
     rows = []
-    for counts, null, profile in results:
+    for counts, null, profile, _ in results:
         columns = zip(
             patterns,
             counts.counts.tolist(),
@@ -251,6 +262,8 @@ def cmd_zscores(args: argparse.Namespace) -> int:
                     "true" if degenerate else "false",
                 ]
             )
+    possessions = sum(n for *_, n in results)
+    sampled = sum(null.sampled_possessions for _, null, _, _ in results)
     out = Path(args.out)
     out.write_text(
         _csv_text(
@@ -282,6 +295,7 @@ def cmd_zscores(args: argparse.Namespace) -> int:
         },
         digests,
         started,
+        {"exact_possessions": possessions - sampled, "sampled_possessions": sampled},
     )
     return 2 if had_errors else 0
 

@@ -12,19 +12,28 @@ repeating the holder before it:
   on its own. It keeps the per-player touch multiset of the match. The
   repair is biased: it does not draw the valid arrangements uniformly.
 - ``touch_shuffle_possession`` draws each possession uniformly from the
-  valid arrangements of its own touch multiset, exactly. Each possession
-  takes one of two routes, fixed by its sorted player counts: possessions
-  whose table of valid arrangements grows within ``TABLE_LIMIT``
-  candidate prefixes take a uniform row of that table; the rest take
-  rejection rounds, which keep the uniform permutations with no adjacent
-  repeat, and rows still waiting after ``POSSESSION_ROUNDS`` rounds are
-  drawn from exact counts of valid arrangements. A possession's observed
-  arrangement is valid, so the sampler always terminates.
+  valid arrangements of its own touch multiset.
 - ``uniform_walk`` makes each possession a walk on the match's players:
   the first holder is uniform, and every pass goes to a uniformly chosen
-  other player. It is exact by construction.
+  other player.
 
-Each team-match draws all its replicates from one random stream, seeded
+The last two policies randomize every possession on its own, so
+``null_distribution`` adds up exact per-possession moments for them
+instead of drawing replicates. A walk window's pattern law is the same at
+every position, and windows that share no touch are independent, so a
+possession's walk moments follow from its window count and the joint
+pattern law of two windows at most k apart, enumerated once per (players,
+k). Under the possession shuffle, a possession's moments depend only on
+its signature, its sorted player counts: a signature whose table of valid
+arrangements grows within ``TABLE_LIMIT`` candidate prefixes has the exact
+moments of its table rows. Only the possessions without a table are
+sampled. They take rejection rounds, which keep the uniform permutations
+with no adjacent repeat, and rows still waiting after
+``POSSESSION_ROUNDS`` rounds are drawn from exact counts of valid
+arrangements. A possession's observed arrangement is valid, so the sampler
+always terminates. Their sample variance adds to the exact one.
+
+Each team-match draws its sampled rows from one random stream, seeded
 from (master_seed, match_id, team_id), in batches of ``BATCH_ROWS``
 rows. Distributions are therefore reproducible bit-for-bit whatever the
 parallelism, and the two teams of a fixture draw different streams.
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -92,11 +101,15 @@ class NullModelConfig:
 
 @dataclass(frozen=True, slots=True)
 class NullDistribution:
-    """Per-pattern sample moments of motif counts over the replicates.
+    """Per-pattern null moments of a team-match's motif counts.
 
     ``mean`` and ``std`` are float arrays aligned with
-    ``enumerate_patterns(k)``. ``std`` is Bessel-corrected; with a single
-    replicate it is undefined and reported as 0 with ``degenerate`` set.
+    ``enumerate_patterns(k)``. They add the exact moments of the possessions
+    that need no sampling to the sample moments, Bessel-corrected, of the
+    ``sampled_possessions`` others over ``replicates`` rows: every
+    possession is sampled under the match shuffle, none under the walk.
+    With a single replicate ``std`` is reported as 0 with ``degenerate``
+    set, whatever the policy.
     """
 
     k: int
@@ -104,6 +117,7 @@ class NullDistribution:
     std: np.ndarray
     replicates: int
     degenerate: bool
+    sampled_possessions: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,10 +162,12 @@ class _MatchLayout(TouchCodes):
         # Valid-arrangement counts of the possession shuffle, kept across batches.
         self.arrangements: dict[tuple[int, ...], int] = {}
 
-    @cached_property
-    def routes(self) -> _PossessionRoutes:
-        """How the possession shuffle draws each possession, fixed for the team-match."""
-        return _PossessionRoutes(self)
+    def slices(self) -> list[np.ndarray]:
+        """Every possession's touches, as views of ``touches``."""
+        return [
+            self.touches[start : start + length]
+            for start, length in zip(self.starts.tolist(), self.lengths)
+        ]
 
     def rebuild(self, touches: np.ndarray) -> list[Possession]:
         """Possessions with the given touch assignment and original timestamps."""
@@ -223,7 +239,6 @@ def _match_rows(
     )
 
 
-@cache
 def _arrangement_table(signature: tuple[int, ...], limit: int) -> np.ndarray | None:
     """Every valid arrangement of touches with these sorted player counts, one per row.
 
@@ -259,44 +274,69 @@ def _arrangement_table(signature: tuple[int, ...], limit: int) -> np.ndarray | N
     return table
 
 
-class _PossessionRoutes:
-    """The possession shuffle's route for every possession of a team-match.
+@cache
+def _table_moments(
+    signature: tuple[int, ...], k: int, limit: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Exact per-pattern mean and variance of a possession's counts under the shuffle.
 
-    A possession's route follows from its signature, its sorted player
-    counts. Each route draws all its possessions for all rows at once:
-
-    - a table from ``_arrangement_table``: one uniform row per possession
-      of the table of its valid arrangements, mapped to its players by
-      count (``table_*``). Players with equal counts are interchangeable,
-      so any order among them gives the same rows;
-    - no table (``rejected``): rejection rounds, one possession at a time.
+    The possession shuffle draws every row of the signature's table of
+    valid arrangements equally often, so these are the mean and population
+    variance of the window counts over its rows. None when
+    ``_arrangement_table`` gives no table. Only the moments are kept, not
+    the tables.
     """
+    table = _arrangement_table(signature, limit)
+    if table is None:
+        return None
+    counts = pattern_index(k).window_counts(table, np.arange(sum(signature) - k))
+    moments = counts.mean(axis=0), counts.var(axis=0)
+    for m in moments:
+        m.flags.writeable = False
+    return moments
 
-    def __init__(self, layout: _MatchLayout) -> None:
-        tabled: list[tuple[range, np.ndarray]] = []
-        self.rejected: list[tuple[int, int]] = []
-        code = np.min_scalar_type(len(layout.players))
-        for start, length in zip(layout.starts.tolist(), layout.lengths):
-            counts = Counter(layout.touches[start : start + length].tolist())
-            table = _arrangement_table(tuple(sorted(counts.values())), TABLE_LIMIT)
-            if table is None:
-                self.rejected.append((start, length))
-            else:
-                holders = np.array(sorted(counts, key=counts.get), dtype=code)
-                tabled.append((range(start, start + length), holders[table]))
 
-        lengths = np.array([len(slots) for slots, _ in tabled], dtype=np.int64)
-        self.table_sizes = np.array([len(table) for _, table in tabled], dtype=np.int64)
-        self.table_slots = np.array([i for slots, _ in tabled for i in slots], dtype=np.int64)
-        self.table_column = np.repeat(np.arange(lengths.size), lengths)
-        self.table_stride = np.repeat(lengths, lengths)
-        # The tables lie back to back in ``tables``; row r of a slot's table
-        # holds its touch at ``table_base + r * table_stride``.
-        self.tables = np.concatenate([np.empty(0, code)] + [table.ravel() for _, table in tabled])
-        table_start = np.cumsum(self.table_sizes * lengths) - self.table_sizes * lengths
-        first_slot = np.cumsum(lengths) - lengths
-        self.table_base = np.repeat(table_start - first_slot, lengths)
-        self.table_base += np.arange(self.table_slots.size)
+def _signature(touches: np.ndarray) -> tuple[tuple[int, ...], list[int]]:
+    """A possession's player counts in ascending order, and its players in that order.
+
+    Players with equal counts keep the order of their first touch.
+    """
+    counts = Counter(touches.tolist())
+    holders = sorted(counts, key=counts.get)
+    return tuple(counts[h] for h in holders), holders
+
+
+def _rejection_rows(
+    touches: np.ndarray, rng: np.random.Generator, n_rows: int, memo: dict[tuple[int, ...], int]
+) -> np.ndarray:
+    """``n_rows`` independent uniform valid arrangements of one possession's touches.
+
+    A uniform permutation of the touches that has no adjacent repeat is
+    uniform over the valid arrangements. So each rejection round permutes
+    the touches once per row, all rows at once, and hands the valid
+    permutations in order to the rows still waiting for one. A uniform
+    permutation of last round's rows is again a uniform permutation of the
+    touches, so the rounds permute one array in place. Rows still waiting
+    after ``POSSESSION_ROUNDS`` rounds are drawn by ``_counted_arrangement``
+    with the counts memo ``memo``. A possession's rounds all have the same
+    array shapes: pooling the waiting rows of every possession into one
+    draw was as fast, but its ever-changing small arrays stay cached by
+    numpy and grew the process's memory by several percent.
+    """
+    drawn = np.tile(touches, (n_rows, 1))
+    out = np.empty_like(drawn)
+    filled = 0
+    for _ in range(POSSESSION_ROUNDS):
+        rng.permuted(drawn, axis=1, out=drawn)
+        valid = np.flatnonzero((drawn[:, 1:] != drawn[:, :-1]).all(axis=1))
+        valid = valid[: n_rows - filled]
+        out[filled : filled + valid.size] = drawn[valid]
+        filled += valid.size
+        if filled == n_rows:
+            break
+    for row in range(filled, n_rows):
+        out[row] = _counted_arrangement(touches, rng, memo)
+    return out
 
 
 def _possession_rows(
@@ -304,42 +344,23 @@ def _possession_rows(
 ) -> np.ndarray:
     """Rows whose possessions are independent uniform valid arrangements.
 
-    The possessions take the routes of ``layout.routes``, in order: the
-    tabled ones, then the rest one at a time. A uniform permutation of a
-    possession's touches that has no adjacent repeat is uniform over the
-    valid arrangements. So each rejection round permutes the possession
-    once per row, all rows at once, and hands the valid permutations in
-    order to the rows still waiting for one. A uniform permutation of last
-    round's rows is again a uniform permutation of the touches, so the
-    rounds permute one array in place. Rows still waiting after
-    ``POSSESSION_ROUNDS`` rounds are drawn by ``_counted_arrangement``. A
-    possession's rounds all have the same array shapes: pooling the
-    waiting rows of every possession into one draw was as fast, but its
-    ever-changing small arrays stay cached by numpy and grew the process's
-    memory by several percent.
+    The possessions are drawn in order. One with a table from
+    ``_arrangement_table`` takes uniform rows of it, mapped to its players
+    by count; players with equal counts are interchangeable, so any order
+    among them gives the same rows. Any other takes ``_rejection_rows``, so
+    a layout of possessions without tables is drawn exactly as the sampled
+    rest of ``null_distribution``.
     """
-    routes = layout.routes
-    out = np.empty((n_rows, layout.touches.size), dtype=layout.touches.dtype)
-    if routes.table_sizes.size:
-        picks = rng.integers(0, routes.table_sizes, (n_rows, routes.table_sizes.size))
-        flat = picks[:, routes.table_column] * routes.table_stride + routes.table_base
-        out[:, routes.table_slots] = routes.tables[flat]
-    for start, length in routes.rejected:
-        touches = layout.touches[start : start + length]
-        block = out[:, start : start + length]
-        drawn = np.tile(touches, (n_rows, 1))
-        filled = 0
-        for _ in range(POSSESSION_ROUNDS):
-            rng.permuted(drawn, axis=1, out=drawn)
-            valid = np.flatnonzero((drawn[:, 1:] != drawn[:, :-1]).all(axis=1))
-            valid = valid[: n_rows - filled]
-            block[filled : filled + valid.size] = drawn[valid]
-            filled += valid.size
-            if filled == n_rows:
-                break
-        for row in range(filled, n_rows):
-            block[row] = _counted_arrangement(touches, rng, layout.arrangements)
-    return out
+    blocks = []
+    for touches in layout.slices():
+        signature, holders = _signature(touches)
+        table = _arrangement_table(signature, TABLE_LIMIT)
+        if table is None:
+            blocks.append(_rejection_rows(touches, rng, n_rows, layout.arrangements))
+        else:
+            picks = table[rng.integers(0, len(table), n_rows)]
+            blocks.append(np.array(holders, dtype=touches.dtype)[picks])
+    return np.concatenate(blocks, axis=1)
 
 
 def _others(counts: list[int], holder: int) -> tuple[int, ...]:
@@ -423,6 +444,7 @@ def _walk_rows(layout: _MatchLayout, rng: np.random.Generator, n_rows: int) -> n
 
     A step of 1..n-1 places modulo n reaches every other player equally
     often, so each possession is a cumulative sum of steps modulo n.
+    ``null_distribution`` does not draw walks; it takes their exact moments.
     """
     n_players = len(layout.players)
     steps = rng.integers(1, n_players, size=(n_rows, layout.touches.size))
@@ -432,6 +454,56 @@ def _walk_rows(layout: _MatchLayout, rng: np.random.Generator, n_rows: int) -> n
     before[:, 1:] = walk[:, layout.starts[1:] - 1]
     walk -= np.repeat(before, layout.lengths, axis=1)
     return walk % n_players
+
+
+@cache
+def _walk_joint(n_players: int, k: int) -> np.ndarray:
+    """Pattern law of a walk's windows, alone and in pairs.
+
+    Row d holds, for every pattern, the chance that the windows starting
+    at touches i and i + d both have it, for d = 0..k; row 0 is the law of
+    one window. The walk's law does not change when players are
+    relabelled, so these chances do not depend on i, and only on which of
+    the m = k + 1 + d touches share a player. That is a restricted-growth
+    string with no adjacent repeat, and one with b letters has chance
+    n(n-1)...(n-b+1) / (n (n-1)^(m-1)) on n players. The strings are grown
+    one touch at a time, all at once.
+    """
+    pidx = pattern_index(k)
+    falling = np.cumprod(np.arange(n_players, n_players - 2 * k - 1, -1).clip(0), dtype=float)
+    joint = np.empty((k + 1, len(pidx.patterns)))
+    strings = np.zeros((1, 1), dtype=np.int64)
+    for m in range(2, 2 * k + 2):
+        letters = np.arange(m)
+        free = letters <= strings.max(axis=1, keepdims=True) + 1
+        row, letter = np.nonzero(free & (letters != strings[:, -1:]))
+        strings = np.column_stack([strings[row], letter])
+        d = m - k - 1
+        if d >= 0:
+            chance = falling[strings.max(axis=1)] / (n_players * (n_players - 1.0) ** (m - 1))
+            first, other = pidx.window_patterns(strings, np.array([0, d])).T
+            joint[d] = np.bincount(first, chance * (first == other), minlength=joint.shape[1])
+    joint.flags.writeable = False
+    return joint
+
+
+def _walk_moments(layout: _MatchLayout, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean and variance of the layout's counts under ``uniform_walk``.
+
+    With p and q_d from ``_walk_joint``, a possession with W windows adds
+    W p to the mean and W p (1 - p) + 2 sum_{d=1..k} max(W - d, 0) (q_d - p^2)
+    to the variance. Windows more than k apart share no touch and are
+    independent, and so are the possessions.
+    """
+    n = len(pattern_index(k).patterns)
+    windows = np.maximum(np.array(layout.lengths, dtype=np.int64) - k, 0)
+    # pairs[d]: pairs of windows d apart in the same possession
+    pairs = np.maximum(windows - np.arange(k + 1)[:, None], 0).sum(axis=1)
+    if not pairs[0]:
+        return np.zeros(n), np.zeros(n)
+    joint = _walk_joint(len(layout.players), k)
+    p = joint[0]
+    return pairs[0] * p, pairs[0] * p * (1 - p) + 2 * (pairs[1:] @ (joint[1:] - p * p))
 
 
 def _draw_rows(
@@ -454,11 +526,11 @@ def _draw_rows(
 def _moments(
     total: np.ndarray, total_sq: np.ndarray, reps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and Bessel-corrected std of counts from their sums over ``reps`` replicates.
+    """Mean and Bessel-corrected variance of counts from their sums over ``reps`` replicates.
 
     The numerator ``reps*total_sq - total*total`` is formed in Python
     integers, since in int64 it wraps once replicates x count passes about
-    3e9. With one replicate the std is undefined and returned as 0.
+    3e9. With one replicate the variance is undefined and returned as 0.
     """
     mean = total / reps
     if reps < 2:
@@ -467,8 +539,40 @@ def _moments(
         [reps * sq - s * s for s, sq in zip(total.tolist(), total_sq.tolist())],
         dtype=np.float64,
     )
-    var = numerator / (reps * (reps - 1))
-    return mean, np.sqrt(np.maximum(var, 0.0))
+    return mean, numerator / (reps * (reps - 1))
+
+
+def _sampled_moments(
+    layout: _MatchLayout, k: int, config: NullModelConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and variance of the layout's counts over ``config.replicates`` rows.
+
+    The rows come from one random stream seeded from (master seed, match
+    id, team id), in batches of ``BATCH_ROWS``. The match shuffle draws
+    whole rows; the possession shuffle gets only possessions without a
+    table and draws each by ``_rejection_rows``. Counts are accumulated as
+    exact integers before the moments are taken.
+    """
+    pidx = pattern_index(k)
+    window_starts = layout.window_starts(k)
+    total = np.zeros(len(pidx.patterns), dtype=np.int64)
+    total_sq = np.zeros_like(total)
+    reps = config.replicates
+    rng = np.random.default_rng(
+        derive_seed(config.master_seed, layout.match_id, layout.team_id)
+    )
+    slices = layout.slices()
+    for done in range(0, reps, BATCH_ROWS):
+        n_rows = min(BATCH_ROWS, reps - done)
+        if config.policy == "touch_shuffle_match":
+            rows = _match_rows(layout, rng, n_rows, config.max_repair_attempts)
+        else:
+            blocks = [_rejection_rows(t, rng, n_rows, layout.arrangements) for t in slices]
+            rows = np.concatenate(blocks, axis=1)
+        counts = pidx.window_counts(rows, window_starts)
+        total += counts.sum(axis=0)
+        total_sq += (counts * counts).sum(axis=0)
+    return _moments(total, total_sq, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -499,32 +603,42 @@ def null_distribution(
     k: int,
     config: NullModelConfig,
 ) -> NullDistribution:
-    """Motif-count moments over ``config.replicates`` randomized replicates.
+    """Per-pattern moments of the team-match's motif counts under ``config.policy``.
 
-    All replicates come from one random stream seeded from (master seed,
-    match id, team id). Counts are accumulated as exact integers before
-    the moments are taken, so the result is independent of any execution
-    order.
+    The walk's moments are exact, and so are those of every possession
+    the possession shuffle can table; a possession with fewer than k + 1
+    touches has no window and adds nothing. The other possessions, all of
+    them under the match shuffle, are sampled by ``_sampled_moments``. The
+    possessions of a team-match are independent under the possession
+    shuffle, so the moments of the two parts add.
     """
     layout = _MatchLayout(possessions)
-    pidx = pattern_index(k)
-    window_starts = layout.window_starts(k)
-    n = len(pidx.patterns)
-    total = np.zeros(n, dtype=np.int64)
-    total_sq = np.zeros(n, dtype=np.int64)
+    n = len(pattern_index(k).patterns)
+    mean, var = np.zeros(n), np.zeros(n)
+    sampled: list[Possession] = []
+    if config.policy == "uniform_walk":
+        mean, var = _walk_moments(layout, k)
+    elif config.policy == "touch_shuffle_possession":
+        for pos, touches in zip(layout.possessions, layout.slices()):
+            if touches.size <= k:
+                continue
+            moments = _table_moments(_signature(touches)[0], k, TABLE_LIMIT)
+            if moments is None:
+                sampled.append(pos)
+            else:
+                mean += moments[0]
+                var += moments[1]
+        if sampled:
+            layout = _MatchLayout(sampled)
+    else:
+        sampled = list(layout.possessions)
+    if sampled:
+        sampled_mean, sampled_var = _sampled_moments(layout, k, config)
+        mean += sampled_mean
+        var += sampled_var
     reps = config.replicates
-    rng = np.random.default_rng(
-        derive_seed(config.master_seed, layout.match_id, layout.team_id)
-    )
-    for done in range(0, reps, BATCH_ROWS):
-        rows = _draw_rows(
-            layout, config.policy, rng, min(BATCH_ROWS, reps - done), config.max_repair_attempts
-        )
-        counts = pidx.window_counts(rows, window_starts)
-        total += counts.sum(axis=0)
-        total_sq += (counts * counts).sum(axis=0)
-    mean, std = _moments(total, total_sq, reps)
-    return NullDistribution(k=k, mean=mean, std=std, replicates=reps, degenerate=reps < 2)
+    std = np.sqrt(np.maximum(var, 0.0)) if reps > 1 else np.zeros(n)
+    return NullDistribution(k, mean, std, reps, reps < 2, len(sampled))
 
 
 def z_scores(real: MotifCountVector, null: NullDistribution) -> ZScoreProfile:

@@ -320,20 +320,22 @@ GOLDEN = {
         "cb8f61838e6925cf606267cee9fe607c8c81056d3a959e9fe1476b9c10a37102",
         "e828ffbabf0b1944fdf4d7f5da67934dd0f9e9d2c40bfaa4aee4ac626fce8425",
     ),
-    # re-recorded in version 0.5.0: the possession shuffle tables the
-    # all-distinct possessions and permutes its rejection rounds in place
+    # re-recorded in version 0.6.0: the possession shuffle takes exact
+    # moments for its tabled possessions and samples only the rest
     ("touch-shuffle-possession", "40"): (
-        "056d751acc5a0d66bbd0011548036a3aef7cc7e2e1762a4f82e1ced3a78b1fc6",
-        "cf20772612d8053fb2102b5f65537a6ee7272fcdef33b3fcab195b97648745a8",
+        "5aa5e5f149a6bd633fd5acc8d215c5362669d49b9edfdf767d13ee658379cc69",
+        "67e7fb92fb6db57347916cc5a53910e07c879398a58e7dcce03a4654ab7d3d78",
     ),
+    # re-recorded in version 0.6.0: the walk's moments are exact
     ("uniform-walk", "40"): (
-        "512092ed9ce7a399ce4d62343739432e32f57d980df17b88c4721f25d13be49f",
-        "9fa13e7351fc7f44fba011f66cb683f4853b54a1663dec845dfb00c03785137a",
+        "86308e81952d9f51dae06e7fd0f1566dc635e701eff8ffade466fd8a29e8d38f",
+        "8f48b184a83212cd781b82c68025c3c76dc79ba80d6f87d6310c2e4cf0d5a9b7",
     ),
-    # one replicate: every z is flagged, most are capped at +-10
+    # one replicate: the exact mean, but every z is flagged and most are
+    # capped at +-10
     ("uniform-walk", "1"): (
-        "2ab1b7d377e9a7e5793856738138163fdc3c543cc47c6c395dadecccea6f78ed",
-        "82703d6cb475c57f0504bc86b08e491823a5b701fe97bf6b2b751f40c03152a2",
+        "a96a941d9bd50f069133ec95396db864cfb35a1c6a94e8aeb6613c63890c3c11",
+        "65af01fff140173255e6710696b7f08a64aba6376ca6e01a206a3f26ce109b3d",
     ),
 }
 

@@ -10,6 +10,7 @@ from flowmotif import (
     MotifCountVector,
     NullDistribution,
     NullModelConfig,
+    canonicalize,
     derive_seed,
     enumerate_patterns,
     extract_motifs,
@@ -178,33 +179,52 @@ def test_null_distribution_is_bitwise_deterministic():
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
 
 
+def object_path_moments(layout, policy, seed, reps):
+    """Mean and Bessel-corrected variance of the layout's replicates, counted
+    window by window with the string canonicalization.
+
+    All replicates of a team-match are rows drawn from one stream seeded
+    from (master seed, match id, team id) in batches of BATCH_ROWS.
+    """
+    rng = np.random.default_rng(derive_seed(seed, layout.match_id, layout.team_id))
+    batches = [min(BATCH_ROWS, reps - done) for done in range(0, reps, BATCH_ROWS)]
+    budget = nullmodel.DEFAULT_MAX_REPAIR_ATTEMPTS
+    rows = np.concatenate([_draw_rows(layout, policy, rng, n, budget) for n in batches])
+    samples = [
+        Counter(m for pos in layout.rebuild(row) for m in extract_motifs(pos, 3)) for row in rows
+    ]
+    values = np.array([[s[p] for p in enumerate_patterns(3)] for s in samples])
+    return values.mean(axis=0), values.var(axis=0, ddof=1)
+
+
 def test_null_distribution_matches_object_path_recomputation():
-    # The batched replicate loop must agree exactly with counting every
-    # replicate through the object path, window by window with the string
-    # canonicalization. All replicates of a team-match are rows drawn from
-    # one stream seeded from (master seed, match id, team id) in batches of
-    # BATCH_ROWS; 100 replicates span two batches.
-    possessions = synth_possessions(possessions=10)
-    layout = _MatchLayout(possessions)
+    # The sampled moments must agree exactly with counting every replicate
+    # through the object path; 100 replicates span two batches. The match
+    # shuffle samples every possession. The possession shuffle samples only
+    # the possessions without a table, here ABCDEFGAB and BACDEFGHIB, and
+    # draws them as _draw_rows draws a layout of just those two; the tabled
+    # ACBA and CABCA add exact moments.
     reps = 100
-    for policy in POLICIES:
-        config = NullModelConfig(replicates=reps, policy=policy, master_seed=17)
-        null = null_distribution(possessions, 3, config)
-        rng = np.random.default_rng(derive_seed(17, layout.match_id, layout.team_id))
-        rows = np.concatenate(
-            [
-                _draw_rows(layout, policy, rng, n, config.max_repair_attempts)
-                for n in (BATCH_ROWS, reps - BATCH_ROWS)
-            ]
-        )
-        samples = [
-            Counter(m for pos in layout.rebuild(row) for m in extract_motifs(pos, 3))
-            for row in rows
-        ]
-        for i, pattern in enumerate(enumerate_patterns(3)):
-            values = [s[pattern] for s in samples]
-            assert null.mean[i] == pytest.approx(np.mean(values), abs=1e-12)
-            assert null.std[i] == pytest.approx(np.std(values, ddof=1), abs=1e-12)
+    possessions = synth_possessions(possessions=10)
+    config = NullModelConfig(replicates=reps, policy="touch_shuffle_match", master_seed=17)
+    null = null_distribution(possessions, 3, config)
+    mean, var = object_path_moments(_MatchLayout(possessions), config.policy, 17, reps)
+    assert null.sampled_possessions == len(possessions)
+    assert null.mean == pytest.approx(mean, abs=1e-12)
+    assert null.std == pytest.approx(np.sqrt(var), abs=1e-12)
+
+    tabled, untabled = ["ACBA", "CABCA"], ["ABCDEFGAB", "BACDEFGHIB"]
+    for touches in untabled:
+        assert _arrangement_table(signature_of(touches), TABLE_LIMIT) is None
+    possessions = [chain_possession(list(t)) for t in tabled[:1] + untabled + tabled[1:]]
+    config = NullModelConfig(replicates=reps, policy="touch_shuffle_possession", master_seed=17)
+    null = null_distribution(possessions, 3, config)
+    rest = _MatchLayout([chain_possession(list(t)) for t in untabled])
+    mean, var = object_path_moments(rest, config.policy, 17, reps)
+    exact_mean, exact_var = enumerated_moments(tabled, "touch_shuffle_possession")
+    assert null.sampled_possessions == 2
+    assert null.mean == pytest.approx(mean + exact_mean, abs=1e-12)
+    assert null.std == pytest.approx(np.sqrt(var + exact_var), abs=1e-12)
 
 
 def test_two_teams_of_a_match_draw_different_streams():
@@ -221,6 +241,36 @@ def valid_arrangements(touches):
         for p in set(permutations(touches))
         if all(a != b for a, b in zip(p, p[1:]))
     )
+
+
+def signature_of(touches):
+    return tuple(sorted(Counter(touches).values()))
+
+
+def enumerated_counts(touches, policy, players, k=3):
+    """Pattern counts of every equally likely outcome of one possession, one row each.
+
+    The possession shuffle's outcomes are the valid arrangements of the
+    touches; the walk's are all sequences of the players with no adjacent
+    repeat.
+    """
+    if policy == "uniform_walk":
+        walks = product(players, repeat=len(touches))
+        outcomes = [w for w in walks if all(a != b for a, b in zip(w, w[1:]))]
+    else:
+        outcomes = valid_arrangements(touches)
+    patterns = enumerate_patterns(k)
+    windows = [
+        Counter(canonicalize(o[i : i + k + 1]) for i in range(len(o) - k)) for o in outcomes
+    ]
+    return np.array([[c[p] for p in patterns] for c in windows])
+
+
+def enumerated_moments(layout, policy, k=3):
+    """Exact mean and variance of the counts of independent possessions, by enumeration."""
+    players = sorted(set("".join(layout)))
+    counts = [enumerated_counts(touches, policy, players, k) for touches in layout]
+    return sum(c.mean(axis=0) for c in counts), sum(c.var(axis=0) for c in counts)
 
 
 @pytest.mark.parametrize("touches", ["AB", "ACBA", "ABCBDAC", "ABABABABAB", "AAABBBCCD", "AAAAB"])
@@ -273,20 +323,36 @@ def test_arrangement_tables_hold_every_valid_arrangement():
 
 
 def test_possession_routes_follow_the_signature(monkeypatch):
-    # CA, ACBA and ABCABCABC (174 of 1680 permutations valid) are tabled,
-    # and so is a two-player chain of any length; seven distinct players
-    # outgrow TABLE_LIMIT and take rejection rounds.
+    # CA, ACBA and ABCABCABC (174 of 1680 permutations valid) draw rows of
+    # their tables, and so does a two-player chain of any length; seven
+    # distinct players outgrow TABLE_LIMIT and take rejection rounds. CA
+    # has no 3-pass window, so null_distribution needs no moments for it
+    # and samples only ABCDEFG.
+    rejected = []
+
+    def rejection_rows(touches, rng, n_rows, memo):
+        rejected.append(touches.size)
+        return real_rejection_rows(touches, rng, n_rows, memo)
+
+    real_rejection_rows = nullmodel._rejection_rows
+    monkeypatch.setattr(nullmodel, "_rejection_rows", rejection_rows)
     possessions = [chain_possession(list(t)) for t in ("CA", "ACBA", "ABCABCABC", "ABCDEFG")]
-    routes = _MatchLayout(possessions).routes
-    assert routes.table_slots.tolist() == list(range(15))
-    assert routes.table_sizes.tolist() == [2, 6, 174]
-    assert routes.rejected == [(15, 7)]
+    rng = np.random.default_rng(0)
+    _draw_rows(_MatchLayout(possessions), "touch_shuffle_possession", rng, 8, 1)
+    assert rejected == [7]
     long_pair = _MatchLayout([chain_possession(["A", "B"] * 400 + ["A"])])
-    assert long_pair.routes.table_sizes.tolist() == [1] and not long_pair.routes.rejected
+    _draw_rows(long_pair, "touch_shuffle_possession", rng, 8, 1)
+    assert rejected == [7]
+    config = NullModelConfig(replicates=8, policy="touch_shuffle_possession")
+    assert null_distribution(possessions, 3, config).sampled_possessions == 1
+    assert rejected == [7, 7]
+
     monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 0)
-    routes = _MatchLayout(possessions).routes
-    assert routes.table_slots.size == 0
-    assert routes.rejected == [(0, 2), (2, 4), (6, 9), (15, 7)]
+    rejected.clear()
+    _draw_rows(_MatchLayout(possessions), "touch_shuffle_possession", rng, 8, 1)
+    assert rejected == [2, 4, 9, 7]
+    assert null_distribution(possessions, 3, config).sampled_possessions == 3
+    assert rejected[4:] == [4, 9, 7]
 
 
 @pytest.mark.parametrize("players,repeated", [(200, 0), (130, 1)])
@@ -432,6 +498,56 @@ def test_possession_shuffle_terminates_on_tight_possessions():
     assert len({row.tobytes() for row in rows}) > 200
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n_players", [2, 3, 4])
+def test_walk_moments_match_enumeration(n_players, k):
+    # One possession of every length from 2 to 7 touches on n players; the
+    # longest ones hold pairs of windows at every offset up to k.
+    letters = "ABCD"[:n_players]
+    layout = ["".join(letters[i % n_players] for i in range(n)) for n in range(2, 8)]
+    possessions = [chain_possession(list(t)) for t in layout]
+    mean, var = enumerated_moments(layout, "uniform_walk", k)
+    null = null_distribution(possessions, k, NullModelConfig(replicates=2, policy="uniform_walk"))
+    assert null.sampled_possessions == 0 and not null.degenerate
+    assert null.mean == pytest.approx(mean, abs=1e-12)
+    assert null.std**2 == pytest.approx(var, abs=1e-12)
+    # one replicate leaves the exact mean but no variance
+    config = NullModelConfig(replicates=1, policy="uniform_walk")
+    single = null_distribution(possessions, k, config)
+    assert single.degenerate and not single.std.any()
+    assert np.array_equal(single.mean, null.mean)
+
+
+@pytest.mark.parametrize("layout", ["ACBA ABCA", "ABABABABAB", "CA ACBA ABCABCABC", "ABCD CDE"])
+def test_possession_shuffle_moments_match_enumeration(layout):
+    layout = layout.split()
+    possessions = [chain_possession(list(t)) for t in layout]
+    mean, var = enumerated_moments(layout, "touch_shuffle_possession")
+    config = NullModelConfig(replicates=2, policy="touch_shuffle_possession")
+    null = null_distribution(possessions, 3, config)
+    assert null.sampled_possessions == 0
+    assert null.mean == pytest.approx(mean, abs=1e-12)
+    assert null.std**2 == pytest.approx(var, abs=1e-12)
+
+
+def test_possession_shuffle_samples_only_the_untabled_possessions():
+    # ABCDEFGA (seven players, A twice) outgrows TABLE_LIMIT, so its
+    # moments are sampled while ACBA's are exact. The sampled mean and
+    # variance must lie within 5 standard errors of the enumerated ones.
+    layout = ["ACBA", "ABCDEFGA"]
+    assert _arrangement_table(signature_of(layout[1]), TABLE_LIMIT) is None
+    reps = 4000
+    config = NullModelConfig(replicates=reps, policy="touch_shuffle_possession", master_seed=5)
+    null = null_distribution([chain_possession(list(t)) for t in layout], 3, config)
+    assert null.sampled_possessions == 1
+    mean, var = enumerated_moments(layout, "touch_shuffle_possession")
+    rest = enumerated_counts(layout[1], "touch_shuffle_possession", None)
+    rest_var = rest.var(axis=0)
+    fourth = ((rest - rest.mean(axis=0)) ** 4).mean(axis=0)
+    assert (abs(null.mean - mean) <= 5 * np.sqrt(rest_var / reps) + 1e-12).all()
+    assert (abs(null.std**2 - var) <= 5 * np.sqrt((fourth - rest_var**2) / reps) + 1e-12).all()
+
+
 def walk_probability(pattern, n_players):
     """Probability of a pattern for a walk that never passes to the holder."""
     p, seen = 1.0, {pattern[0]}
@@ -460,9 +576,9 @@ def test_moments_do_not_overflow():
     reps = 10**9
     total = np.array([10 * reps], dtype=np.int64)
     total_sq = np.array([200 * reps], dtype=np.int64)
-    mean, std = _moments(total, total_sq, reps)
+    mean, var = _moments(total, total_sq, reps)
     assert mean[0] == 10.0
-    assert std[0] ** 2 == pytest.approx(100.0, rel=1e-6)
+    assert var[0] == pytest.approx(100.0, rel=1e-6)
 
 
 def test_single_replicate_is_degenerate():
