@@ -159,15 +159,11 @@ class _PatternIndex:
         right = touch_rows[:, window_starts[:, None] + self._right]
         return (left == right) @ self._bits
 
-    def window_patterns(self, touch_rows: np.ndarray, window_starts: np.ndarray) -> np.ndarray:
-        """Index into ``patterns`` of every window of every row, one row per touch row."""
-        keys = self._keys(touch_rows, window_starts)
-        return self._order[np.searchsorted(self._sorted_keys, keys)]
-
     def window_counts(self, touch_rows: np.ndarray, window_starts: np.ndarray) -> np.ndarray:
         """Per-row count of every pattern over the windows, aligned with ``patterns``."""
         n_rows, n_patterns = touch_rows.shape[0], len(self.patterns)
-        idx = self.window_patterns(touch_rows, window_starts)
+        keys = self._keys(touch_rows, window_starts)
+        idx = self._order[np.searchsorted(self._sorted_keys, keys)]
         idx += np.arange(0, n_rows * n_patterns, n_patterns)[:, None]
         counts = np.bincount(idx.ravel(), minlength=n_rows * n_patterns)
         return counts.reshape(n_rows, n_patterns)

@@ -328,8 +328,8 @@ GOLDEN = {
     ),
     # re-recorded in version 0.6.0: the walk's moments are exact
     ("uniform-walk", "40"): (
-        "86308e81952d9f51dae06e7fd0f1566dc635e701eff8ffade466fd8a29e8d38f",
-        "8f48b184a83212cd781b82c68025c3c76dc79ba80d6f87d6310c2e4cf0d5a9b7",
+        "80bf497015c77546014359555665077c7d4e83126d801b4b20c623eb886d6772",
+        "1dc50b1a54866042520e29c711837816e968e8c1ca0a585a8804aa19c771e22a",
     ),
     # one replicate: the exact mean, but every z is flagged and most are
     # capped at +-10

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 
@@ -21,6 +22,7 @@ from flowmotif import (
     z_scores,
 )
 from flowmotif import nullmodel
+from flowmotif.motifs import pattern_index
 from flowmotif.nullmodel import (
     BATCH_ROWS,
     TABLE_LIMIT,
@@ -327,7 +329,8 @@ def test_possession_routes_follow_the_signature(monkeypatch):
     # their tables, and so does a two-player chain of any length; seven
     # distinct players outgrow TABLE_LIMIT and take rejection rounds. CA
     # has no 3-pass window, so null_distribution needs no moments for it
-    # and samples only ABCDEFG.
+    # and samples only ABCDEFG, through the same _possession_rows. A
+    # signature that outgrew the limit is remembered and not grown again.
     rejected = []
 
     def rejection_rows(touches, rng, n_rows, memo):
@@ -346,6 +349,7 @@ def test_possession_routes_follow_the_signature(monkeypatch):
     config = NullModelConfig(replicates=8, policy="touch_shuffle_possession")
     assert null_distribution(possessions, 3, config).sampled_possessions == 1
     assert rejected == [7, 7]
+    assert ((1,) * 7, TABLE_LIMIT) in nullmodel._OUTGROWN
 
     monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 0)
     rejected.clear()
@@ -558,16 +562,55 @@ def walk_probability(pattern, n_players):
 
 
 def test_uniform_walk_mean_matches_closed_form():
+    # The exact null mean is the closed form, and walks drawn by _draw_rows,
+    # the sampler of randomize_possessions, have a sample mean and variance
+    # within 5 standard errors of the exact moments.
     possessions = synth_possessions()
+    layout = _MatchLayout(possessions)
     reps = 4000
     null = null_distribution(
         possessions, 3, NullModelConfig(replicates=reps, policy="uniform_walk", master_seed=2)
     )
     n_players = len(set(all_touches(possessions)))
     windows = sum(max(0, len(touch_sequence(p)) - 3) for p in possessions)
-    for pattern, mean, std in zip(enumerate_patterns(3), null.mean, null.std):
-        expected = windows * walk_probability(pattern, n_players)
-        assert abs(mean - expected) <= 5 * std / math.sqrt(reps)
+    expected = [windows * walk_probability(p, n_players) for p in enumerate_patterns(3)]
+    assert null.mean == pytest.approx(expected, abs=1e-9)
+    rows = _draw_rows(layout, "uniform_walk", np.random.default_rng(2), reps, 1)
+    counts = pattern_index(3).window_counts(rows, layout.window_starts(3))
+    var = null.std**2
+    fourth = ((counts - counts.mean(axis=0)) ** 4).mean(axis=0)
+    assert (abs(counts.mean(axis=0) - null.mean) <= 5 * np.sqrt(var / reps)).all()
+    assert (abs(counts.var(axis=0, ddof=1) - var) <= 5 * np.sqrt((fourth - var**2) / reps)).all()
+
+
+@pytest.mark.parametrize("n_players,k", [(3, 7), (4, 4), (5, 3), (6, 2)])
+def test_walk_joint_matches_enumeration_of_every_walk(n_players, k):
+    # Every walk of 2k + 1 touches is equally likely. Row d of _walk_joint
+    # must be the share of them whose windows at touches 0 and d both have
+    # each pattern; row 0 is the law of one window.
+    steps = product(range(n_players), *[range(1, n_players)] * (2 * k))
+    walks = np.cumsum(np.array(list(steps)), axis=1) % n_players
+    pidx = pattern_index(k)
+    first = pidx.window_counts(walks, np.zeros(1, dtype=np.int64)).argmax(axis=1)
+    joint = nullmodel._walk_joint(n_players, k)
+    for d in range(k + 1):
+        other = pidx.window_counts(walks, np.array([d])).argmax(axis=1)
+        shares = np.bincount(first[first == other], minlength=len(pidx.patterns)) / len(walks)
+        assert joint[d] == pytest.approx(shares, abs=1e-12)
+
+
+def test_walk_joint_needs_only_the_alphabet():
+    # The joint law comes from the 877 patterns of k = 7, not from the
+    # walks or pattern strings of 15 touches, so it stays under a megabyte.
+    pattern_index(7)
+    tracemalloc.start()
+    try:
+        joint = nullmodel._walk_joint.__wrapped__(22, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert joint.shape == (8, 877) and joint[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_moments_do_not_overflow():
