@@ -52,7 +52,7 @@ from .possessions import (
 from .seeding import derive_seed
 from .synth import TeamStyleParams, generate_league, generate_match
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "ClusterAssignment",

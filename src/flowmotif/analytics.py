@@ -2,7 +2,7 @@
 
 A team's fingerprint is its per-pattern mean z-score across the season's
 matches. The three analyses are deterministic given seeds: k-means uses
-k-means++ with a fixed number of restarts and lowest-restart tie-breaks,
+k-means++ with ``RESTARTS`` restarts and lowest-restart tie-breaks,
 Ward merges break ties on the lexicographically smallest team-id pair,
 and PCA axes are sign-fixed so the largest-magnitude loading is positive.
 """
@@ -19,7 +19,10 @@ from .motifs import enumerate_patterns
 from .nullmodel import ZScoreProfile
 from .seeding import derive_seed
 
-DEFAULT_RESTARTS = 10
+# k-means keeps the best of RESTARTS k-means++ starts, each refined by at
+# most MAX_ITER Lloyd iterations.
+RESTARTS = 10
+MAX_ITER = 300
 
 # Ward merge heights are the increase in total within-cluster sum of
 # squares, not its square root; output schemas carry this tag.
@@ -158,10 +161,10 @@ def _kmeans_pp_init(x: np.ndarray, n_clusters: int, rng: np.random.Generator) ->
     return centers
 
 
-def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     n, n_clusters = x.shape[0], centers.shape[0]
     assign = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
         new_assign = d2.argmin(axis=1)  # ties: lowest cluster index
         own = d2[np.arange(n), new_assign].copy()
@@ -201,13 +204,9 @@ def _relabel_by_first_use(assign: np.ndarray, centers: np.ndarray) -> tuple[np.n
 
 
 def kmeans(
-    fingerprints: Iterable[TeamFingerprint],
-    n_clusters: int,
-    seed: int = 0,
-    max_iter: int = 300,
-    restarts: int = DEFAULT_RESTARTS,
+    fingerprints: Iterable[TeamFingerprint], n_clusters: int, seed: int = 0
 ) -> ClusterAssignment:
-    """Lloyd's algorithm with k-means++ init, best of ``restarts`` runs.
+    """Lloyd's algorithm with k-means++ init, best of ``RESTARTS`` runs.
 
     The run with the lowest within-cluster sum of squares wins; ties go to
     the lowest restart index, so results depend only on (inputs, seed).
@@ -217,10 +216,10 @@ def kmeans(
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     best: tuple[float, int, np.ndarray, np.ndarray] | None = None
-    for r in range(restarts):
+    for r in range(RESTARTS):
         rng = np.random.default_rng(derive_seed(seed, "kmeans", r))
         centers = _kmeans_pp_init(x, n_clusters, rng)
-        assign, centers, within = _lloyd(x, centers.copy(), max_iter)
+        assign, centers, within = _lloyd(x, centers.copy())
         if best is None or within < best[0]:
             best = (within, r, assign, centers)
     assert best is not None

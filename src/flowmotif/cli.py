@@ -42,8 +42,8 @@ from .events import (
 )
 from .motifs import DEFAULT_K, MotifCountVector, count_motifs, enumerate_patterns
 from .nullmodel import (
-    DEFAULT_MAX_REPAIR_ATTEMPTS,
     DEFAULT_REPLICATES,
+    POLICIES,
     DegenerateInputError,
     NullDistribution,
     NullModelConfig,
@@ -56,12 +56,6 @@ from .svg import dendrogram_svg, scatter_svg
 from .synth import TeamStyleParams, generate_league
 
 _EXTENSIONS = {"csv": ".csv", "jsonl": ".jsonl"}
-
-_POLICY_FLAGS = {
-    "touch-shuffle-match": "touch_shuffle_match",
-    "touch-shuffle-possession": "touch_shuffle_possession",
-    "uniform-walk": "uniform_walk",
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,9 +224,8 @@ def cmd_zscores(args: argparse.Namespace) -> int:
     logs, had_errors = _load_match_logs(args.inputs, args.format, digests)
     config = NullModelConfig(
         replicates=args.replicates,
-        policy=_POLICY_FLAGS[args.null_model],
+        policy=args.null_model.replace("-", "_"),
         master_seed=args.seed,
-        max_repair_attempts=args.max_repair_attempts,
     )
     results = _parallel_map(
         _zscore_for_log, [(log, args.k, args.tmax, config) for log in logs]
@@ -290,7 +283,6 @@ def cmd_zscores(args: argparse.Namespace) -> int:
             "replicates": args.replicates,
             "seed": args.seed,
             "null_model": args.null_model,
-            "max_repair_attempts": args.max_repair_attempts,
             "format": args.format,
         },
         digests,
@@ -555,16 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument(
         "--null-model",
-        choices=sorted(_POLICY_FLAGS),
+        choices=sorted(policy.replace("_", "-") for policy in POLICIES),
         default="touch-shuffle-match",
-    )
-    p.add_argument(
-        "--max-repair-attempts",
-        type=int,
-        default=DEFAULT_MAX_REPAIR_ATTEMPTS,
-        help="repair sweeps and resamples per replicate of touch-shuffle-match, "
-        "whose replicates are shuffled and repaired together in batches with an "
-        "unchanged, still biased law; the other null models never repair",
     )
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_zscores)

@@ -96,8 +96,9 @@ class TouchCodes:
 
     Players are coded 0, 1, 2, ... in order of first appearance, and
     ``players[c]`` is the player of code ``c``. ``touches`` holds every
-    possession's touches back to back, and ``lengths`` the touch count of
-    each possession. ``match_id``/``team_id`` are only used when
+    possession's touches back to back, ``lengths`` the touch count of each
+    possession and ``starts`` the index of its first touch in ``touches``,
+    an int64 array. ``match_id``/``team_id`` are only used when
     ``possessions`` is empty; otherwise they are taken from the
     possessions, which must all agree.
     """
@@ -110,12 +111,14 @@ class TouchCodes:
         codes: dict[str, int] = {}
         touches: list[int] = []
         lengths: list[int] = []
+        starts: list[int] = []
         for pos in possessions:
             if pos.match_id != match_id or pos.team_id != team_id:
                 raise ValueError(
                     f"possession ({pos.match_id!r}, {pos.team_id!r}) mixed into "
                     f"({match_id!r}, {team_id!r})"
                 )
+            starts.append(len(touches))
             touches.append(codes.setdefault(pos.passes[0].passer, len(codes)))
             touches.extend([codes.setdefault(p.receiver, len(codes)) for p in pos.passes])
             lengths.append(len(pos.passes) + 1)
@@ -124,6 +127,7 @@ class TouchCodes:
         self.players = tuple(codes)
         self.touches = np.array(touches, dtype=np.int64)
         self.lengths = lengths
+        self.starts = np.array(starts, dtype=np.int64)
 
     def window_starts(self, k: int) -> np.ndarray:
         """Index of the first touch of every (k+1)-touch window within a possession."""

@@ -47,6 +47,12 @@ def chain_possession(touches, match_id="m1", team_id="t1", start_t=0.0, step=1.0
     return make_possession(pairs, match_id, team_id, times)
 
 
+def possession_touches(codes, row):
+    """Each possession's touches in a row of player codes, as player names."""
+    bounds = np.cumsum(codes.lengths)[:-1]
+    return [[codes.players[c] for c in part.tolist()] for part in np.split(row, bounds)]
+
+
 def oracle_canonical(window) -> str:
     """Independent canonicalization: label = first-occurrence rank."""
     order: list = []

@@ -300,6 +300,19 @@ def test_manifest_digests_every_input_once_read(tmp_path, command):
     }
 
 
+def test_zscores_manifest_config_holds_exactly_the_settings(tmp_path):
+    # The manifest echoes every setting of the command and nothing else;
+    # the null model is named as on the command line.
+    src = tmp_path / "events.csv"
+    src.write_text(WORKED_EXAMPLE_CSV)
+    out = tmp_path / "z.csv"
+    argv = ["zscores", str(src), "--null-model", "uniform-walk", "--replicates", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    config = json.loads(out.with_name("z.csv.manifest.json").read_text())["config"]
+    assert sorted(config) == ["format", "k", "null_model", "replicates", "seed", "t_max"]
+    assert config["null_model"] == "uniform-walk"
+
+
 def test_fingerprint_rejects_zscores_missing_a_pattern(tmp_path, capsys):
     zs = tmp_path / "z.csv"
     zs.write_text(

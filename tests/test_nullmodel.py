@@ -22,18 +22,17 @@ from flowmotif import (
     z_scores,
 )
 from flowmotif import nullmodel
-from flowmotif.motifs import pattern_index
+from flowmotif.motifs import TouchCodes, pattern_index
 from flowmotif.nullmodel import (
     BATCH_ROWS,
     TABLE_LIMIT,
     _arrangement_table,
     _arrangements,
     _draw_rows,
-    _MatchLayout,
     _moments,
 )
 from flowmotif.synth import TeamStyleParams, generate_match
-from helpers import chain_possession, oracle_match_rows
+from helpers import chain_possession, oracle_match_rows, possession_touches
 
 POLICIES = ("touch_shuffle_match", "touch_shuffle_possession", "uniform_walk")
 
@@ -133,42 +132,46 @@ def test_unknown_policy_rejected():
         randomize_possessions([chain_possession(["1", "2"])], "edge_rewire", 0)
 
 
-def test_repair_budget_exhaustion_names_the_match():
+def test_repair_budget_exhaustion_names_the_match(monkeypatch):
     # {A:3, B:2} admits exactly one valid arrangement; a budget of one
     # sweep and one resample gives up at seed 0 for the match shuffle.
     pos = chain_possession(["A", "B", "A", "B", "A"])
-    with pytest.raises(DegenerateInputError, match="match"):
-        randomize_possessions([pos], "touch_shuffle_match", 0, max_repair_attempts=1)
+    with monkeypatch.context() as budget:
+        budget.setattr(nullmodel, "MAX_REPAIR_ATTEMPTS", 1)
+        with pytest.raises(DegenerateInputError, match="match"):
+            randomize_possessions([pos], "touch_shuffle_match", 0)
     # the same input succeeds with the default budget
     randomize_possessions([pos], "touch_shuffle_match", 0)
     # the possession shuffle never repairs, so the budget does not bind it
-    (rnd,) = randomize_possessions([pos], "touch_shuffle_possession", 0, max_repair_attempts=1)
+    monkeypatch.setattr(nullmodel, "MAX_REPAIR_ATTEMPTS", 1)
+    (rnd,) = randomize_possessions([pos], "touch_shuffle_possession", 0)
     assert touch_sequence(rnd) == ("A", "B", "A", "B", "A")
 
 
-def test_match_shuffle_reshuffles_rows_inside_a_batch():
+def test_match_shuffle_reshuffles_rows_inside_a_batch(monkeypatch):
     # Two shared players among 16 touches leave about 3% of shuffles dirty
     # after two sweeps, so with a budget of two some rows of a batch are
     # reshuffled while the others are done; the draw then parts from the
     # one with the default budget, which sweeps those rows a third time.
     possessions = [chain_possession(list(t)) for t in ("ABCDEFGH", "ABIJKLMN")]
-    layout = _MatchLayout(possessions)
+    codes = TouchCodes(possessions)
     expected = Counter(all_touches(possessions))
+    default_budget = nullmodel.MAX_REPAIR_ATTEMPTS
 
     def draw(seed, budget):
+        monkeypatch.setattr(nullmodel, "MAX_REPAIR_ATTEMPTS", budget)
         rng = np.random.default_rng(seed)
         return np.concatenate(
-            [_draw_rows(layout, "touch_shuffle_match", rng, BATCH_ROWS, budget) for _ in range(2)]
+            [_draw_rows(codes, "touch_shuffle_match", rng, BATCH_ROWS, {}) for _ in range(2)]
         )
 
     rows = draw(8, 2)
     assert np.array_equal(rows, draw(8, 2))
-    assert not np.array_equal(rows, draw(8, nullmodel.DEFAULT_MAX_REPAIR_ATTEMPTS))
+    assert not np.array_equal(rows, draw(8, default_budget))
     for row in rows:
-        randomized = layout.rebuild(row)
-        assert Counter(all_touches(randomized)) == expected
-        for pos in randomized:
-            seq = touch_sequence(pos)
+        randomized = possession_touches(codes, row)
+        assert Counter(who for seq in randomized for who in seq) == expected
+        for seq in randomized:
             assert all(a != b for a, b in zip(seq, seq[1:]))
 
 
@@ -181,19 +184,24 @@ def test_null_distribution_is_bitwise_deterministic():
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
 
 
-def object_path_moments(layout, policy, seed, reps):
-    """Mean and Bessel-corrected variance of the layout's replicates, counted
-    window by window with the string canonicalization.
+def object_path_moments(codes, policy, seed, reps):
+    """Mean and Bessel-corrected variance of the replicates of coded touches,
+    counted window by window with the string canonicalization.
 
     All replicates of a team-match are rows drawn from one stream seeded
     from (master seed, match id, team id) in batches of BATCH_ROWS.
     """
-    rng = np.random.default_rng(derive_seed(seed, layout.match_id, layout.team_id))
+    rng = np.random.default_rng(derive_seed(seed, codes.match_id, codes.team_id))
     batches = [min(BATCH_ROWS, reps - done) for done in range(0, reps, BATCH_ROWS)]
-    budget = nullmodel.DEFAULT_MAX_REPAIR_ATTEMPTS
-    rows = np.concatenate([_draw_rows(layout, policy, rng, n, budget) for n in batches])
+    memo = {}
+    rows = np.concatenate([_draw_rows(codes, policy, rng, n, memo) for n in batches])
     samples = [
-        Counter(m for pos in layout.rebuild(row) for m in extract_motifs(pos, 3)) for row in rows
+        Counter(
+            m
+            for seq in possession_touches(codes, row)
+            for m in extract_motifs(chain_possession(seq), 3)
+        )
+        for row in rows
     ]
     values = np.array([[s[p] for p in enumerate_patterns(3)] for s in samples])
     return values.mean(axis=0), values.var(axis=0, ddof=1)
@@ -210,7 +218,7 @@ def test_null_distribution_matches_object_path_recomputation():
     possessions = synth_possessions(possessions=10)
     config = NullModelConfig(replicates=reps, policy="touch_shuffle_match", master_seed=17)
     null = null_distribution(possessions, 3, config)
-    mean, var = object_path_moments(_MatchLayout(possessions), config.policy, 17, reps)
+    mean, var = object_path_moments(TouchCodes(possessions), config.policy, 17, reps)
     assert null.sampled_possessions == len(possessions)
     assert null.mean == pytest.approx(mean, abs=1e-12)
     assert null.std == pytest.approx(np.sqrt(var), abs=1e-12)
@@ -221,7 +229,7 @@ def test_null_distribution_matches_object_path_recomputation():
     possessions = [chain_possession(list(t)) for t in tabled[:1] + untabled + tabled[1:]]
     config = NullModelConfig(replicates=reps, policy="touch_shuffle_possession", master_seed=17)
     null = null_distribution(possessions, 3, config)
-    rest = _MatchLayout([chain_possession(list(t)) for t in untabled])
+    rest = TouchCodes([chain_possession(list(t)) for t in untabled])
     mean, var = object_path_moments(rest, config.policy, 17, reps)
     exact_mean, exact_var = enumerated_moments(tabled, "touch_shuffle_possession")
     assert null.sampled_possessions == 2
@@ -341,10 +349,10 @@ def test_possession_routes_follow_the_signature(monkeypatch):
     monkeypatch.setattr(nullmodel, "_rejection_rows", rejection_rows)
     possessions = [chain_possession(list(t)) for t in ("CA", "ACBA", "ABCABCABC", "ABCDEFG")]
     rng = np.random.default_rng(0)
-    _draw_rows(_MatchLayout(possessions), "touch_shuffle_possession", rng, 8, 1)
+    _draw_rows(TouchCodes(possessions), "touch_shuffle_possession", rng, 8, {})
     assert rejected == [7]
-    long_pair = _MatchLayout([chain_possession(["A", "B"] * 400 + ["A"])])
-    _draw_rows(long_pair, "touch_shuffle_possession", rng, 8, 1)
+    long_pair = TouchCodes([chain_possession(["A", "B"] * 400 + ["A"])])
+    _draw_rows(long_pair, "touch_shuffle_possession", rng, 8, {})
     assert rejected == [7]
     config = NullModelConfig(replicates=8, policy="touch_shuffle_possession")
     assert null_distribution(possessions, 3, config).sampled_possessions == 1
@@ -353,10 +361,30 @@ def test_possession_routes_follow_the_signature(monkeypatch):
 
     monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 0)
     rejected.clear()
-    _draw_rows(_MatchLayout(possessions), "touch_shuffle_possession", rng, 8, 1)
+    _draw_rows(TouchCodes(possessions), "touch_shuffle_possession", rng, 8, {})
     assert rejected == [2, 4, 9, 7]
     assert null_distribution(possessions, 3, config).sampled_possessions == 3
     assert rejected[4:] == [4, 9, 7]
+
+
+def test_possession_shuffle_builds_each_table_once_per_call(monkeypatch):
+    # ACBA, ABCA and BACB share one signature, CABCA and CBCAB another, and
+    # the two seven-player chains a third with no table. One call grows each
+    # signature's table once; the next call keeps none and grows them again.
+    built = []
+
+    def arrangement_table(signature, limit):
+        built.append(signature)
+        return real_arrangement_table(signature, limit)
+
+    real_arrangement_table = nullmodel._arrangement_table
+    monkeypatch.setattr(nullmodel, "_arrangement_table", arrangement_table)
+    layout = ("ACBA", "CABCA", "ABCA", "ABCDEFG", "BACB", "CBCAB", "GFEDCBA")
+    possessions = [chain_possession(list(t)) for t in layout]
+    randomize_possessions(possessions, "touch_shuffle_possession", seed=6)
+    assert built == [(1, 1, 2), (1, 2, 2), (1,) * 7]
+    randomize_possessions(possessions, "touch_shuffle_possession", seed=7)
+    assert built == [(1, 1, 2), (1, 2, 2), (1,) * 7] * 2
 
 
 @pytest.mark.parametrize("players,repeated", [(200, 0), (130, 1)])
@@ -416,12 +444,15 @@ def test_match_shuffle_draws_the_law_of_the_row_by_row_repair(layout, draws):
     # The repaired shuffle is biased and its law has no closed form, so the
     # batched rows are compared with the one-row-at-a-time oracle by a
     # two-sample chi-squared test. ABAB and ABA BAB split over two cells.
-    match = _MatchLayout([chain_possession(list(t)) for t in layout.split()])
+    match = TouchCodes([chain_possession(list(t)) for t in layout.split()])
     names = np.array(match.players)
+    # slots whose next slot belongs to the same possession
+    owner = np.repeat(np.arange(len(match.lengths)), match.lengths)
+    adjacency = np.flatnonzero(owner[1:] == owner[:-1])
     oracle_rng, rng = np.random.default_rng(5), np.random.default_rng(6)
-    oracle = oracle_match_rows(match.touches, match.adjacency, oracle_rng, draws, 100)
+    oracle = oracle_match_rows(match.touches, adjacency, oracle_rng, draws, 100)
     batches = [
-        _draw_rows(match, "touch_shuffle_match", rng, BATCH_ROWS, 100)
+        _draw_rows(match, "touch_shuffle_match", rng, BATCH_ROWS, {})
         for _ in range(draws // BATCH_ROWS)
     ]
     a = Counter(map("".join, names[oracle].tolist()))
@@ -434,14 +465,15 @@ def test_match_shuffle_draws_the_law_of_the_row_by_row_repair(layout, draws):
 def assert_uniform_over_valid_arrangements(layout, draws):
     """Chi-squared test of the possession shuffle against enumeration."""
     possessions = [chain_possession(list(t)) for t in layout.split()]
-    match = _MatchLayout(possessions)
+    match = TouchCodes(possessions)
     cells = ["".join(c) for c in product(*map(valid_arrangements, layout.split()))]
     batch = draws // 10
     rng = np.random.default_rng(11)
     names = np.array(match.players)
     seen = Counter()
+    memo = {}
     for _ in range(draws // batch):
-        rows = _draw_rows(match, "touch_shuffle_possession", rng, batch, 1)
+        rows = _draw_rows(match, "touch_shuffle_possession", rng, batch, memo)
         seen.update(map("".join, names[rows].tolist()))
     assert set(seen) <= set(cells)
     expected = draws / len(cells)
@@ -492,11 +524,10 @@ def test_possession_shuffle_terminates_on_tight_possessions():
     heavy = "".join(a + b for a, b in zip("A" * 14, "BCDEFGHI" * 2)) + "HI"
     assert Counter(heavy)["A"] == 14 and len(heavy) == 30
     possessions = [chain_possession(list(t)) for t in (tight, heavy)]
-    layout = _MatchLayout(possessions)
-    rows = _draw_rows(layout, "touch_shuffle_possession", np.random.default_rng(5), 256, 1)
+    codes = TouchCodes(possessions)
+    rows = _draw_rows(codes, "touch_shuffle_possession", np.random.default_rng(5), 256, {})
     for row in rows:
-        for orig, rnd in zip(possessions, layout.rebuild(row)):
-            seq = touch_sequence(rnd)
+        for orig, seq in zip(possessions, possession_touches(codes, row)):
             assert all(a != b for a, b in zip(seq, seq[1:]))
             assert Counter(seq) == Counter(touch_sequence(orig))
     assert len({row.tobytes() for row in rows}) > 200
@@ -566,7 +597,7 @@ def test_uniform_walk_mean_matches_closed_form():
     # the sampler of randomize_possessions, have a sample mean and variance
     # within 5 standard errors of the exact moments.
     possessions = synth_possessions()
-    layout = _MatchLayout(possessions)
+    codes = TouchCodes(possessions)
     reps = 4000
     null = null_distribution(
         possessions, 3, NullModelConfig(replicates=reps, policy="uniform_walk", master_seed=2)
@@ -575,8 +606,8 @@ def test_uniform_walk_mean_matches_closed_form():
     windows = sum(max(0, len(touch_sequence(p)) - 3) for p in possessions)
     expected = [windows * walk_probability(p, n_players) for p in enumerate_patterns(3)]
     assert null.mean == pytest.approx(expected, abs=1e-9)
-    rows = _draw_rows(layout, "uniform_walk", np.random.default_rng(2), reps, 1)
-    counts = pattern_index(3).window_counts(rows, layout.window_starts(3))
+    rows = _draw_rows(codes, "uniform_walk", np.random.default_rng(2), reps, {})
+    counts = pattern_index(3).window_counts(rows, codes.window_starts(3))
     var = null.std**2
     fourth = ((counts - counts.mean(axis=0)) ** 4).mean(axis=0)
     assert (abs(counts.mean(axis=0) - null.mean) <= 5 * np.sqrt(var / reps)).all()
