@@ -6,8 +6,11 @@ Run from the root of a checkout, like ``test_null_distribution.py``:
 
 The inputs are one synthetic league of 20 teams of the README's shape
 (squad 10, 25 possessions, 3.2 passes per possession) over 4 matchdays:
-80 team-matches. Parsing reads them back from CSV; segmentation and
-counting take the logs. Fingerprinting averages one z-score profile per
+80 team-matches. The ingest cases take the path of the ``motifs`` and
+``zscores`` commands: parsing reads one file per team-match, in CSV or
+JSON lines, and groups the columns of all files; segmentation takes the
+logs that grouping gives, and counting the possessions that segmentation
+gives, with the ids the CLI passes. Fingerprinting averages one z-score profile per
 team-match, drawn from a fixed seed since its cost does not depend on the
 values, and clustering (k-means and Ward) takes the 20 fingerprints.
 """
@@ -15,8 +18,11 @@ values, and clustering (k-means and Ward) takes the 20 fingerprints.
 import io
 
 import numpy as np
+import pytest
 
 from flowmotif import (
+    PassTable,
+    SegmentationConfig,
     ZScoreProfile,
     count_motifs,
     enumerate_patterns,
@@ -32,8 +38,20 @@ from flowmotif.synth import TeamStyleParams, generate_league
 
 TEAMS = [TeamStyleParams(10, 25, 3.2, 0.0, matches=4, team_id=f"t{i:02d}") for i in range(20)]
 LOGS = generate_league(TEAMS, seed=1)
-CSV = serialize_pass_events([e for log in LOGS for e in log.events]).encode()
-POSSESSIONS = [segment_possessions(log) for log in LOGS]
+FILES = {
+    fmt: [serialize_pass_events(log.events, fmt).encode() for log in LOGS]
+    for fmt in ("csv", "jsonl")
+}
+SEGMENTATION = SegmentationConfig()
+
+
+def ingest(fmt):
+    tables = [parse_pass_events(io.BytesIO(data), fmt).events for data in FILES[fmt]]
+    return group_by_match(PassTable.concat(tables))
+
+
+GROUPED = ingest("csv")
+POSSESSIONS = [segment_possessions(log, SEGMENTATION) for log in GROUPED]
 PATTERNS = len(enumerate_patterns(3))
 _rng = np.random.default_rng(2)
 PROFILES = {
@@ -48,18 +66,24 @@ PROFILES = {
 FINGERPRINTS = [team_fingerprint(profiles) for profiles in PROFILES.values()]
 
 
-def test_parse(benchmark):
-    result = benchmark(lambda: group_by_match(parse_pass_events(io.BytesIO(CSV), "csv").events))
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_parse(benchmark, fmt):
+    result = benchmark(ingest, fmt)
     assert len(result) == len(LOGS)
 
 
 def test_segment(benchmark):
-    result = benchmark(lambda: [segment_possessions(log) for log in LOGS])
+    result = benchmark(lambda: [segment_possessions(log, SEGMENTATION) for log in GROUPED])
     assert sum(map(len, result)) == sum(map(len, POSSESSIONS))
 
 
 def test_count(benchmark):
-    result = benchmark(lambda: [count_motifs(p, 3) for p in POSSESSIONS])
+    result = benchmark(
+        lambda: [
+            count_motifs(possessions, 3, match_id=log.match_id, team_id=log.team_id)
+            for log, possessions in zip(GROUPED, POSSESSIONS)
+        ]
+    )
     assert len(result) == len(POSSESSIONS)
 
 

@@ -22,6 +22,8 @@ from .events import (
     ParseDiagnostic,
     ParseResult,
     PassEvent,
+    PassRuns,
+    PassTable,
     group_by_match,
     parse_pass_events,
     serialize_pass_events,
@@ -52,7 +54,7 @@ from .possessions import (
 from .seeding import derive_seed
 from .synth import TeamStyleParams, generate_league, generate_match
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "ClusterAssignment",
@@ -68,6 +70,8 @@ __all__ = [
     "ParseDiagnostic",
     "ParseResult",
     "PassEvent",
+    "PassRuns",
+    "PassTable",
     "PcaProjection",
     "Possession",
     "SegmentationConfig",

@@ -36,6 +36,8 @@ from .events import (
     FormatError,
     MatchEventLog,
     ParseDiagnostic,
+    PassRuns,
+    PassTable,
     group_by_match,
     parse_pass_events,
     serialize_pass_events,
@@ -134,13 +136,14 @@ def _report_diagnostics(path: Path, diagnostics: tuple[ParseDiagnostic, ...]) ->
 
 def _load_match_logs(
     paths: list[str], fmt: str, digests: dict[str, str]
-) -> tuple[list[MatchEventLog], bool]:
+) -> tuple[PassRuns, bool]:
     """Parse all input files into match logs; True flag means any were corrupt.
 
     Every file is read once, and hashed into ``digests`` as it is read,
-    including the files whose framing is broken.
+    including the files whose framing is broken. Files are parsed one at a
+    time, and only their pass columns are kept.
     """
-    events = []
+    tables = []
     had_errors = False
     for path in _collect_input_files(paths, fmt):
         try:
@@ -153,8 +156,8 @@ def _load_match_logs(
         if result.diagnostics:
             _report_diagnostics(path, result.diagnostics)
             had_errors = True
-        events.extend(result.events)
-    return group_by_match(events), had_errors
+        tables.append(result.events)
+    return group_by_match(PassTable.concat(tables)), had_errors
 
 
 def _thread_count() -> int:

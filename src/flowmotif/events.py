@@ -4,6 +4,11 @@ Input is a flat stream of directed pass records, one per line, in either
 CSV (fixed header) or JSON-lines form. Records that violate the event
 invariants (self-pass, negative timestamp, malformed fields) are rejected
 individually and reported as diagnostics; they never abort the parse.
+
+Valid records are held as columns (``PassTable``): int32 codes into a
+table of distinct identifiers, and float64 timestamps. ``PassEvent`` and
+``MatchEventLog`` are row types, built only when a caller indexes or
+iterates the columns.
 """
 
 from __future__ import annotations
@@ -13,11 +18,18 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from itertools import chain
+from typing import IO, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 CSV_HEADER = ("match_id", "team_id", "passer", "receiver", "timestamp_s")
 
 FORMATS = ("csv", "jsonl")
+
+# JSON's own whitespace; a JSON-lines record may be padded with it.
+_JSON_SPACE = " \t\n\r"
+_decode_json = json.JSONDecoder().raw_decode
 
 
 class FormatError(ValueError):
@@ -44,27 +56,171 @@ class PassEvent:
             raise ValueError(f"timestamp must be finite and >= 0, got {self.timestamp!r}")
 
 
+class PassTable:
+    """Passes as columns: a sized sequence of ``PassEvent`` rows.
+
+    ``names`` holds distinct identifiers and ``codes`` is a (4, n) int32
+    array of codes into it, one row each for ``match``, ``team``,
+    ``passer`` and ``receiver`` (views of those rows), so two passes share
+    an identifier exactly when they share its code. ``timestamp`` is a
+    float64 array. An integer index builds one row; a slice or an index
+    array gives a table of those rows. A pickled table keeps only the
+    names its rows use.
+    """
+
+    __slots__ = ("names", "codes", "timestamp", "match", "team", "passer", "receiver")
+
+    def __init__(self, names: tuple[str, ...], codes: np.ndarray, timestamp: np.ndarray) -> None:
+        self.names = names
+        self.codes = codes
+        self.timestamp = timestamp
+        self.match, self.team, self.passer, self.receiver = codes
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[str, str, str, str, float]]) -> PassTable:
+        """Columns of (match_id, team_id, passer, receiver, timestamp) tuples."""
+        match, team, passer, receiver, timestamp = zip(*rows) if rows else ((),) * 5
+        ids = tuple(chain(match, team, passer, receiver))
+        names = tuple(dict.fromkeys(ids))
+        index = dict(zip(names, range(len(names))))
+        codes = np.fromiter(map(index.__getitem__, ids), np.int32, len(ids))
+        return cls(names, codes.reshape(4, -1), np.array(timestamp, dtype=np.float64))
+
+    @classmethod
+    def from_events(cls, events: Iterable[PassEvent]) -> PassTable:
+        return cls.from_rows(
+            [(e.match_id, e.team_id, e.passer, e.receiver, e.timestamp) for e in events]
+        )
+
+    @classmethod
+    def concat(cls, tables: Sequence[PassTable]) -> PassTable:
+        """The rows of every table, in order, coded into one table of names."""
+        if tables and all(t.names is tables[0].names for t in tables):
+            names = tables[0].names
+            codes = [t.codes for t in tables]
+        else:
+            index: dict[str, int] = {}
+            codes = []
+            for t in tables:
+                remap = [index.setdefault(name, len(index)) for name in t.names]
+                codes.append(np.array(remap, dtype=np.int32)[t.codes])
+            names = tuple(index)
+        return cls(
+            names,
+            np.concatenate(codes, axis=1) if codes else np.empty((4, 0), dtype=np.int32),
+            np.concatenate([t.timestamp for t in tables] or [np.empty(0)]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, i):
+        if isinstance(i, (slice, np.ndarray)):
+            return PassTable(self.names, self.codes[:, i], self.timestamp[i])
+        names = self.names
+        match, team, passer, receiver = self.codes[:, i].tolist()
+        return PassEvent(
+            names[match], names[team], names[passer], names[receiver], float(self.timestamp[i])
+        )
+
+    def __iter__(self) -> Iterator[PassEvent]:
+        names = self.names
+        for (m, t, p, r), ts in zip(self.codes.T.tolist(), self.timestamp.tolist()):
+            yield PassEvent(names[m], names[t], names[p], names[r], ts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PassTable):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"PassTable({list(self)!r})"
+
+    def __reduce__(self):
+        used, codes = np.unique(self.codes, return_inverse=True)
+        names = tuple([self.names[c] for c in used.tolist()])
+        codes = codes.astype(np.int32).reshape(self.codes.shape)
+        return PassTable, (names, codes, self.timestamp)
+
+    def outsider(self, match_id: str, team_id: str) -> int | None:
+        """Index of the first pass not of this match and team, or None."""
+        if not len(self):
+            return None
+        owner = self.codes[:2]
+        match, team = owner[:, 0].tolist()
+        if (self.names[match], self.names[team]) != (match_id, team_id):
+            return 0
+        other = owner != owner[:, :1]
+        return int(other.any(axis=0).argmax()) if other.any() else None
+
+
+class PassRuns:
+    """A pass table cut into runs of consecutive rows: a sized sequence of rows.
+
+    Run ``i`` holds the passes from ``starts[i]`` up to the next start.
+    Indexing or iterating builds ``row(match_id, team_id, passes)`` from
+    the ids of the run's first pass and the run's slice of ``passes``.
+    """
+
+    __slots__ = ("passes", "starts", "row")
+
+    def __init__(self, passes: PassTable, starts: np.ndarray, row: Callable) -> None:
+        self.passes = passes
+        self.starts = starts
+        self.row = row
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def _row(self, start: int, end: int):
+        passes, names = self.passes, self.passes.names
+        return self.row(names[passes.match[start]], names[passes.team[start]], passes[start:end])
+
+    def __getitem__(self, i):
+        if isinstance(i, np.ndarray):  # the runs at these ascending indices, as runs
+            lengths = np.diff(self.starts, append=len(self.passes))
+            keep = np.zeros(len(self), dtype=bool)
+            keep[i] = True
+            passes = self.passes[np.repeat(keep, lengths)]
+            return PassRuns(passes, np.cumsum(lengths[keep]) - lengths[keep], self.row)
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        end = self.starts[i + 1] if i + 1 < len(self) else len(self.passes)
+        return self._row(int(self.starts[i]), int(end))
+
+    def __iter__(self) -> Iterator:
+        starts = self.starts.tolist()
+        return map(self._row, starts, starts[1:] + [len(self.passes)])
+
+
 @dataclass(frozen=True, slots=True)
 class MatchEventLog:
     """All passes of one team in one match, sorted by timestamp.
 
     Ties in timestamp are allowed and keep their input order (stable sort).
+    ``events`` may be given as any sequence of ``PassEvent`` and is held
+    as a ``PassTable``.
     """
 
     match_id: str
     team_id: str
-    events: tuple[PassEvent, ...]
+    events: PassTable
 
     def __post_init__(self) -> None:
-        for ev in self.events:
-            if ev.match_id != self.match_id or ev.team_id != self.team_id:
-                raise ValueError(
-                    f"event ({ev.match_id!r}, {ev.team_id!r}) does not belong to "
-                    f"log ({self.match_id!r}, {self.team_id!r})"
-                )
-        for a, b in zip(self.events, self.events[1:]):
-            if b.timestamp < a.timestamp:
-                raise ValueError("events not sorted by timestamp")
+        events = self.events
+        if not isinstance(events, PassTable):
+            events = PassTable.from_events(events)
+            object.__setattr__(self, "events", events)
+        i = events.outsider(self.match_id, self.team_id)
+        if i is not None:
+            ev = events[i]
+            raise ValueError(
+                f"event ({ev.match_id!r}, {ev.team_id!r}) does not belong to "
+                f"log ({self.match_id!r}, {self.team_id!r})"
+            )
+        if (events.timestamp[1:] < events.timestamp[:-1]).any():
+            raise ValueError("events not sorted by timestamp")
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +236,7 @@ class ParseDiagnostic:
 
 @dataclass(frozen=True, slots=True)
 class ParseResult:
-    events: tuple[PassEvent, ...]
+    events: PassTable
     diagnostics: tuple[ParseDiagnostic, ...]
 
 
@@ -94,14 +250,19 @@ def _as_text(stream: IO[bytes] | IO[str]) -> IO[str]:
     return io.StringIO(raw)
 
 
-def _build_event(
-    fields: dict[str, object], line: int
-) -> PassEvent | ParseDiagnostic:
-    for name in CSV_HEADER:
-        value = fields.get(name)
-        if value is None or value == "":
-            return ParseDiagnostic(line, f"missing field {name}")
-    ts_raw = fields["timestamp_s"]
+def _validate(
+    fields: Sequence[object], line: int
+) -> tuple[str, str, str, str, float] | ParseDiagnostic:
+    """A record's five fields, in ``CSV_HEADER`` order, as ids and a timestamp.
+
+    A field is missing when it is None or ""; the timestamp goes through
+    ``float`` and every id through ``str``.
+    """
+    match_id, team_id, passer, receiver, ts_raw = fields
+    if not (match_id and team_id and passer and receiver and ts_raw):  # None and "" are falsy
+        for name, value in zip(CSV_HEADER, fields):
+            if value is None or value == "":
+                return ParseDiagnostic(line, f"missing field {name}")
     try:
         timestamp = float(ts_raw)  # type: ignore[arg-type]
     except (TypeError, ValueError):
@@ -110,16 +271,11 @@ def _build_event(
         return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
     if timestamp < 0.0:
         return ParseDiagnostic(line, f"negative timestamp at line {line}")
-    passer, receiver = str(fields["passer"]), str(fields["receiver"])
+    if not type(match_id) is type(team_id) is type(passer) is type(receiver) is str:
+        match_id, team_id, passer, receiver = map(str, (match_id, team_id, passer, receiver))
     if passer == receiver:
         return ParseDiagnostic(line, f"self-pass at line {line}")
-    return PassEvent(
-        match_id=str(fields["match_id"]),
-        team_id=str(fields["team_id"]),
-        passer=passer,
-        receiver=receiver,
-        timestamp=timestamp,
-    )
+    return match_id, team_id, passer, receiver, timestamp  # type: ignore[return-value]
 
 
 def _parse_csv(text: IO[str]) -> ParseResult:
@@ -127,7 +283,7 @@ def _parse_csv(text: IO[str]) -> ParseResult:
     try:
         header = next(reader)
     except StopIteration:
-        return ParseResult((), ())
+        return ParseResult(PassTable.from_rows([]), ())
     header = [h.strip().lstrip("﻿") for h in header]
     missing = [name for name in CSV_HEADER if name not in header]
     if missing:
@@ -136,54 +292,57 @@ def _parse_csv(text: IO[str]) -> ParseResult:
         raise FormatError(
             f"csv header must be exactly {','.join(CSV_HEADER)}, got {','.join(header)}"
         )
-    events: list[PassEvent] = []
+    rows: list[tuple[str, str, str, str, float]] = []
     diagnostics: list[ParseDiagnostic] = []
+    n_fields = len(CSV_HEADER)
     for row in reader:
-        line = reader.line_num
         if not row:
             continue
-        if len(row) != len(CSV_HEADER):
-            diagnostics.append(
-                ParseDiagnostic(line, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-            )
+        line = reader.line_num
+        if len(row) != n_fields:
+            diagnostics.append(ParseDiagnostic(line, f"expected {n_fields} fields, got {len(row)}"))
             continue
-        out = _build_event(dict(zip(CSV_HEADER, row)), line)
-        if isinstance(out, ParseDiagnostic):
-            diagnostics.append(out)
+        out = _validate(row, line)
+        if type(out) is tuple:
+            rows.append(out)
         else:
-            events.append(out)
-    return ParseResult(tuple(events), tuple(diagnostics))
+            diagnostics.append(out)
+    return ParseResult(PassTable.from_rows(rows), tuple(diagnostics))
 
 
 def _parse_jsonl(text: IO[str]) -> ParseResult:
-    events: list[PassEvent] = []
+    rows: list[tuple[str, str, str, str, float]] = []
     diagnostics: list[ParseDiagnostic] = []
     for line_num, line in enumerate(text, start=1):
         if not line.strip():
             continue
+        # json.loads without its per-call set-up: one value, padded with JSON whitespace
+        body = line.strip(_JSON_SPACE)
         try:
-            obj = json.loads(line)
+            obj, end = _decode_json(body)
         except json.JSONDecodeError:
+            end = -1
+        if end != len(body):
             diagnostics.append(ParseDiagnostic(line_num, "invalid JSON"))
             continue
         if not isinstance(obj, dict):
             diagnostics.append(ParseDiagnostic(line_num, "record is not an object"))
             continue
-        out = _build_event(obj, line_num)
-        if isinstance(out, ParseDiagnostic):
-            diagnostics.append(out)
+        out = _validate(list(map(obj.get, CSV_HEADER)), line_num)
+        if type(out) is tuple:
+            rows.append(out)
         else:
-            events.append(out)
-    return ParseResult(tuple(events), tuple(diagnostics))
+            diagnostics.append(out)
+    return ParseResult(PassTable.from_rows(rows), tuple(diagnostics))
 
 
 def parse_pass_events(stream: IO[bytes] | IO[str], format: str = "csv") -> ParseResult:
     """Parse a UTF-8 stream of pass records.
 
-    Well-formed records come back as events in input order; malformed ones
-    become diagnostics with their line number. A broken CSV header or bytes
-    that are not UTF-8 raise :class:`FormatError` because nothing in the
-    stream can be trusted.
+    Well-formed records come back as a ``PassTable`` in input order;
+    malformed ones become diagnostics with their line number. A broken CSV
+    header or bytes that are not UTF-8 raise :class:`FormatError` because
+    nothing in the stream can be trusted.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
@@ -226,17 +385,20 @@ def serialize_pass_events(events: Iterable[PassEvent], format: str = "csv") -> s
     return "".join(line + "\n" for line in lines)
 
 
-def group_by_match(events: Iterable[PassEvent]) -> list[MatchEventLog]:
+def group_by_match(events: PassTable | Iterable[PassEvent]) -> PassRuns:
     """Partition events into one log per (match_id, team_id), sorted by time.
 
-    Logs come back ordered by their (match_id, team_id) key; duplicates are
-    data, not errors, and are retained.
+    Logs come back as ``MatchEventLog`` rows ordered by their (match_id,
+    team_id) key; ties in timestamp keep their input order, and duplicates
+    are data, not errors, and are retained.
     """
-    groups: dict[tuple[str, str], list[PassEvent]] = {}
-    for ev in events:
-        groups.setdefault((ev.match_id, ev.team_id), []).append(ev)
-    logs = []
-    for (match_id, team_id), evs in sorted(groups.items()):
-        evs.sort(key=lambda e: e.timestamp)  # stable: ties keep input order
-        logs.append(MatchEventLog(match_id, team_id, tuple(evs)))
-    return logs
+    table = events if isinstance(events, PassTable) else PassTable.from_events(events)
+    names = table.names
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    key = rank[table.match] * len(names) + rank[table.team]
+    order = np.argsort(table.timestamp, kind="stable")
+    order = order[np.argsort(key[order], kind="stable")]
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if key.size else key
+    return PassRuns(table[order], starts, MatchEventLog)

@@ -5,9 +5,10 @@ order of first appearance (first distinct player A, second B, ...), so
 the pattern keeps the structure of the exchange and forgets who played.
 For k=3 the alphabet is ABAB, ABAC, ABCA, ABCB, ABCD.
 
-Counting codes a team-match's touches as integers once (``TouchCodes``)
-and classifies all windows at once (``pattern_index``); the null model
-counts its randomized replicates through the same two steps. The string
+Counting lays a team-match's touches out as integer codes once and
+classifies all windows at once (``pattern_index``); the null model's
+``TouchCodes`` re-codes the same layout by first appearance and counts its
+randomized replicates through the same classifier. The string
 functions ``canonicalize`` and ``extract_motifs`` spell the definition out
 one window at a time.
 """
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .possessions import Possession, touch_sequence
+from .possessions import Possession, possession_runs, touch_sequence
 
 DEFAULT_K = 3
 
@@ -91,6 +92,49 @@ def extract_motifs(possession: Possession, k: int = DEFAULT_K) -> list[MotifPatt
     return [canonicalize(seq[i : i + k + 1]) for i in range(len(seq) - k)]
 
 
+def _touch_layout(
+    possessions: Iterable[Possession], match_id: str, team_id: str
+) -> tuple[str, str, tuple[str, ...], np.ndarray, np.ndarray]:
+    """Every possession's touches back to back, in the codes of their pass table.
+
+    Returns the team-match's ids, the table's names, the touches and the
+    index of each possession's first touch. The ids are the possessions'
+    own, which must all agree, and the given ones when there are none.
+    """
+    runs = possession_runs(possessions)
+    passes, starts = runs.passes, runs.starts
+    names = passes.names
+    if len(passes):
+        match_id, team_id = names[passes.match[0]], names[passes.team[0]]
+        i = passes.outsider(match_id, team_id)
+        if i is not None:
+            raise ValueError(
+                f"possession ({names[passes.match[i]]!r}, {names[passes.team[i]]!r}) "
+                f"mixed into ({match_id!r}, {team_id!r})"
+            )
+    size = len(passes) + len(starts)
+    first = starts + np.arange(len(starts))
+    touches = np.empty(size, dtype=np.int64)
+    touches[first] = passes.passer[starts]
+    received = np.ones(size, dtype=bool)
+    received[first] = False
+    touches[received] = passes.receiver
+    return match_id, team_id, names, touches, first
+
+
+def _window_starts(first: np.ndarray, size: int, k: int) -> np.ndarray:
+    """Index of the first touch of every (k+1)-touch window within a possession.
+
+    ``first`` holds the index of each possession's first touch among
+    ``size`` touches; a window fits when no possession starts in its last
+    k touches.
+    """
+    owner = np.zeros(size, dtype=np.int64)
+    owner[first] = 1
+    owner = owner.cumsum()
+    return np.flatnonzero(owner[k:] == owner[: max(size - k, 0)])
+
+
 class TouchCodes:
     """The touches of one team-match's possessions as integer player codes.
 
@@ -98,45 +142,35 @@ class TouchCodes:
     ``players[c]`` is the player of code ``c``. ``touches`` holds every
     possession's touches back to back, ``lengths`` the touch count of each
     possession and ``starts`` the index of its first touch in ``touches``,
-    an int64 array. ``match_id``/``team_id`` are only used when
+    all int64 arrays. ``match_id``/``team_id`` are only used when
     ``possessions`` is empty; otherwise they are taken from the
     possessions, which must all agree.
     """
 
     def __init__(
-        self, possessions: Sequence[Possession], match_id: str = "", team_id: str = ""
+        self, possessions: Iterable[Possession], match_id: str = "", team_id: str = ""
     ) -> None:
-        if possessions:
-            match_id, team_id = possessions[0].match_id, possessions[0].team_id
-        codes: dict[str, int] = {}
-        touches: list[int] = []
-        lengths: list[int] = []
-        starts: list[int] = []
-        for pos in possessions:
-            if pos.match_id != match_id or pos.team_id != team_id:
-                raise ValueError(
-                    f"possession ({pos.match_id!r}, {pos.team_id!r}) mixed into "
-                    f"({match_id!r}, {team_id!r})"
-                )
-            starts.append(len(touches))
-            touches.append(codes.setdefault(pos.passes[0].passer, len(codes)))
-            touches.extend([codes.setdefault(p.receiver, len(codes)) for p in pos.passes])
-            lengths.append(len(pos.passes) + 1)
+        match_id, team_id, names, touches, first = _touch_layout(possessions, match_id, team_id)
+        # A stable sort puts each player's first touch ahead of their others;
+        # ranking the players by that touch gives their codes.
+        order = touches.argsort(kind="stable")
+        ranked = touches[order]
+        new = np.ones(touches.size, dtype=bool)
+        new[1:] = ranked[1:] != ranked[:-1]
+        appear = order[new].argsort()
+        code = np.empty_like(appear)
+        code[appear] = np.arange(appear.size)
+        self.touches = np.empty_like(order)
+        self.touches[order] = code[new.cumsum() - 1]
+        self.players = tuple([names[c] for c in ranked[new][appear].tolist()])
         self.match_id = match_id
         self.team_id = team_id
-        self.players = tuple(codes)
-        self.touches = np.array(touches, dtype=np.int64)
-        self.lengths = lengths
-        self.starts = np.array(starts, dtype=np.int64)
+        self.starts = first
+        self.lengths = np.diff(first, append=touches.size)
 
     def window_starts(self, k: int) -> np.ndarray:
         """Index of the first touch of every (k+1)-touch window within a possession."""
-        starts: list[int] = []
-        base = 0
-        for length in self.lengths:
-            starts.extend(range(base, base + length - k))
-            base += length
-        return np.array(starts, dtype=np.int64)
+        return _window_starts(self.starts, self.touches.size, k)
 
 
 class _PatternIndex:
@@ -211,6 +245,7 @@ def count_motifs(
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    codes = TouchCodes(list(possessions), match_id, team_id)
-    counts = pattern_index(k).window_counts(codes.touches[None, :], codes.window_starts(k))
-    return MotifCountVector(codes.match_id, codes.team_id, k, counts[0])
+    match_id, team_id, _, touches, first = _touch_layout(possessions, match_id, team_id)
+    window_starts = _window_starts(first, touches.size, k)
+    counts = pattern_index(k).window_counts(touches[None, :], window_starts)
+    return MotifCountVector(match_id, team_id, k, counts[0])

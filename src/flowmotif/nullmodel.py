@@ -50,9 +50,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .events import PassEvent
+from .events import PassRuns, PassTable
 from .motifs import MotifCountVector, TouchCodes, pattern_index
-from .possessions import Possession
+from .possessions import Possession, possession_runs
 from .seeding import derive_seed
 
 POLICIES = ("touch_shuffle_match", "touch_shuffle_possession", "uniform_walk")
@@ -275,7 +275,7 @@ def _signature(touches: np.ndarray) -> tuple[tuple[int, ...], list[int]]:
 
 
 def _rejection_rows(
-    touches: np.ndarray, rng: np.random.Generator, n_rows: int, memo: dict[tuple[int, ...], int]
+    touches: np.ndarray, rng: np.random.Generator, n_rows: int, memo: dict[tuple, int]
 ) -> np.ndarray:
     """``n_rows`` independent uniform valid arrangements of one possession's touches.
 
@@ -311,7 +311,7 @@ def _possession_rows(
     codes: TouchCodes,
     rng: np.random.Generator,
     n_rows: int,
-    memo: dict[tuple[int, ...], int],
+    memo: dict[tuple, int],
 ) -> np.ndarray:
     """Rows whose possessions are independent uniform valid arrangements.
 
@@ -327,7 +327,7 @@ def _possession_rows(
     """
     tables: dict[tuple[int, ...], np.ndarray | None] = {}
     blocks = []
-    for start, length in zip(codes.starts.tolist(), codes.lengths):
+    for start, length in zip(codes.starts.tolist(), codes.lengths.tolist()):
         touches = codes.touches[start : start + length]
         signature, holders = _signature(touches)
         if signature not in tables:
@@ -346,12 +346,13 @@ def _others(counts: list[int], holder: int) -> tuple[int, ...]:
     return tuple(sorted(c for i, c in enumerate(counts) if c and i != holder))
 
 
-def _arrangements(counts: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
+def _arrangements(counts: tuple[int, ...], memo: dict[tuple, int]) -> int:
     """Arrangements with no adjacent repeat of touches with these player counts.
 
     ``counts`` is sorted and holds no zeros; players with equal counts are
     interchangeable, so the number depends on nothing else, and ``memo``
     is keyed by the counts. The recursion is twice as deep as the touches.
+    ``memo`` also holds ``_after``'s counts, under keys of their own.
     """
     n = memo.get(counts)
     if n is None:
@@ -364,17 +365,25 @@ def _arrangements(counts: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> 
     return n
 
 
-def _after(others: tuple[int, ...], held: int, memo: dict[tuple[int, ...], int]) -> int:
+def _after(others: tuple[int, ...], held: int, memo: dict[tuple, int]) -> int:
     """Valid arrangements that do not start with the last holder.
 
     The last holder has ``held`` touches left and the other players
     ``others``. The arrangements that do start with the last holder number
     ``_after(others, held - 1)``, so the count alternates over the
     arrangements with ``held``, ``held - 1``, ... 0 touches of theirs.
+    ``memo`` keeps every ``_after(others, h)`` under the key ``(others,
+    h)``; they are filled upwards in h from the highest one it holds.
     """
-    n = 0
-    for h in range(held + 1):
-        n = _arrangements(tuple(sorted(others + (h,))) if h else others, memo) - n
+    n = memo.get((others, held))
+    if n is None:
+        h = held
+        while h and (others, h - 1) not in memo:
+            h -= 1
+        n = memo[others, h - 1] if h else 0
+        for h in range(h, held + 1):
+            n = _arrangements(tuple(sorted(others + (h,))) if h else others, memo) - n
+            memo[others, h] = n
     return n
 
 
@@ -389,7 +398,7 @@ def _randbelow(rng: np.random.Generator, n: int) -> int:
 
 
 def _counted_arrangement(
-    touches: np.ndarray, rng: np.random.Generator, memo: dict[tuple[int, ...], int]
+    touches: np.ndarray, rng: np.random.Generator, memo: dict[tuple, int]
 ) -> np.ndarray:
     """One uniform valid arrangement of a possession's touches.
 
@@ -485,7 +494,7 @@ def _walk_moments(codes: TouchCodes, k: int) -> tuple[np.ndarray, np.ndarray]:
     independent, and so are the possessions.
     """
     n = len(pattern_index(k).patterns)
-    windows = np.maximum(np.array(codes.lengths, dtype=np.int64) - k, 0)
+    windows = np.maximum(codes.lengths - k, 0)
     # pairs[d]: pairs of windows d apart in the same possession
     pairs = np.maximum(windows - np.arange(k + 1)[:, None], 0).sum(axis=1)
     if not pairs[0]:
@@ -500,7 +509,7 @@ def _draw_rows(
     policy: str,
     rng: np.random.Generator,
     n_rows: int,
-    memo: dict[tuple[int, ...], int],
+    memo: dict[tuple, int],
 ) -> np.ndarray:
     """``n_rows`` independent replicates of the touches, one per row.
 
@@ -551,7 +560,7 @@ def _sampled_moments(
     total_sq = np.zeros_like(total)
     reps = config.replicates
     rng = np.random.default_rng(derive_seed(config.master_seed, codes.match_id, codes.team_id))
-    memo: dict[tuple[int, ...], int] = {}
+    memo: dict[tuple, int] = {}
     for done in range(0, reps, BATCH_ROWS):
         n_rows = min(BATCH_ROWS, reps - done)
         rows = _draw_rows(codes, config.policy, rng, n_rows, memo)
@@ -568,25 +577,24 @@ def _sampled_moments(
 
 def randomize_possessions(
     possessions: Sequence[Possession], policy: str = "touch_shuffle_match", seed: int = 0
-) -> list[Possession]:
-    """One randomized replicate of a match's possessions.
+) -> PassRuns:
+    """One randomized replicate of a match's possessions, as ``Possession`` rows.
 
     The output has the same possession count, the same lengths, and the
     original timestamps; only who occupies each touch slot changes.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    codes = TouchCodes(possessions)
+    runs = possession_runs(possessions)
+    codes = TouchCodes(runs)
     row = _draw_rows(codes, policy, np.random.default_rng(seed), 1, {})[0]
-    out = []
-    for pos, start, length in zip(possessions, codes.starts.tolist(), codes.lengths):
-        names = [codes.players[c] for c in row[start : start + length].tolist()]
-        passes = tuple(
-            PassEvent(pos.match_id, pos.team_id, names[j], names[j + 1], p.timestamp)
-            for j, p in enumerate(pos.passes)
-        )
-        out.append(Possession(pos.match_id, pos.team_id, passes))
-    return out
+    passes = runs.passes
+    index = {name: i for i, name in enumerate(passes.names)}
+    held = np.array([index[p] for p in codes.players], dtype=np.int32)[row]
+    first = np.zeros(row.size, dtype=bool)
+    first[codes.starts] = True
+    ids = np.stack([passes.match, passes.team, held[~np.roll(first, -1)], held[~first]])
+    return PassRuns(PassTable(passes.names, ids, passes.timestamp), runs.starts, Possession)
 
 
 def null_distribution(
@@ -603,34 +611,35 @@ def null_distribution(
     possessions of a team-match are independent under the possession
     shuffle, so the moments of the two parts add.
     """
-    codes = TouchCodes(possessions)
+    runs = possession_runs(possessions)
+    codes = TouchCodes(runs)
     n = len(pattern_index(k).patterns)
     mean, var = np.zeros(n), np.zeros(n)
-    sampled: list[Possession] = []
+    sampled = len(runs)
     if config.policy == "uniform_walk":
         mean, var = _walk_moments(codes, k)
+        sampled = 0
     elif config.policy == "touch_shuffle_possession":
-        for pos, start, length in zip(possessions, codes.starts.tolist(), codes.lengths):
+        picks = []
+        for i, (start, length) in enumerate(zip(codes.starts.tolist(), codes.lengths.tolist())):
             if length <= k:
                 continue
             touches = codes.touches[start : start + length]
             moments = _table_moments(_signature(touches)[0], k, TABLE_LIMIT)
             if moments is None:
-                sampled.append(pos)
+                picks.append(i)
             else:
                 mean += moments[0]
                 var += moments[1]
-        if sampled:
-            codes = TouchCodes(sampled)
-    else:
-        sampled = list(possessions)
+        codes = TouchCodes(runs[np.array(picks, dtype=np.int64)])
+        sampled = len(picks)
     if sampled:
         sampled_mean, sampled_var = _sampled_moments(codes, k, config)
         mean += sampled_mean
         var += sampled_var
     reps = config.replicates
     std = np.sqrt(np.maximum(var, 0.0)) if reps > 1 else np.zeros(n)
-    return NullDistribution(k, mean, std, reps, reps < 2, len(sampled))
+    return NullDistribution(k, mean, std, reps, reps < 2, sampled)
 
 
 def z_scores(real: MotifCountVector, null: NullDistribution) -> ZScoreProfile:

@@ -9,8 +9,11 @@ absorb the first pass of its successor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .events import MatchEventLog, PassEvent
+import numpy as np
+
+from .events import MatchEventLog, PassRuns, PassTable
 
 DEFAULT_T_MAX = 5.0
 
@@ -28,22 +31,39 @@ class SegmentationConfig:
 
 @dataclass(frozen=True, slots=True)
 class Possession:
-    """A chain of n >= 1 passes where the ball never left the team."""
+    """A chain of n >= 1 passes of one team in one match where the ball never left the team.
+
+    ``passes`` may be given as any sequence of ``PassEvent`` and is held as
+    a ``PassTable``.
+    """
 
     match_id: str
     team_id: str
-    passes: tuple[PassEvent, ...]
+    passes: PassTable
 
     def __post_init__(self) -> None:
-        if not self.passes:
+        passes = self.passes
+        if not isinstance(passes, PassTable):
+            passes = PassTable.from_events(passes)
+            object.__setattr__(self, "passes", passes)
+        if not len(passes):
             raise ValueError("possession must contain at least one pass")
-        for a, b in zip(self.passes, self.passes[1:]):
-            if a.receiver != b.passer:
-                raise ValueError(
-                    f"broken chain: {a.receiver!r} received but {b.passer!r} passed next"
-                )
-            if b.timestamp < a.timestamp:
+        i = passes.outsider(self.match_id, self.team_id)
+        if i is not None:
+            raise ValueError(
+                f"pass {passes[i]!r} is not of ({self.match_id!r}, {self.team_id!r})"
+            )
+        broken = passes.receiver[:-1] != passes.passer[1:]
+        bad = np.flatnonzero(broken | (np.diff(passes.timestamp) < 0))
+        if bad.size:
+            i = bad[0]
+            if not broken[i]:
                 raise ValueError("passes not in time order")
+            names = passes.names
+            raise ValueError(
+                f"broken chain: {names[passes.receiver[i]]!r} received but "
+                f"{names[passes.passer[i + 1]]!r} passed next"
+            )
 
     def __len__(self) -> int:
         return len(self.passes)
@@ -51,27 +71,28 @@ class Possession:
 
 def segment_possessions(
     log: MatchEventLog, config: SegmentationConfig = SegmentationConfig()
-) -> list[Possession]:
-    """Greedy maximal segmentation of a sorted match log.
+) -> PassRuns:
+    """Greedy maximal segmentation of a sorted match log into ``Possession`` rows.
 
     Every input pass lands in exactly one possession and concatenating the
     possessions in order reproduces the input sequence.
     """
-    possessions: list[Possession] = []
-    run: list[PassEvent] = []
-    for ev in log.events:
-        if run:
-            prev = run[-1]
-            chained = prev.receiver == ev.passer
-            in_time = ev.timestamp - prev.timestamp <= config.t_max
-            if chained and in_time:
-                run.append(ev)
-                continue
-            possessions.append(Possession(log.match_id, log.team_id, tuple(run)))
-        run = [ev]
-    if run:
-        possessions.append(Possession(log.match_id, log.team_id, tuple(run)))
-    return possessions
+    passes = log.events
+    if not len(passes):
+        return PassRuns(passes, np.empty(0, dtype=np.int64), Possession)
+    chained = passes.receiver[:-1] == passes.passer[1:]
+    in_time = np.diff(passes.timestamp) <= config.t_max
+    return PassRuns(passes, np.flatnonzero(np.r_[True, ~(chained & in_time)]), Possession)
+
+
+def possession_runs(possessions: Iterable[Possession]) -> PassRuns:
+    """Possessions as runs of one pass table: ``segment_possessions`` output as it is."""
+    if isinstance(possessions, PassRuns):
+        return possessions
+    possessions = list(possessions)
+    lengths = np.array([len(pos.passes) for pos in possessions], dtype=np.int64)
+    passes = PassTable.concat([pos.passes for pos in possessions])
+    return PassRuns(passes, np.cumsum(lengths) - lengths, Possession)
 
 
 def touch_sequence(possession: Possession) -> tuple[str, ...]:
@@ -80,5 +101,6 @@ def touch_sequence(possession: Possession) -> tuple[str, ...]:
     n passes yield n+1 touches; chaining plus the no-self-pass invariant
     guarantee no two adjacent touches are the same player.
     """
-    first = possession.passes[0].passer
-    return (first,) + tuple(p.receiver for p in possession.passes)
+    passes = possession.passes
+    names = passes.names
+    return (names[passes.passer[0]],) + tuple([names[c] for c in passes.receiver.tolist()])

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .events import MatchEventLog, PassEvent
+from .events import MatchEventLog, PassTable
 from .possessions import DEFAULT_T_MAX
 from .seeding import derive_seed
 
@@ -67,7 +67,7 @@ def generate_match(
     players = [f"p{i:02d}" for i in range(squad)]
     lengths = rng.geometric(1.0 / params.mean_possession_length, size=params.possessions_per_match)
 
-    events: list[PassEvent] = []
+    rows: list[tuple[str, str, str, str, float]] = []
     t = 0.0
     for n_passes in lengths.tolist():
         holder = int(rng.integers(squad))
@@ -79,14 +79,12 @@ def generate_match(
                 nxt = int(rng.integers(squad - 1))
                 if nxt >= holder:
                     nxt += 1
-            events.append(
-                PassEvent(match_id, team_id, players[holder], players[nxt], t)
-            )
+            rows.append((match_id, team_id, players[holder], players[nxt], t))
             previous, holder = holder, nxt
             t += 1.0
         # jump past t_max so the next possession can never chain onto this one
         t += t_max  # last in-possession step already added 1.0
-    return MatchEventLog(match_id, team_id, tuple(events))
+    return MatchEventLog(match_id, team_id, PassTable.from_rows(rows))
 
 
 def generate_league(

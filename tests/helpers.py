@@ -3,17 +3,29 @@
 The oracles here deliberately reimplement behavior with different code:
 canonical labels via first-occurrence lists, alphabets via brute-force
 enumeration over all identifier sequences, ESS via direct deviation sums,
-and the match shuffle one row at a time. Tests compare the library against
-these, never the other way round.
+the match shuffle one row at a time, and ingest one object per record.
+Tests compare the library against these, never the other way round.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
 from itertools import product
 
 import numpy as np
 
-from flowmotif import DegenerateInputError, MatchEventLog, PassEvent, Possession
+from flowmotif import (
+    DegenerateInputError,
+    FormatError,
+    MatchEventLog,
+    ParseDiagnostic,
+    PassEvent,
+    Possession,
+)
+from flowmotif.events import CSV_HEADER
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -126,3 +138,105 @@ def oracle_match_rows(touches, adjacency, rng, n_rows, max_attempts):
         else:
             raise DegenerateInputError("repair budget exhausted")
     return out
+
+
+def _oracle_event(fields: dict, line: int):
+    """One record's dict of fields as a PassEvent, or the diagnostic that rejects it."""
+    for name in CSV_HEADER:
+        value = fields.get(name)
+        if value is None or value == "":
+            return ParseDiagnostic(line, f"missing field {name}")
+    ts_raw = fields["timestamp_s"]
+    try:
+        timestamp = float(ts_raw)
+    except (TypeError, ValueError):
+        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
+    if not math.isfinite(timestamp):
+        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
+    if timestamp < 0.0:
+        return ParseDiagnostic(line, f"negative timestamp at line {line}")
+    passer, receiver = str(fields["passer"]), str(fields["receiver"])
+    if passer == receiver:
+        return ParseDiagnostic(line, f"self-pass at line {line}")
+    return PassEvent(str(fields["match_id"]), str(fields["team_id"]), passer, receiver, timestamp)
+
+
+def oracle_parse(data: bytes, fmt: str):
+    """The object path of ingest: (PassEvents, diagnostics) of a file's bytes.
+
+    Each record becomes a dict of its fields and then a PassEvent; JSON
+    lines go through ``json.loads``. Raises FormatError like the library.
+    """
+    try:
+        text = io.StringIO(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from None
+    events, diagnostics = [], []
+    if fmt == "csv":
+        reader = csv.reader(text)
+        try:
+            header = next(reader)
+        except StopIteration:
+            return [], []
+        header = [h.strip().lstrip("\ufeff") for h in header]
+        missing = [name for name in CSV_HEADER if name not in header]
+        if missing:
+            raise FormatError(f"csv header missing column(s): {', '.join(missing)}")
+        if tuple(header) != CSV_HEADER:
+            raise FormatError(
+                f"csv header must be exactly {','.join(CSV_HEADER)}, got {','.join(header)}"
+            )
+        records = ((reader.line_num, row) for row in reader)
+    else:
+        records = enumerate(text, start=1)
+    for line, record in records:
+        if fmt == "csv":
+            if not record:
+                continue
+            if len(record) != len(CSV_HEADER):
+                diagnostics.append(
+                    ParseDiagnostic(line, f"expected {len(CSV_HEADER)} fields, got {len(record)}")
+                )
+                continue
+            fields = dict(zip(CSV_HEADER, record))
+        else:
+            if not record.strip():
+                continue
+            try:
+                fields = json.loads(record)
+            except json.JSONDecodeError:
+                diagnostics.append(ParseDiagnostic(line, "invalid JSON"))
+                continue
+            if not isinstance(fields, dict):
+                diagnostics.append(ParseDiagnostic(line, "record is not an object"))
+                continue
+        out = _oracle_event(fields, line)
+        (diagnostics if isinstance(out, ParseDiagnostic) else events).append(out)
+    return events, diagnostics
+
+
+def oracle_group(events):
+    """[(match_id, team_id, events)] by key, each sorted by time with a stable sort."""
+    groups: dict[tuple[str, str], list] = {}
+    for ev in events:
+        groups.setdefault((ev.match_id, ev.team_id), []).append(ev)
+    out = []
+    for (match_id, team_id), evs in sorted(groups.items()):
+        evs.sort(key=lambda e: e.timestamp)
+        out.append((match_id, team_id, evs))
+    return out
+
+
+def oracle_segment(events, t_max):
+    """Greedy left-to-right possessions of a sorted log, as lists of PassEvents."""
+    possessions, run = [], []
+    for ev in events:
+        if run and run[-1].receiver == ev.passer and ev.timestamp - run[-1].timestamp <= t_max:
+            run.append(ev)
+            continue
+        if run:
+            possessions.append(run)
+        run = [ev]
+    if run:
+        possessions.append(run)
+    return possessions

@@ -1,16 +1,25 @@
+import csv
 import io
+import json
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flowmotif import (
     FormatError,
     PassEvent,
+    PassTable,
+    SegmentationConfig,
+    count_motifs,
+    enumerate_patterns,
     group_by_match,
     parse_pass_events,
+    segment_possessions,
     serialize_pass_events,
 )
-from helpers import make_events
+from flowmotif.events import CSV_HEADER as FIELDS, FORMATS
+from helpers import make_events, oracle_group, oracle_parse, oracle_segment, oracle_window_patterns
 
 CSV_HEADER = "match_id,team_id,passer,receiver,timestamp_s\n"
 
@@ -22,13 +31,13 @@ def parse_csv(body: str):
 def test_csv_line_maps_fields_directly():
     result = parse_csv(CSV_HEADER + "M1,T1,p2,p4,12.0\n")
     assert result.diagnostics == ()
-    assert result.events == (PassEvent("M1", "T1", "p2", "p4", 12.0),)
+    assert tuple(result.events) == (PassEvent("M1", "T1", "p2", "p4", 12.0),)
 
 
 def test_empty_stream_is_empty_result():
     for fmt in ("csv", "jsonl"):
         result = parse_pass_events(io.BytesIO(b""), fmt)
-        assert result.events == ()
+        assert tuple(result.events) == ()
         assert result.diagnostics == ()
 
 
@@ -43,13 +52,13 @@ def test_self_pass_rejected_with_line_number():
 
 def test_negative_timestamp_and_bad_float_rejected():
     result = parse_csv(CSV_HEADER + "M1,T1,a,b,-1\nM1,T1,a,b,oops\nM1,T1,a,b,nan\n")
-    assert result.events == ()
+    assert tuple(result.events) == ()
     assert [d.line for d in result.diagnostics] == [2, 3, 4]
 
 
 def test_wrong_field_count_rejected():
     result = parse_csv(CSV_HEADER + "M1,T1,a,b\n")
-    assert result.events == ()
+    assert tuple(result.events) == ()
     assert "expected 5 fields" in result.diagnostics[0].reason
 
 
@@ -77,7 +86,7 @@ def test_jsonl_parses_and_collects_diagnostics():
         "[1,2]\n"
     )
     result = parse_pass_events(io.StringIO(body), "jsonl")
-    assert result.events == (PassEvent("M1", "T1", "a", "b", 1.5),)
+    assert tuple(result.events) == (PassEvent("M1", "T1", "a", "b", 1.5),)
     assert [d.line for d in result.diagnostics] == [2, 3, 4, 5]
     assert "missing field receiver" in result.diagnostics[2].reason
 
@@ -128,20 +137,164 @@ def test_group_by_match_sorts_by_timestamp_stably():
     b = PassEvent("m", "t", "y", "z", 1.0)
     c = PassEvent("m", "t", "p", "q", 5.0)  # ties with a, must stay after it
     (log,) = group_by_match([a, b, c])
-    assert log.events == (b, a, c)
+    assert tuple(log.events) == (b, a, c)
 
 
 def test_group_by_match_keeps_duplicates():
     ev = PassEvent("m", "t", "x", "y", 1.0)
     (log,) = group_by_match([ev, ev])
-    assert log.events == (ev, ev)
+    assert tuple(log.events) == (ev, ev)
 
 
 def test_group_by_match_empty():
-    assert group_by_match([]) == []
+    assert list(group_by_match([])) == []
 
 
 @given(st.lists(valid_events(), max_size=40))
 def test_group_sizes_sum_to_input_size(events):
     logs = group_by_match(events)
     assert sum(len(lg.events) for lg in logs) == len(events)
+
+
+# Identifiers that stress the CSV quoting and JSON-lines framing: commas,
+# quotes and newlines (quoted by the CSV writer), and characters that
+# str.splitlines would take for line breaks.
+ID_POOL = ["m1", "m2", "t1", "t2", "a", "b", "c", "x,y", 'q"z', "l\nb", "f\x0cg", "u\u2028v",
+           "n\x85o", "s\x1ct", ""]
+TS_TEXT = ["0", "1", "1", "1.5", "2", "5", "6.5", "12", "-1", "-0", "nan", "inf", "12x", "",
+           " 5 ", "1e3", "1_0"]
+TS_JSON = [0, 1, 1.5, 2.0, 5, 6.5, 12, -1, True, False, None, "1e3", " 5 ", "x", [1], 1e400]
+ID_JSON = [7, 0, 2.5, True, False, None, [1], {"a": 1}]
+PAD = ["", " ", "\t", "\r", " \r"]
+
+
+@st.composite
+def pass_records(draw):
+    """Records as field lists: chains of valid passes, loose passes, and duplicates."""
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["chain", "loose", "dup"]))
+        if kind == "dup" and records:
+            records.append(list(records[-1]))
+        elif kind == "chain":
+            match_id, team_id = draw(st.sampled_from(["m1", "m2"])), draw(st.sampled_from(["t1", "t2"]))
+            walk = [draw(st.sampled_from(ID_POOL[4:8]))]
+            for _ in range(draw(st.integers(1, 6))):
+                walk.append(draw(st.sampled_from([p for p in ID_POOL[4:8] if p != walk[-1]])))
+            t = draw(st.sampled_from([0, 1, 2.5, 6]))
+            for a, b in zip(walk, walk[1:]):
+                records.append([match_id, team_id, a, b, repr(float(t))])
+                t += draw(st.sampled_from([0, 1, 5]))
+        else:
+            fields = [draw(st.sampled_from(ID_POOL)) for _ in range(4)]
+            records.append(fields + [draw(st.sampled_from(TS_TEXT))])
+    return records
+
+
+def csv_file(draw, records):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    header = list(FIELDS)
+    shape = draw(st.sampled_from(["exact", "exact", "exact", "bom", "spaced", "reordered"]))
+    if shape == "bom":
+        header[0] = "\ufeff" + header[0]
+    elif shape == "spaced":
+        header = [f" {h} " for h in header]
+    elif shape == "reordered":
+        header[0], header[1] = header[1], header[0]
+    writer.writerow(header)
+    for fields in records:
+        shape = draw(st.sampled_from(["keep", "keep", "keep", "short", "long", "blank"]))
+        if shape == "blank":
+            writer.writerow([])
+        writer.writerow({"short": fields[:4], "long": fields + ["x"]}.get(shape, fields))
+    return buf.getvalue()
+
+
+def jsonl_line(draw, fields):
+    shape = draw(st.sampled_from(
+        ["object", "object", "object", "retyped", "missing", "null", "array", "number", "truncated",
+         "raw_formfeed", "blank"]))
+    obj = dict(zip(FIELDS, fields))
+    if shape == "retyped":
+        key = draw(st.sampled_from(FIELDS))
+        obj[key] = draw(st.sampled_from(TS_JSON if key == "timestamp_s" else ID_JSON))
+    elif shape == "missing":
+        del obj[draw(st.sampled_from(FIELDS))]
+    elif shape == "null":
+        obj[draw(st.sampled_from(FIELDS))] = None
+    if shape == "array":
+        text = json.dumps(list(obj.values()))
+    elif shape == "number":
+        text = draw(st.sampled_from(["3", "null", '"s"', "true"]))
+    elif shape == "blank":
+        text = draw(st.sampled_from(["", "  ", "\x0c", " ", "\x1c"]))
+    else:
+        text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+        if shape == "truncated":
+            text = text[:-3]
+        elif shape == "raw_formfeed":
+            text = text.replace("\\f", "\x0c")
+    return draw(st.sampled_from(PAD)) + text + draw(st.sampled_from(PAD)) + "\n"
+
+
+@st.composite
+def pass_files(draw):
+    """One or two files of the same records, so a team-match may span both."""
+    fmt = draw(st.sampled_from(FORMATS))
+    records = draw(pass_records())
+    cut = draw(st.integers(0, len(records)))
+    files = []
+    for part in (records[:cut], records[cut:]):
+        if fmt == "csv":
+            text = csv_file(draw, part)
+        else:
+            text = "".join(jsonl_line(draw, fields) for fields in part)
+            text = draw(st.sampled_from(["", "\ufeff"])) + text
+        files.append(text.encode() + draw(st.sampled_from([b""] * 9 + [b"\xff"])))
+    return fmt, files
+
+
+def parsed_or_raised(parse, data, fmt):
+    try:
+        return parse(data, fmt)
+    except Exception as exc:  # the two paths must fail alike, too
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(pass_files(), st.sampled_from([1.0, 5.0]), st.sampled_from([2, 3]))
+def test_columnar_ingest_matches_object_oracle(files, t_max, k):
+    fmt, files = files
+
+    def parse(data, fmt):
+        result = parse_pass_events(io.BytesIO(data), fmt)
+        return result.events, list(result.diagnostics)
+
+    outcomes = [parsed_or_raised(parse, data, fmt) for data in files]
+    expected = [parsed_or_raised(oracle_parse, data, fmt) for data in files]
+    tables, oracle_events = [], []
+    for got, want in zip(outcomes, expected):
+        if isinstance(want[0], type):
+            assert got == want
+            continue
+        assert (list(got[0]), got[1]) == want
+        tables.append(got[0])
+        oracle_events += want[0]
+
+    logs = group_by_match(PassTable.concat(tables))
+    groups = oracle_group(oracle_events)
+    assert [(log.match_id, log.team_id, list(log.events)) for log in logs] == groups
+    config = SegmentationConfig(t_max)
+    for log, (_, _, events) in zip(logs, groups):
+        possessions = segment_possessions(log, config)
+        expected_possessions = oracle_segment(events, t_max)
+        assert [list(pos.passes) for pos in possessions] == expected_possessions
+        assert all((p.match_id, p.team_id) == (log.match_id, log.team_id) for p in possessions)
+        windows = Counter(
+            pattern
+            for run in expected_possessions
+            for pattern in oracle_window_patterns([run[0].passer] + [e.receiver for e in run], k)
+        )
+        counts = count_motifs(possessions, k).counts.tolist()
+        assert counts == [windows[p] for p in enumerate_patterns(k)]

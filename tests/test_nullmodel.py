@@ -289,6 +289,30 @@ def test_arrangement_counts_match_enumeration(touches):
     assert _arrangements(counts, {}) == len(valid_arrangements(touches))
 
 
+def test_counts_route_keeps_the_arrangements_after_each_holder(monkeypatch):
+    # Decoding a row touch by touch asks, for every candidate holder, how
+    # many valid arrangements may follow. The memo keeps each answer, so four
+    # rows of a 40-touch ABAC chain evaluate the arrangement counts 2,424
+    # times; summing them afresh on every ask took 21,374 evaluations.
+    calls = []
+    real_arrangements = nullmodel._arrangements
+
+    def arrangements(counts, memo):
+        calls.append(counts)
+        return real_arrangements(counts, memo)
+
+    monkeypatch.setattr(nullmodel, "_arrangements", arrangements)
+    touches = np.array([0, 1, 0, 2] * 10, dtype=np.int64)
+    rng = np.random.default_rng(0)
+    memo = {}
+    rows = [nullmodel._counted_arrangement(touches, rng, memo) for _ in range(4)]
+    assert len(calls) <= 5_000
+    for row in rows:
+        assert (row[1:] != row[:-1]).all()
+        assert Counter(row.tolist()) == Counter(touches.tolist())
+    assert memo[(1, 10), 19] + memo[(1, 10), 18] == memo[1, 10, 19]
+
+
 @pytest.mark.parametrize(
     "touches", ["AB", "ACBA", "ABCBDAC", "ABABABABAB", "AAABBBCCD", "AAAAB", "ABCABCABC"]
 )

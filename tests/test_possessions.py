@@ -42,7 +42,7 @@ def test_simultaneous_timestamps_stay_together():
 
 
 def test_empty_log_yields_nothing():
-    assert segment_possessions(MatchEventLog("m", "t", ())) == []
+    assert list(segment_possessions(MatchEventLog("m", "t", ()))) == []
 
 
 def test_config_rejects_nonpositive_t_max():
