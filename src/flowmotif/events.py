@@ -68,13 +68,17 @@ class PassTable:
     names its rows use.
     """
 
-    __slots__ = ("names", "codes", "timestamp", "match", "team", "passer", "receiver")
+    __slots__ = ("names", "codes", "timestamp")
 
     def __init__(self, names: tuple[str, ...], codes: np.ndarray, timestamp: np.ndarray) -> None:
         self.names = names
         self.codes = codes
         self.timestamp = timestamp
-        self.match, self.team, self.passer, self.receiver = codes
+
+    match = property(lambda self: self.codes[0])
+    team = property(lambda self: self.codes[1])
+    passer = property(lambda self: self.codes[2])
+    receiver = property(lambda self: self.codes[3])
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[str, str, str, str, float]]) -> PassTable:
@@ -144,14 +148,14 @@ class PassTable:
 
     def outsider(self, match_id: str, team_id: str) -> int | None:
         """Index of the first pass not of this match and team, or None."""
-        if not len(self):
+        match, team = self.codes[:2].tolist()
+        if not match:
             return None
-        owner = self.codes[:2]
-        match, team = owner[:, 0].tolist()
-        if (self.names[match], self.names[team]) != (match_id, team_id):
+        if (self.names[match[0]], self.names[team[0]]) != (match_id, team_id):
             return 0
-        other = owner != owner[:, :1]
-        return int(other.any(axis=0).argmax()) if other.any() else None
+        if match.count(match[0]) + team.count(team[0]) == 2 * len(match):
+            return None
+        return next(i for i, ids in enumerate(zip(match, team)) if ids != (match[0], team[0]))
 
 
 class PassRuns:
@@ -172,9 +176,9 @@ class PassRuns:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def _row(self, start: int, end: int):
-        passes, names = self.passes, self.passes.names
-        return self.row(names[passes.match[start]], names[passes.team[start]], passes[start:end])
+    def _row(self, start: int, end: int, match: int, team: int):
+        names = self.passes.names
+        return self.row(names[match], names[team], self.passes[start:end])
 
     def __getitem__(self, i):
         if isinstance(i, np.ndarray):  # the runs at these ascending indices, as runs
@@ -186,12 +190,14 @@ class PassRuns:
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
-        end = self.starts[i + 1] if i + 1 < len(self) else len(self.passes)
-        return self._row(int(self.starts[i]), int(end))
+        start = int(self.starts[i])
+        end = int(self.starts[i + 1]) if i + 1 < len(self) else len(self.passes)
+        return self._row(start, end, *self.passes.codes[:2, start].tolist())
 
     def __iter__(self) -> Iterator:
         starts = self.starts.tolist()
-        return map(self._row, starts, starts[1:] + [len(self.passes)])
+        match, team = self.passes.codes[:2, starts].tolist()
+        return map(self._row, starts, starts[1:] + [len(self.passes)], match, team)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,7 +225,8 @@ class MatchEventLog:
                 f"event ({ev.match_id!r}, {ev.team_id!r}) does not belong to "
                 f"log ({self.match_id!r}, {self.team_id!r})"
             )
-        if (events.timestamp[1:] < events.timestamp[:-1]).any():
+        times = events.timestamp.tolist()
+        if times != sorted(times):
             raise ValueError("events not sorted by timestamp")
 
 
@@ -271,7 +278,7 @@ def _validate(
         return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
     if timestamp < 0.0:
         return ParseDiagnostic(line, f"negative timestamp at line {line}")
-    if not type(match_id) is type(team_id) is type(passer) is type(receiver) is str:
+    if not type(match_id) is type(team_id) is type(passer) is type(receiver) is str:  # JSON
         match_id, team_id, passer, receiver = map(str, (match_id, team_id, passer, receiver))
     if passer == receiver:
         return ParseDiagnostic(line, f"self-pass at line {line}")

@@ -53,17 +53,18 @@ class Possession:
             raise ValueError(
                 f"pass {passes[i]!r} is not of ({self.match_id!r}, {self.team_id!r})"
             )
-        broken = passes.receiver[:-1] != passes.passer[1:]
-        bad = np.flatnonzero(broken | (np.diff(passes.timestamp) < 0))
-        if bad.size:
-            i = bad[0]
-            if not broken[i]:
-                raise ValueError("passes not in time order")
+        _, _, passer, receiver = passes.codes.tolist()
+        times = passes.timestamp.tolist()
+        if receiver[:-1] != passer[1:] or times != sorted(times):
             names = passes.names
-            raise ValueError(
-                f"broken chain: {names[passes.receiver[i]]!r} received but "
-                f"{names[passes.passer[i + 1]]!r} passed next"
-            )
+            for received, passed, a, b in zip(receiver, passer[1:], times, times[1:]):
+                if received != passed:
+                    raise ValueError(
+                        f"broken chain: {names[received]!r} received but "
+                        f"{names[passed]!r} passed next"
+                    )
+                if b < a:
+                    raise ValueError("passes not in time order")
 
     def __len__(self) -> int:
         return len(self.passes)
