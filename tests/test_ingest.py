@@ -177,7 +177,8 @@ def pass_records(draw):
         if kind == "dup" and records:
             records.append(list(records[-1]))
         elif kind == "chain":
-            match_id, team_id = draw(st.sampled_from(["m1", "m2"])), draw(st.sampled_from(["t1", "t2"]))
+            match_id = draw(st.sampled_from(["m1", "m2"]))
+            team_id = draw(st.sampled_from(["t1", "t2"]))
             walk = [draw(st.sampled_from(ID_POOL[4:8]))]
             for _ in range(draw(st.integers(1, 6))):
                 walk.append(draw(st.sampled_from([p for p in ID_POOL[4:8] if p != walk[-1]])))
@@ -228,7 +229,7 @@ def jsonl_line(draw, fields):
     elif shape == "number":
         text = draw(st.sampled_from(["3", "null", '"s"', "true"]))
     elif shape == "blank":
-        text = draw(st.sampled_from(["", "  ", "\x0c", " ", "\x1c"]))
+        text = draw(st.sampled_from(["", "  ", "\x0c", "\u2028", "\x1c"]))
     else:
         text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
         if shape == "truncated":
