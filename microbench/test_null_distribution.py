@@ -1,24 +1,32 @@
-"""Micro-benchmark of ``null_distribution``, one case per null-model policy.
+"""Micro-benchmarks of ``null_distribution`` and ``randomize_possessions``, one case per policy.
 
 Run from the root of a checkout (these files sit outside the test paths,
 so the test suite does not run them):
 
     python -m pytest microbench --benchmark-only
 
-Every case scores the same four synthetic team-matches at 1000
-replicates: two of the README's league shape (squad 10, 25 possessions,
-3.2 passes per possession) and two of a back-passing team (4.0 passes per
-possession, back-pass bias 0.5). Only the match shuffle draws every
-replicate. The walk draws none: its moments are exact. The possession
-shuffle takes exact moments for the possessions it can table and samples
-the rest, which the back-passing team's repeated players make more
-common. So the walk case times the exact moments alone, and the
-possession case mostly its rejection rounds.
+Every case takes the same four synthetic team-matches: two of the
+README's league shape (squad 10, 25 possessions, 3.2 passes per
+possession) and two of a back-passing team (4.0 passes per possession,
+back-pass bias 0.5). The ``null_distribution`` cases score them at 1000
+replicates, and only the match shuffle draws every replicate. The walk
+draws none: its moments are exact. The possession shuffle takes exact
+moments for the possessions it can table and samples the rest, which the
+back-passing team's repeated players make more common. So the walk case
+times the exact moments alone, and the possession case mostly its
+rejection rounds. The ``randomize_possessions`` cases draw one replicate
+of each team-match, one seed per team-match; under the possession
+shuffle every possession takes rejection rounds, tabled or not.
 """
 
 import pytest
 
-from flowmotif import NullModelConfig, null_distribution, segment_possessions
+from flowmotif import (
+    NullModelConfig,
+    null_distribution,
+    randomize_possessions,
+    segment_possessions,
+)
 from flowmotif.nullmodel import POLICIES
 from flowmotif.synth import TeamStyleParams, generate_league
 
@@ -34,3 +42,11 @@ def test_null_distribution(benchmark, policy):
     config = NullModelConfig(replicates=1000, policy=policy, master_seed=3)
     nulls = benchmark(lambda: [null_distribution(p, 3, config) for p in TEAM_MATCHES])
     assert len(nulls) == len(TEAM_MATCHES)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_randomize_possessions(benchmark, policy):
+    draws = benchmark(
+        lambda: [randomize_possessions(p, policy, seed) for seed, p in enumerate(TEAM_MATCHES)]
+    )
+    assert [len(d) for d in draws] == [len(p) for p in TEAM_MATCHES]

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,13 +162,17 @@ class PassRuns:
     """A pass table cut into runs of consecutive rows: a sized sequence of rows.
 
     Run ``i`` holds the passes from ``starts[i]`` up to the next start.
-    Indexing or iterating builds ``row(match_id, team_id, passes)`` from
-    the ids of the run's first pass and the run's slice of ``passes``.
+    Indexing or iterating builds a ``row``, a dataclass whose fields are
+    the match id, the team id and the passes, from the ids of the run's
+    first pass and the run's slice of ``passes``. The row skips its
+    ``__post_init__`` checks: whoever cuts the runs guarantees them, as
+    grouping and segmentation guarantee one team-match per run in time
+    order, and segmentation the chain.
     """
 
     __slots__ = ("passes", "starts", "row")
 
-    def __init__(self, passes: PassTable, starts: np.ndarray, row: Callable) -> None:
+    def __init__(self, passes: PassTable, starts: np.ndarray, row: type) -> None:
         self.passes = passes
         self.starts = starts
         self.row = row
@@ -178,7 +182,11 @@ class PassRuns:
 
     def _row(self, start: int, end: int, match: int, team: int):
         names = self.passes.names
-        return self.row(names[match], names[team], self.passes[start:end])
+        row = object.__new__(self.row)
+        values = names[match], names[team], self.passes[start:end]
+        for field, value in zip(self.row.__slots__, values):
+            object.__setattr__(row, field, value)
+        return row
 
     def __getitem__(self, i):
         if isinstance(i, np.ndarray):  # the runs at these ascending indices, as runs
@@ -272,7 +280,7 @@ def _validate(
                 return ParseDiagnostic(line, f"missing field {name}")
     try:
         timestamp = float(ts_raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float's range
         return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
     if not math.isfinite(timestamp):
         return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
@@ -327,7 +335,7 @@ def _parse_jsonl(text: IO[str]) -> ParseResult:
         body = line.strip(_JSON_SPACE)
         try:
             obj, end = _decode_json(body)
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an integer past Python's digit limit
             end = -1
         if end != len(body):
             diagnostics.append(ParseDiagnostic(line_num, "invalid JSON"))

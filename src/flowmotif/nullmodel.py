@@ -27,12 +27,14 @@ k) from the pattern alphabet. Under the possession shuffle, a
 possession's moments depend only on its signature, its sorted player
 counts: a signature whose table of valid arrangements grows within
 ``TABLE_LIMIT`` candidate prefixes has the exact moments of its table
-rows. Only the possessions without a table are sampled. They take
-rejection rounds, which keep the uniform permutations with no adjacent
-repeat, and rows still waiting after ``POSSESSION_ROUNDS`` rounds are
-drawn from exact counts of valid arrangements. A possession's observed
-arrangement is valid, so the sampler always terminates. Their sample
-variance adds to the exact one.
+rows. The tables serve only these moments. Every possession the shuffle
+draws, those without a table in ``null_distribution`` and all of them in
+``randomize_possessions``, takes rejection rounds, which keep the uniform
+permutations with no adjacent repeat, and rows still waiting after
+``POSSESSION_ROUNDS`` rounds are drawn from exact counts of valid
+arrangements. A possession's observed arrangement is valid, so the
+sampler always terminates. The sample variance of the possessions
+without a table adds to the exact one.
 
 Each team-match draws its sampled rows from one random stream, seeded
 from (master_seed, match_id, team_id), in batches of ``BATCH_ROWS``
@@ -69,13 +71,8 @@ BATCH_ROWS = 64
 # drawn from completion counts.
 POSSESSION_ROUNDS = 64
 # Most candidate prefixes one growth step of a possession's table of valid
-# arrangements may hold; possessions whose table outgrows it take rejection
-# rounds.
+# arrangements may hold; possessions whose table outgrows it are sampled.
 TABLE_LIMIT = 1024
-
-# (signature, limit) pairs whose table outgrew the limit, so that asking
-# again gives None at once; only these are remembered, not the tables.
-_OUTGROWN: set[tuple[tuple[int, ...], int]] = set()
 
 # Bound for |z| when the null distribution has zero variance but the real
 # count still deviates from it; keeps downstream feature vectors finite.
@@ -213,10 +210,9 @@ def _arrangement_table(signature: tuple[int, ...], limit: int) -> np.ndarray | N
     them and every other player at most half of ``rest + 1``. So no step
     holds more prefixes than the table has rows. Returns None as soon as
     one step has more than ``limit`` candidate prefixes, and for more
-    players than int8 codes can name; a signature that outgrew ``limit``
-    once is not grown again.
+    players than int8 codes can name.
     """
-    if len(signature) > np.iinfo(np.int8).max or (signature, limit) in _OUTGROWN:
+    if len(signature) > np.iinfo(np.int8).max:
         return None
     players = np.arange(len(signature), dtype=np.int8)
     table = np.empty((1, 0), dtype=np.int8)
@@ -225,7 +221,6 @@ def _arrangement_table(signature: tuple[int, ...], limit: int) -> np.ndarray | N
     for rest in range(sum(signature) - 1, -1, -1):
         free = (left > 0) & (players != last)
         if np.count_nonzero(free) > limit:
-            _OUTGROWN.add((signature, limit))
             return None
         prefix, player = np.nonzero(free)
         rows = np.arange(prefix.size)
@@ -249,7 +244,7 @@ def _table_moments(
     valid arrangements equally often, so these are the mean and population
     variance of the window counts over its rows. None when
     ``_arrangement_table`` gives no table. Only the moments are kept, not
-    the tables.
+    the tables, and a signature that outgrew ``limit`` is not grown again.
     """
     table = _arrangement_table(signature, limit)
     if table is None:
@@ -259,19 +254,6 @@ def _table_moments(
     for m in moments:
         m.flags.writeable = False
     return moments
-
-
-def _signature(touches: np.ndarray) -> tuple[tuple[int, ...], list[int]]:
-    """A possession's player counts in ascending order, and its players in that order.
-
-    Players with equal counts keep the order of their first touch. The
-    counts go through a list: built from a generator, the tuples here
-    stayed allocated until the next full collection and raised the traced
-    peak of scoring one matchday of a 20-team season by 0.7 MB.
-    """
-    counts = Counter(touches.tolist())
-    holders = sorted(counts, key=counts.get)
-    return tuple([counts[h] for h in holders]), holders
 
 
 def _rejection_rows(
@@ -315,29 +297,16 @@ def _possession_rows(
 ) -> np.ndarray:
     """Rows whose possessions are independent uniform valid arrangements.
 
-    The possessions are drawn in order. One with a table from
-    ``_arrangement_table`` takes uniform rows of it, mapped to its players
-    by count; players with equal counts are interchangeable, so any order
-    among them gives the same rows. Any other takes ``_rejection_rows``
-    with the counts memo ``memo``. Each signature's table is built once
-    per call and dropped when the call returns. The possessions are cut
-    out by slicing: ``np.split`` took about 40 µs for 25 possessions
-    against 7 µs (2-core Xeon VM), and made the possession shuffle 3%
-    slower.
+    Every possession, in order, takes ``_rejection_rows`` with the counts
+    memo ``memo``; arrangement tables serve only the exact moments of
+    ``null_distribution``. The possessions are cut out by slicing:
+    ``np.split`` took about 40 µs for 25 possessions against 7 µs (2-core
+    Xeon VM), and made the possession shuffle 3% slower.
     """
-    tables: dict[tuple[int, ...], np.ndarray | None] = {}
-    blocks = []
-    for start, length in zip(codes.starts.tolist(), codes.lengths.tolist()):
-        touches = codes.touches[start : start + length]
-        signature, holders = _signature(touches)
-        if signature not in tables:
-            tables[signature] = _arrangement_table(signature, TABLE_LIMIT)
-        table = tables[signature]
-        if table is None:
-            blocks.append(_rejection_rows(touches, rng, n_rows, memo))
-        else:
-            picks = table[rng.integers(0, len(table), n_rows)]
-            blocks.append(np.array(holders, dtype=touches.dtype)[picks])
+    blocks = [
+        _rejection_rows(codes.touches[start : start + length], rng, n_rows, memo)
+        for start, length in zip(codes.starts.tolist(), codes.lengths.tolist())
+    ]
     return np.concatenate(blocks, axis=1)
 
 
@@ -513,8 +482,10 @@ def _draw_rows(
 ) -> np.ndarray:
     """``n_rows`` independent replicates of the touches, one per row.
 
-    ``memo`` holds the arrangement counts of the possession shuffle; the
-    caller keeps it across the batches of one team-match.
+    ``memo`` holds the arrangement counts of the possession shuffle, which
+    draws every possession by rejection rounds, then counts, and no
+    possession from an arrangement table; the caller keeps it across the
+    batches of one team-match.
     """
     if codes.touches.size == 0:
         return np.empty((n_rows, 0), dtype=codes.touches.dtype)
@@ -624,8 +595,8 @@ def null_distribution(
         for i, (start, length) in enumerate(zip(codes.starts.tolist(), codes.lengths.tolist())):
             if length <= k:
                 continue
-            touches = codes.touches[start : start + length]
-            moments = _table_moments(_signature(touches)[0], k, TABLE_LIMIT)
+            counts = Counter(codes.touches[start : start + length].tolist())
+            moments = _table_moments(tuple(sorted(counts.values())), k, TABLE_LIMIT)
             if moments is None:
                 picks.append(i)
             else:

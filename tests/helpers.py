@@ -149,7 +149,7 @@ def _oracle_event(fields: dict, line: int):
     ts_raw = fields["timestamp_s"]
     try:
         timestamp = float(ts_raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
     if not math.isfinite(timestamp):
         return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
@@ -204,7 +204,7 @@ def oracle_parse(data: bytes, fmt: str):
                 continue
             try:
                 fields = json.loads(record)
-            except json.JSONDecodeError:
+            except ValueError:
                 diagnostics.append(ParseDiagnostic(line, "invalid JSON"))
                 continue
             if not isinstance(fields, dict):

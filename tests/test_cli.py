@@ -123,6 +123,32 @@ def test_undecodable_file_is_reported_and_the_rest_scored(tmp_path, capsys, fmt)
     assert sorted(manifest["input_digests"]) == [str(bad), str(good)]
 
 
+def test_huge_integer_timestamps_are_rejected_record_by_record(tmp_path, capsys):
+    # 1 with 400 zeros is past float's range, and 1 with 5,000 zeros past
+    # the digits Python turns into an int; each rejects only its own record.
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    record = '{"match_id":"%s","team_id":"T1","passer":"%s","receiver":"%s","timestamp_s":%s}\n'
+    (inputs / "a.jsonl").write_text(
+        record % ("M1", "2", "4", "0.0")
+        + record % ("M1", "4", "5", "1" + "0" * 400)
+        + record % ("M1", "4", "5", "1" + "0" * 5000)
+        + record % ("M1", "4", "5", "1.0")
+        + record % ("M1", "5", "6", "2.0")
+    )
+    (inputs / "b.jsonl").write_text(record % ("M2", "a", "b", "0.0"))
+    out = tmp_path / "motifs.csv"
+    assert main(["motifs", str(inputs), "--format", "jsonl", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line=2 reason=invalid timestamp 1000" in err
+    assert "line=3 reason=invalid JSON" in err
+    assert "Traceback" not in err and "error:" not in err
+    rows = read_rows(out)
+    assert {r["match_id"] for r in rows} == {"M1", "M2"}
+    # M1 keeps its three valid passes, one window of four touches
+    assert [r["count"] for r in rows if r["match_id"] == "M1"] == ["0", "0", "0", "0", "1"]
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     assert main(["motifs", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -163,7 +163,8 @@ ID_POOL = ["m1", "m2", "t1", "t2", "a", "b", "c", "x,y", 'q"z', "l\nb", "f\x0cg"
            "n\x85o", "s\x1ct", ""]
 TS_TEXT = ["0", "1", "1", "1.5", "2", "5", "6.5", "12", "-1", "-0", "nan", "inf", "12x", "",
            " 5 ", "1e3", "1_0"]
-TS_JSON = [0, 1, 1.5, 2.0, 5, 6.5, 12, -1, True, False, None, "1e3", " 5 ", "x", [1], 1e400]
+TS_JSON = [0, 1, 1.5, 2.0, 5, 6.5, 12, -1, True, False, None, "1e3", " 5 ", "x", [1], 1e400,
+           10**400]
 ID_JSON = [7, 0, 2.5, True, False, None, [1], {"a": 1}]
 PAD = ["", " ", "\t", "\r", " \r"]
 

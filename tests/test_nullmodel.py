@@ -357,12 +357,12 @@ def test_arrangement_tables_hold_every_valid_arrangement():
 
 
 def test_possession_routes_follow_the_signature(monkeypatch):
-    # CA, ACBA and ABCABCABC (174 of 1680 permutations valid) draw rows of
-    # their tables, and so does a two-player chain of any length; seven
-    # distinct players outgrow TABLE_LIMIT and take rejection rounds. CA
-    # has no 3-pass window, so null_distribution needs no moments for it
-    # and samples only ABCDEFG, through the same _possession_rows. A
-    # signature that outgrew the limit is remembered and not grown again.
+    # Every possession the shuffle draws takes rejection rounds, with a
+    # table or without: CA, ACBA and ABCABCABC (174 of 1680 permutations
+    # valid) have one, and so does a two-player chain of any length, while
+    # seven distinct players outgrow TABLE_LIMIT. null_distribution takes
+    # exact moments for the tabled ones and, as CA has no 3-pass window,
+    # samples only ABCDEFG, through the same _possession_rows.
     rejected = []
 
     def rejection_rows(touches, rng, n_rows, memo):
@@ -374,27 +374,26 @@ def test_possession_routes_follow_the_signature(monkeypatch):
     possessions = [chain_possession(list(t)) for t in ("CA", "ACBA", "ABCABCABC", "ABCDEFG")]
     rng = np.random.default_rng(0)
     _draw_rows(TouchCodes(possessions), "touch_shuffle_possession", rng, 8, {})
-    assert rejected == [7]
+    assert rejected == [2, 4, 9, 7]
     long_pair = TouchCodes([chain_possession(["A", "B"] * 400 + ["A"])])
     _draw_rows(long_pair, "touch_shuffle_possession", rng, 8, {})
-    assert rejected == [7]
+    assert rejected == [2, 4, 9, 7, 801]
+    rejected.clear()
     config = NullModelConfig(replicates=8, policy="touch_shuffle_possession")
     assert null_distribution(possessions, 3, config).sampled_possessions == 1
-    assert rejected == [7, 7]
-    assert ((1,) * 7, TABLE_LIMIT) in nullmodel._OUTGROWN
+    assert rejected == [7]
 
     monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 0)
-    rejected.clear()
-    _draw_rows(TouchCodes(possessions), "touch_shuffle_possession", rng, 8, {})
-    assert rejected == [2, 4, 9, 7]
     assert null_distribution(possessions, 3, config).sampled_possessions == 3
-    assert rejected[4:] == [4, 9, 7]
+    assert rejected == [7, 4, 9, 7]
 
 
 def test_possession_shuffle_builds_each_table_once_per_call(monkeypatch):
     # ACBA, ABCA and BACB share one signature, CABCA and CBCAB another, and
-    # the two seven-player chains a third with no table. One call grows each
-    # signature's table once; the next call keeps none and grows them again.
+    # the two seven-player chains a third with no table. randomize_possessions
+    # draws by rejection rounds and builds no table. null_distribution grows
+    # each signature's table for its moments once per (k, limit), and an
+    # outgrown signature is remembered like the others and not grown again.
     built = []
 
     def arrangement_table(signature, limit):
@@ -403,18 +402,26 @@ def test_possession_shuffle_builds_each_table_once_per_call(monkeypatch):
 
     real_arrangement_table = nullmodel._arrangement_table
     monkeypatch.setattr(nullmodel, "_arrangement_table", arrangement_table)
+    nullmodel._table_moments.cache_clear()
     layout = ("ACBA", "CABCA", "ABCA", "ABCDEFG", "BACB", "CBCAB", "GFEDCBA")
     possessions = [chain_possession(list(t)) for t in layout]
-    randomize_possessions(possessions, "touch_shuffle_possession", seed=6)
-    assert built == [(1, 1, 2), (1, 2, 2), (1,) * 7]
-    randomize_possessions(possessions, "touch_shuffle_possession", seed=7)
-    assert built == [(1, 1, 2), (1, 2, 2), (1,) * 7] * 2
+    for seed in (6, 7):
+        randomize_possessions(possessions, "touch_shuffle_possession", seed)
+    assert built == []
+    config = NullModelConfig(replicates=8, policy="touch_shuffle_possession")
+    signatures = [(1, 1, 2), (1, 2, 2), (1,) * 7]
+    for k in (3, 3, 2, 2):
+        null_distribution(possessions, k, config)
+    assert built == signatures * 2
+    monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 2 * TABLE_LIMIT)
+    null_distribution(possessions, 3, config)
+    assert built == signatures * 3
 
 
 @pytest.mark.parametrize("players,repeated", [(200, 0), (130, 1)])
 def test_possession_shuffle_takes_more_players_than_int8_codes(players, repeated):
-    # Every signature asks for a table, whose int8 player codes would wrap
-    # past 127 players.
+    # Rows keep the possession's own codes. The moments of null_distribution
+    # ask for a table, whose int8 player codes would wrap past 127 players.
     names = [f"p{i}" for i in range(players)]
     touches = names + names[1 : 1 + repeated]
     possessions = [chain_possession(touches), chain_possession(["x", "y", "x"])]
@@ -424,14 +431,15 @@ def test_possession_shuffle_takes_more_players_than_int8_codes(players, repeated
             seq = touch_sequence(rnd)
             assert all(a != b for a, b in zip(seq, seq[1:]))
             assert Counter(seq) == Counter(touch_sequence(orig))
+    config = NullModelConfig(replicates=8, policy="touch_shuffle_possession")
+    assert null_distribution(possessions, 3, config).sampled_possessions == 1
 
 
 def test_possession_shuffle_takes_a_player_with_hundreds_of_touches():
-    # Two players alternating over 520 touches hold 260 each. The chain now
-    # takes the table route; through the arrangement counts it once failed on
-    # a count of 256 (the memo took its keys as bytes), then took seconds.
-    # The counts route still serves long possessions of three or more
-    # players, so its memo is checked directly at counts of 256.
+    # Two players alternating over 520 touches hold 260 each, so rejection
+    # rounds pass every row to the arrangement counts. Those once failed on
+    # a count of 256 (the memo took its keys as bytes), then took seconds;
+    # their memo is also checked directly at counts of 256.
     memo = {}
     assert _arrangements((1, 256), memo) == 0
     assert _arrangements((1, 1, 256), memo) == 0
@@ -505,8 +513,8 @@ def assert_uniform_over_valid_arrangements(layout, draws):
     assert chi2 < chi2_limit(len(cells) - 1), (chi2, len(cells))
 
 
-# Every possession here is tabled; with TABLE_LIMIT at 0 every one takes
-# rejection rounds, and with no rounds as well, the arrangement counts.
+# Every possession takes rejection rounds, and with no rounds the
+# arrangement counts.
 LAYOUTS = [
     ("ACBA ABCA", 50_000),
     ("ABCBDAC DBA", 200_000),
@@ -521,29 +529,20 @@ LAYOUTS = [
 def test_possession_shuffle_is_uniform_over_valid_arrangements(
     layout, draws, rounds, monkeypatch
 ):
-    # With no rejection rounds and no tables every possession with a
-    # repeated player is drawn from arrangement counts, which cost more per
-    # draw.
+    # ABABABABAB passes most rows on to the counts. With no rejection rounds
+    # every possession with a repeated player is drawn from arrangement
+    # counts, which cost more per draw.
     if not rounds:
         monkeypatch.setattr(nullmodel, "POSSESSION_ROUNDS", 0)
-        monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 0)
         draws //= 10
     assert_uniform_over_valid_arrangements(layout, draws)
 
 
-@pytest.mark.parametrize("layout,draws", [c for c in LAYOUTS if c[0] != "ABCD CDE"])
-def test_rejection_route_is_uniform_over_valid_arrangements(layout, draws, monkeypatch):
-    # With no tables every possession with a repeated player takes the
-    # rejection rounds; ABABABABAB passes most rows on to the counts.
-    monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 0)
-    assert_uniform_over_valid_arrangements(layout, draws)
-
-
 def test_possession_shuffle_terminates_on_tight_possessions():
-    # Two players alternating over 24 touches admit two arrangements, drawn
-    # from their table, and A holding 14 of 30 touches leaves a few in a
-    # million permutations valid, so the rejection rounds pass nearly every
-    # row to the arrangement counts.
+    # Two players alternating over 24 touches admit two arrangements, and A
+    # holding 14 of 30 touches leaves a few in a million permutations valid,
+    # so the rejection rounds pass nearly every row of both to the
+    # arrangement counts.
     tight = "AB" * 12
     heavy = "".join(a + b for a, b in zip("A" * 14, "BCDEFGHI" * 2)) + "HI"
     assert Counter(heavy)["A"] == 14 and len(heavy) == 30
@@ -605,6 +604,24 @@ def test_possession_shuffle_samples_only_the_untabled_possessions():
     fourth = ((rest - rest.mean(axis=0)) ** 4).mean(axis=0)
     assert (abs(null.mean - mean) <= 5 * np.sqrt(rest_var / reps) + 1e-12).all()
     assert (abs(null.std**2 - var) <= 5 * np.sqrt((fourth - rest_var**2) / reps) + 1e-12).all()
+
+
+@pytest.mark.parametrize("policy", ["uniform_walk", "touch_shuffle_possession"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_exact_nulls_are_symmetric_under_reversal(policy, k):
+    # Reversing every possession maps its valid arrangements, and its walks,
+    # one to one, and turns each window into one with the reversed pattern,
+    # canonicalized (ABAC into ABCB). So an exact null gives a pattern and its
+    # reverse the same moments. The possessions, of 480, 540 and 445 valid
+    # arrangements, are tabled but too long for the enumeration tests.
+    layout = ["ABACBCABCAB", "ABACADABACAD", "ABCBABCBABCBA"]
+    possessions = [chain_possession(list(t)) for t in layout]
+    null = null_distribution(possessions, k, NullModelConfig(replicates=2, policy=policy))
+    assert null.sampled_possessions == 0
+    patterns = list(enumerate_patterns(k))
+    reverse = [patterns.index(canonicalize(p[::-1])) for p in patterns]
+    assert null.mean == pytest.approx(null.mean[reverse], abs=1e-12)
+    assert null.std == pytest.approx(null.std[reverse], abs=1e-12)
 
 
 def walk_probability(pattern, n_players):

@@ -1,10 +1,15 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from flowmotif import (
     MatchEventLog,
     PassEvent,
+    Possession,
     SegmentationConfig,
+    group_by_match,
+    randomize_possessions,
     segment_possessions,
     touch_sequence,
 )
@@ -60,6 +65,30 @@ def test_possession_invariants_enforced():
         make_possession([("1", "2"), ("3", "4")])
     with pytest.raises(ValueError, match="at least one"):
         make_possession([])
+
+
+def test_rows_of_grouped_and_segmented_runs_skip_the_checks(monkeypatch):
+    # Grouping, segmentation and the shuffles guarantee one team-match per
+    # run, time order and the chain, so their rows skip the checks; a row
+    # that a caller builds keeps them.
+    checked = Counter()
+    for row in (MatchEventLog, Possession):
+
+        def counted(self, check=row.__post_init__):
+            checked[type(self).__name__] += 1
+            check(self)
+
+        monkeypatch.setattr(row, "__post_init__", counted)
+    pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("x", "y"), ("y", "x")]
+    events = [PassEvent(m, "t", p, r, float(i)) for m in "mn" for i, (p, r) in enumerate(pairs)]
+    logs = list(group_by_match(events))
+    possessions = [pos for log in logs for pos in segment_possessions(log)]
+    shuffled = list(randomize_possessions(possessions[:2], "touch_shuffle_possession", seed=1))
+    assert [len(pos) for pos in possessions + shuffled] == [3, 2, 3, 2, 3, 2]
+    assert checked == {}
+    make_possession([("1", "2")])
+    MatchEventLog("m", "t", events[:1])
+    assert checked == {"Possession": 1, "MatchEventLog": 1}
 
 
 @st.composite
