@@ -54,7 +54,7 @@ from .possessions import (
 from .seeding import derive_seed
 from .synth import TeamStyleParams, generate_league, generate_match
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "ClusterAssignment",

@@ -26,7 +26,7 @@ pattern law of two windows at most k apart, counted once per (players,
 k) from the pattern alphabet. Under the possession shuffle, a
 possession's moments depend only on its signature, its sorted player
 counts: a signature whose table of valid arrangements grows within
-``TABLE_LIMIT`` candidate prefixes has the exact moments of its table
+``TABLE_LIMIT`` kept prefixes has the exact moments of its table
 rows. The tables serve only these moments. Every possession the shuffle
 draws, those without a table in ``null_distribution`` and all of them in
 ``randomize_possessions``, takes rejection rounds, which keep the uniform
@@ -38,7 +38,8 @@ without a table adds to the exact one.
 
 Each team-match draws its sampled rows from one random stream, seeded
 from (master_seed, match_id, team_id), in batches of ``BATCH_ROWS``
-rows. Distributions are therefore reproducible bit-for-bit whatever the
+rows, and counts each batch in slices of ``COUNT_ROWS`` rows.
+Distributions are therefore reproducible bit-for-bit whatever the
 parallelism, and the two teams of a fixture draw different streams.
 """
 
@@ -65,13 +66,16 @@ DEFAULT_REPLICATES = 1000
 # shuffle before it gives up on a team-match.
 MAX_REPAIR_ATTEMPTS = 100
 
-# Replicates randomized and counted together as the rows of one array.
-BATCH_ROWS = 64
+# Replicates randomized together as the rows of one array. Wider batches
+# make fewer numpy calls per replicate; 512 rows and more grew peak RSS.
+BATCH_ROWS = 256
+# Rows of a batch counted together, so that counting's temporaries stay small.
+COUNT_ROWS = 64
 # Rejection rounds of the possession shuffle before the stragglers are
 # drawn from completion counts.
 POSSESSION_ROUNDS = 64
-# Most candidate prefixes one growth step of a possession's table of valid
-# arrangements may hold; possessions whose table outgrows it are sampled.
+# Most prefixes one growth step of a possession's table of valid
+# arrangements may keep; possessions whose table outgrows it are sampled.
 TABLE_LIMIT = 1024
 
 # Bound for |z| when the null distribution has zero variance but the real
@@ -209,8 +213,8 @@ def _arrangement_table(signature: tuple[int, ...], limit: int) -> np.ndarray | N
     touches left after it, the player just placed holds at most half of
     them and every other player at most half of ``rest + 1``. So no step
     holds more prefixes than the table has rows. Returns None as soon as
-    one step has more than ``limit`` candidate prefixes, and for more
-    players than int8 codes can name.
+    one step keeps more than ``limit`` prefixes, and for more players than
+    int8 codes can name.
     """
     if len(signature) > np.iinfo(np.int8).max:
         return None
@@ -219,14 +223,13 @@ def _arrangement_table(signature: tuple[int, ...], limit: int) -> np.ndarray | N
     left = np.array([signature])
     last = np.full((1, 1), -1)
     for rest in range(sum(signature) - 1, -1, -1):
-        free = (left > 0) & (players != last)
-        if np.count_nonzero(free) > limit:
-            return None
-        prefix, player = np.nonzero(free)
+        prefix, player = np.nonzero((left > 0) & (players != last))
         rows = np.arange(prefix.size)
         left = left[prefix]
         left[rows, player] -= 1
         keep = (2 * left <= rest + 1).all(axis=1) & (2 * left[rows, player] <= rest)
+        if np.count_nonzero(keep) > limit:
+            return None
         table = np.column_stack([table[prefix[keep]], players[player[keep]]])
         left = left[keep]
         last = table[:, -1:]
@@ -521,9 +524,10 @@ def _sampled_moments(
     """Sample mean and variance of the counts over ``config.replicates`` rows.
 
     The rows come from one random stream seeded from (master seed, match
-    id, team id), in batches of ``BATCH_ROWS``. Under the possession
-    shuffle ``codes`` holds only possessions without a table. Counts are
-    accumulated as exact integers before the moments are taken.
+    id, team id), in batches of ``BATCH_ROWS``, and each batch is counted
+    in slices of ``COUNT_ROWS``. Under the possession shuffle ``codes``
+    holds only possessions without a table. Counts are accumulated as
+    exact integers before the moments are taken.
     """
     pidx = pattern_index(k)
     window_starts = codes.window_starts(k)
@@ -535,9 +539,10 @@ def _sampled_moments(
     for done in range(0, reps, BATCH_ROWS):
         n_rows = min(BATCH_ROWS, reps - done)
         rows = _draw_rows(codes, config.policy, rng, n_rows, memo)
-        counts = pidx.window_counts(rows, window_starts)
-        total += counts.sum(axis=0)
-        total_sq += (counts * counts).sum(axis=0)
+        for first in range(0, n_rows, COUNT_ROWS):
+            counts = pidx.window_counts(rows[first : first + COUNT_ROWS], window_starts)
+            total += counts.sum(axis=0)
+            total_sq += (counts * counts).sum(axis=0)
     return _moments(total, total_sq, reps)
 
 

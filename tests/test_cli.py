@@ -365,6 +365,16 @@ GOLDEN = {
         "5aa5e5f149a6bd633fd5acc8d215c5362669d49b9edfdf767d13ee658379cc69",
         "67e7fb92fb6db57347916cc5a53910e07c879398a58e7dcce03a4654ab7d3d78",
     ),
+    # recorded in version 0.10.0: 300 replicates span two batches of 256
+    # rows, so these pin the stream across a batch boundary
+    ("touch-shuffle-match", "300"): (
+        "6bcbc6c85c2887297ccb6076b8388fe813a31f881644608beabe367b8503d345",
+        "6f7f8d76376568bf8ba61e01e89f9e6d43ae6d41dabd9e52d089da7cfbeab7ff",
+    ),
+    ("touch-shuffle-possession", "300"): (
+        "ab1edb5f3f53079eaa499fe786050d5854e85b1992cf0c9fc34387031cd49203",
+        "74f91ef032b4477fc4b15798f969850288583d093a3308a40d54e1276c270dd5",
+    ),
     # re-recorded in version 0.6.0: the walk's moments are exact
     ("uniform-walk", "40"): (
         "80bf497015c77546014359555665077c7d4e83126d801b4b20c623eb886d6772",

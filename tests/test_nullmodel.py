@@ -209,12 +209,12 @@ def object_path_moments(codes, policy, seed, reps):
 
 def test_null_distribution_matches_object_path_recomputation():
     # The sampled moments must agree exactly with counting every replicate
-    # through the object path; 100 replicates span two batches. The match
-    # shuffle samples every possession. The possession shuffle samples only
-    # the possessions without a table, here ABCDEFGAB and BACDEFGHIB, and
-    # draws them as _draw_rows draws a layout of just those two; the tabled
-    # ACBA and CABCA add exact moments.
-    reps = 100
+    # through the object path; 300 replicates span two batches and five
+    # count slices. The match shuffle samples every possession. The
+    # possession shuffle samples only the possessions without a table,
+    # here ABCDEFGAB and BACDEFGHIB, and draws them as _draw_rows draws a
+    # layout of just those two; the tabled ACBA and CABCA add exact moments.
+    reps = 300
     possessions = synth_possessions(possessions=10)
     config = NullModelConfig(replicates=reps, policy="touch_shuffle_match", master_seed=17)
     null = null_distribution(possessions, 3, config)
@@ -349,11 +349,13 @@ def test_arrangement_tables_hold_every_valid_arrangement():
                 assert len(table) == _arrangements(signature, memo), signature
                 tabled += 1
     assert tabled > 100
-    # seven distinct players reach 2520 prefixes by the fifth touch; seven
-    # touches of one player among six others leave 720 arrangements, but
-    # their candidates reach 1080 by the ninth touch
+    # seven distinct players keep 2520 prefixes at the fifth touch; seven
+    # touches of one player among six others leave 720 arrangements, and
+    # the limit counts the kept prefixes, not the 1080 candidates of the
+    # ninth touch
     assert _arrangement_table((1,) * 7, TABLE_LIMIT) is None
-    assert _arrangement_table((1, 1, 1, 1, 1, 1, 7), TABLE_LIMIT) is None
+    table = _arrangement_table((1, 1, 1, 1, 1, 1, 7), TABLE_LIMIT)
+    assert len(table) == _arrangements((1, 1, 1, 1, 1, 1, 7), memo) == 720
 
 
 def test_possession_routes_follow_the_signature(monkeypatch):
@@ -484,8 +486,8 @@ def test_match_shuffle_draws_the_law_of_the_row_by_row_repair(layout, draws):
     oracle_rng, rng = np.random.default_rng(5), np.random.default_rng(6)
     oracle = oracle_match_rows(match.touches, adjacency, oracle_rng, draws, 100)
     batches = [
-        _draw_rows(match, "touch_shuffle_match", rng, BATCH_ROWS, {})
-        for _ in range(draws // BATCH_ROWS)
+        _draw_rows(match, "touch_shuffle_match", rng, min(BATCH_ROWS, draws - done), {})
+        for done in range(0, draws, BATCH_ROWS)
     ]
     a = Counter(map("".join, names[oracle].tolist()))
     b = Counter(map("".join, names[np.concatenate(batches)].tolist()))
