@@ -1,6 +1,6 @@
 """Flow-motif analysis of soccer pass networks.
 
-Pipeline: parse pass events, segment possessions, canonicalize and count
+Pipeline: parse pass events, segment possessions, classify and count
 k-pass motifs, score them against randomized null models, and cluster
 teams by their motif z-score fingerprints.
 """
@@ -31,7 +31,6 @@ from .events import (
 from .motifs import (
     MotifCountVector,
     MotifPattern,
-    canonicalize,
     count_motifs,
     enumerate_patterns,
     extract_motifs,
@@ -54,7 +53,7 @@ from .possessions import (
 from .seeding import derive_seed
 from .synth import TeamStyleParams, generate_league, generate_match
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "ClusterAssignment",
@@ -78,7 +77,6 @@ __all__ = [
     "TeamFingerprint",
     "TeamStyleParams",
     "ZScoreProfile",
-    "canonicalize",
     "count_motifs",
     "derive_seed",
     "enumerate_patterns",

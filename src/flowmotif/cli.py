@@ -18,7 +18,10 @@ import multiprocessing
 import os
 import sys
 import time
+from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +49,6 @@ from .motifs import DEFAULT_K, MotifCountVector, count_motifs, enumerate_pattern
 from .nullmodel import (
     DEFAULT_REPLICATES,
     POLICIES,
-    DegenerateInputError,
     NullDistribution,
     NullModelConfig,
     ZScoreProfile,
@@ -102,7 +104,7 @@ def _write_manifest(
     path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -112,6 +114,82 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 def _fnum(v: float) -> str:
     return repr(float(v))
+
+
+def _write_pattern_csv(
+    path: Path, keys: tuple[str, ...], values: tuple[str, ...], heads: list[tuple], columns: list
+) -> None:
+    """Write the long per-pattern CSV: one row per key and pattern, in alphabet order.
+
+    Its columns are ``keys``, ``k``, ``pattern`` and ``values``. ``heads``
+    holds each key's cells followed by its k. Each of ``columns`` holds a
+    value column's cells, key after key, and each key's in the order of
+    ``enumerate_patterns(k)``. The csv module writes a number as ``str``,
+    which is ``repr`` for a float.
+    """
+    alphabet = {k: enumerate_patterns(k) for k in {head[-1] for head in heads}}
+    alphabets = [alphabet[head[-1]] for head in heads]
+    sizes = [len(patterns) for patterns in alphabets]
+    repeated = [np.repeat(np.array(cells, dtype=object), sizes).tolist() for cells in zip(*heads)]
+    rows = zip(*repeated, chain.from_iterable(alphabets), *columns)
+    path.write_text(_csv_text([*keys, "k", "pattern", *values], rows))
+
+
+def _flat(arrays: list) -> list:
+    """Per-key arrays as one list of Python values, key after key."""
+    return np.concatenate(arrays).tolist() if arrays else []
+
+
+def _read_pattern_csv(
+    path: Path, digests: dict[str, str], keys: tuple[str, ...], values: dict
+) -> list[tuple[tuple[str, ...], int, list[list]]]:
+    """Read a long per-pattern CSV: (key, k, columns) per key, in order of appearance.
+
+    ``values`` maps each value column to the function that parses its cells.
+    Each column comes back as a list aligned with ``enumerate_patterns(k)``,
+    for the k of the key's first row. A missing column or field is an error,
+    and so is a pattern that a key misses, repeats, or has outside its alphabet.
+    """
+    text = _read_input(path, digests).decode("utf-8")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    at = {name: i for i, name in enumerate(header)}
+    missing = [c for c in (*keys, "k", "pattern", *values) if c not in at]
+    if missing:
+        raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
+    key_at, k_at, pattern_at = [at[c] for c in keys], at["k"], at["pattern"]
+    parsers = [(at[name], parse) for name, parse in values.items()]
+    alphabet: dict[int, list[str]] = {}
+    tables: dict[tuple[str, ...], tuple[int, list[str], list[list]]] = {}
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < len(header):
+            raise ValueError(f"{path}: line {reader.line_num} has too few fields")
+        key, k, pattern = tuple([row[i] for i in key_at]), int(row[k_at]), row[pattern_at]
+        if key not in tables:
+            if k not in alphabet:
+                alphabet[k] = enumerate_patterns(k)
+            patterns = alphabet[k]
+            tables[key] = k, patterns, [[None] * len(patterns) for _ in values]
+        k, patterns, columns = tables[key]
+        i = bisect_left(patterns, pattern)  # the alphabet is in lexicographic order
+        if i == len(patterns) or patterns[i] != pattern:
+            raise ValueError(f"{path}: {_key_text(keys, key)}: unknown pattern {pattern!r}")
+        if columns[0][i] is not None:
+            raise ValueError(f"{path}: {_key_text(keys, key)}: repeated pattern {pattern!r}")
+        for column, (j, parse) in zip(columns, parsers):
+            column[i] = parse(row[j])
+    for key, (_, patterns, columns) in tables.items():
+        missing = [p for p, cell in zip(patterns, columns[0]) if cell is None]
+        if missing:
+            raise ValueError(f"{path}: {_key_text(keys, key)}: missing pattern(s) {missing}")
+    return [(key, k, columns) for key, (k, _, columns) in tables.items()]
+
+
+def _key_text(keys: tuple[str, ...], key: tuple[str, ...]) -> str:
+    """A key's cells with their column names, for error messages."""
+    return ", ".join(f"{name} {cell!r}" for name, cell in zip(keys, key))
 
 
 def _collect_input_files(paths: list[str], fmt: str) -> list[Path]:
@@ -194,13 +272,14 @@ def cmd_motifs(args: argparse.Namespace) -> int:
     digests: dict[str, str] = {}
     logs, had_errors = _load_match_logs(args.inputs, args.format, digests)
     vectors = _parallel_map(_count_for_log, [(log, args.k, args.tmax) for log in logs])
-    patterns = enumerate_patterns(args.k)
-    rows = []
-    for vec in vectors:
-        for pattern, count in zip(patterns, vec.counts.tolist()):
-            rows.append([vec.match_id, vec.team_id, str(vec.k), pattern, str(count)])
     out = Path(args.out)
-    out.write_text(_csv_text(["match_id", "team_id", "k", "pattern", "count"], rows))
+    _write_pattern_csv(
+        out,
+        ("match_id", "team_id"),
+        ("count",),
+        [(vec.match_id, vec.team_id, vec.k) for vec in vectors],
+        [_flat([vec.counts for vec in vectors])],
+    )
     _write_manifest(
         out.with_name(out.name + ".manifest.json"),
         "motifs",
@@ -233,49 +312,22 @@ def cmd_zscores(args: argparse.Namespace) -> int:
     results = _parallel_map(
         _zscore_for_log, [(log, args.k, args.tmax, config) for log in logs]
     )
-    patterns = enumerate_patterns(args.k)
-    rows = []
-    for counts, null, profile, _ in results:
-        columns = zip(
-            patterns,
-            counts.counts.tolist(),
-            null.mean.tolist(),
-            null.std.tolist(),
-            profile.z.tolist(),
-            profile.degenerate.tolist(),
-        )
-        for pattern, count, mean, std, z, degenerate in columns:
-            rows.append(
-                [
-                    counts.match_id,
-                    counts.team_id,
-                    str(counts.k),
-                    pattern,
-                    str(count),
-                    _fnum(mean),
-                    _fnum(std),
-                    _fnum(z),
-                    "true" if degenerate else "false",
-                ]
-            )
-    possessions = sum(n for *_, n in results)
-    sampled = sum(null.sampled_possessions for _, null, _, _ in results)
+    vectors, nulls, profiles = ([r[i] for r in results] for i in range(3))
+    possessions = sum(r[3] for r in results)
+    sampled = sum(null.sampled_possessions for null in nulls)
     out = Path(args.out)
-    out.write_text(
-        _csv_text(
-            [
-                "match_id",
-                "team_id",
-                "k",
-                "pattern",
-                "count",
-                "null_mean",
-                "null_std",
-                "z",
-                "degenerate",
-            ],
-            rows,
-        )
+    _write_pattern_csv(
+        out,
+        ("match_id", "team_id"),
+        ("count", "null_mean", "null_std", "z", "degenerate"),
+        [(vec.match_id, vec.team_id, vec.k) for vec in vectors],
+        [
+            _flat([vec.counts for vec in vectors]),
+            _flat([null.mean for null in nulls]),
+            _flat([null.std for null in nulls]),
+            _flat([prof.z for prof in profiles]),
+            ["true" if d else "false" for d in _flat([prof.degenerate for prof in profiles])],
+        ],
     )
     _write_manifest(
         out.with_name(out.name + ".manifest.json"),
@@ -300,34 +352,14 @@ def cmd_zscores(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dict_reader(
-    path: Path, digests: dict[str, str], required: tuple[str, ...]
-) -> csv.DictReader:
-    text = _read_input(path, digests).decode("utf-8")
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    missing = [c for c in required if c not in (reader.fieldnames or [])]
-    if missing:
-        raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
-    return reader
-
-
 def _read_zscore_profiles(path: Path, digests: dict[str, str]) -> list[ZScoreProfile]:
-    profiles: dict[tuple[str, str], tuple[int, dict[str, tuple[float, bool]]]] = {}
-    columns = ("match_id", "team_id", "k", "pattern", "z", "degenerate")
-    for row in _dict_reader(path, digests, columns):
-        k, cells = profiles.setdefault((row["match_id"], row["team_id"]), (int(row["k"]), {}))
-        cells[row["pattern"]] = (float(row["z"]), row["degenerate"] == "true")
-    out = []
-    for (match_id, team_id), (k, cells) in profiles.items():
-        patterns = enumerate_patterns(k)
-        missing = [p for p in patterns if p not in cells]
-        if missing:
-            raise ValueError(
-                f"{path}: match {match_id!r} team {team_id!r} missing pattern(s) {missing}"
-            )
-        z, degenerate = zip(*(cells[p] for p in patterns))
-        out.append(ZScoreProfile(match_id, team_id, k, np.array(z), np.array(degenerate)))
-    return out
+    tables = _read_pattern_csv(
+        path, digests, ("match_id", "team_id"), {"z": float, "degenerate": lambda c: c == "true"}
+    )
+    return [
+        ZScoreProfile(match_id, team_id, k, np.array(z), np.array(degenerate))
+        for (match_id, team_id), k, (z, degenerate) in tables
+    ]
 
 
 def cmd_fingerprint(args: argparse.Namespace) -> int:
@@ -337,14 +369,17 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     by_team: dict[str, list[ZScoreProfile]] = {}
     for prof in profiles:
         by_team.setdefault(prof.team_id, []).append(prof)
-    rows = []
-    for team in sorted(by_team):
-        fp = team_fingerprint(by_team[team])
-        for pattern, value in zip(enumerate_patterns(fp.k), fp.features):
-            rows.append([team, str(fp.k), pattern, _fnum(value), str(fp.matches_used)])
+    fingerprints = [team_fingerprint(by_team[team]) for team in sorted(by_team)]
     out = Path(args.out)
-    out.write_text(
-        _csv_text(["team_id", "k", "pattern", "mean_z", "matches_used"], rows)
+    _write_pattern_csv(
+        out,
+        ("team_id",),
+        ("mean_z", "matches_used"),
+        [(fp.team_id, fp.k) for fp in fingerprints],
+        [
+            _flat([fp.features for fp in fingerprints]),
+            _flat([[fp.matches_used] * len(fp.features) for fp in fingerprints]),
+        ],
     )
     _write_manifest(
         out.with_name(out.name + ".manifest.json"), "fingerprint", {}, digests, started
@@ -353,29 +388,11 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
 
 
 def _read_fingerprints(path: Path, digests: dict[str, str]) -> list[TeamFingerprint]:
-    raw: dict[str, dict] = {}
-    columns = ("team_id", "k", "pattern", "mean_z", "matches_used")
-    for row in _dict_reader(path, digests, columns):
-        entry = raw.setdefault(
-            row["team_id"],
-            {"k": int(row["k"]), "features": {}, "matches_used": int(row["matches_used"])},
-        )
-        entry["features"][row["pattern"]] = float(row["mean_z"])
-    fingerprints = []
-    for team, entry in raw.items():
-        patterns = enumerate_patterns(entry["k"])
-        missing = [p for p in patterns if p not in entry["features"]]
-        if missing:
-            raise ValueError(f"fingerprint for {team!r} missing pattern(s) {missing}")
-        fingerprints.append(
-            TeamFingerprint(
-                team_id=team,
-                k=entry["k"],
-                features=tuple(entry["features"][p] for p in patterns),
-                matches_used=entry["matches_used"],
-            )
-        )
-    return fingerprints
+    tables = _read_pattern_csv(path, digests, ("team_id",), {"mean_z": float, "matches_used": int})
+    return [
+        TeamFingerprint(team_id=team, k=k, features=tuple(mean_z), matches_used=matches_used[0])
+        for (team,), k, (mean_z, matches_used) in tables
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +420,7 @@ def _write_pca(
         )
         for team in teams
     ]
-    out_dir.joinpath("pca_scatter.svg").write_text(
-        scatter_svg(points, title="teams by motif fingerprint (PCA)")
-    )
+    out_dir.joinpath("pca_scatter.svg").write_text(scatter_svg(points))
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -491,7 +506,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     raw = json.loads(_read_input(Path(args.teams), digests))
     if not isinstance(raw, list):
         raise ValueError("team spec file must be a JSON array of team parameter objects")
-    teams = [TeamStyleParams(**entry) for entry in raw]
+    teams = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValueError(f"team spec entry {i} is not an object: {entry!r}")
+        try:
+            teams.append(TeamStyleParams(**entry))
+        except TypeError as exc:
+            raise ValueError(f"team spec entry {i}: {exc}") from None
     logs = generate_league(teams, args.seed, t_max=args.tmax)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -598,14 +620,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        FormatError,
-        DegenerateInputError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-    ) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - internal failure path

@@ -5,52 +5,28 @@ order of first appearance (first distinct player A, second B, ...), so
 the pattern keeps the structure of the exchange and forgets who played.
 For k=3 the alphabet is ABAB, ABAC, ABCA, ABCB, ABCD.
 
-Counting lays a team-match's touches out as integer codes once and
-classifies all windows at once (``pattern_index``); the null model's
-``TouchCodes`` re-codes the same layout by first appearance and counts its
-randomized replicates through the same classifier. The string
-functions ``canonicalize`` and ``extract_motifs`` spell the definition out
-one window at a time.
+A team-match's touches are laid out as integer codes once, and one
+classifier (``pattern_index``) gives every window its pattern at once.
+``count_motifs`` counts them, ``extract_motifs`` lists them for one
+possession, and the null model's ``TouchCodes`` re-codes the same layout by
+first appearance and counts its randomized replicates the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .possessions import Possession, possession_runs, touch_sequence
+from .possessions import Possession, possession_runs
 
 DEFAULT_K = 3
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 MotifPattern = str
-
-
-def canonicalize(window: Sequence[str]) -> MotifPattern:
-    """Relabel a touch window by order of first appearance.
-
-    The output is independent of the actual player identifiers; any
-    injective renaming of the window yields the same pattern.
-    """
-    labels: dict[str, str] = {}
-    out: list[str] = []
-    prev: str | None = None
-    for who in window:
-        if who == prev:
-            raise ValueError(f"adjacent duplicate touch {who!r} in window")
-        prev = who
-        label = labels.get(who)
-        if label is None:
-            if len(labels) >= len(_LETTERS):
-                raise ValueError("more distinct players than available labels")
-            label = _LETTERS[len(labels)]
-            labels[who] = label
-        out.append(label)
-    return "".join(out)
 
 
 def enumerate_patterns(k: int) -> list[MotifPattern]:
@@ -88,8 +64,11 @@ def extract_motifs(possession: Possession, k: int = DEFAULT_K) -> list[MotifPatt
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    seq = touch_sequence(possession)
-    return [canonicalize(seq[i : i + k + 1]) for i in range(len(seq) - k)]
+    _, _, _, touches, first = _touch_layout([possession], "", "")
+    index = pattern_index(k)
+    window_starts = _window_starts(first, touches.size, k)
+    found = index.window_patterns(touches[None, :], window_starts)[0]
+    return [index.patterns[i] for i in found.tolist()]
 
 
 def _touch_layout(
@@ -142,15 +121,12 @@ class TouchCodes:
     ``players[c]`` is the player of code ``c``. ``touches`` holds every
     possession's touches back to back, ``lengths`` the touch count of each
     possession and ``starts`` the index of its first touch in ``touches``,
-    all int64 arrays. ``match_id``/``team_id`` are only used when
-    ``possessions`` is empty; otherwise they are taken from the
-    possessions, which must all agree.
+    all int64 arrays. ``match_id``/``team_id`` are the possessions' own,
+    which must all agree, and empty when there are none.
     """
 
-    def __init__(
-        self, possessions: Iterable[Possession], match_id: str = "", team_id: str = ""
-    ) -> None:
-        match_id, team_id, names, touches, first = _touch_layout(possessions, match_id, team_id)
+    def __init__(self, possessions: Iterable[Possession]) -> None:
+        match_id, team_id, names, touches, first = _touch_layout(possessions, "", "")
         # A stable sort puts each player's first touch ahead of their others;
         # ranking the players by that touch gives their codes.
         order = touches.argsort(kind="stable")
@@ -197,11 +173,15 @@ class _PatternIndex:
         right = touch_rows[:, window_starts[:, None] + self._right]
         return (left == right) @ self._bits
 
+    def window_patterns(self, touch_rows: np.ndarray, window_starts: np.ndarray) -> np.ndarray:
+        """Each window's index in ``patterns``, one row per row of touches."""
+        keys = self._keys(touch_rows, window_starts)
+        return self._order[np.searchsorted(self._sorted_keys, keys)]
+
     def window_counts(self, touch_rows: np.ndarray, window_starts: np.ndarray) -> np.ndarray:
         """Per-row count of every pattern over the windows, aligned with ``patterns``."""
         n_rows, n_patterns = touch_rows.shape[0], len(self.patterns)
-        keys = self._keys(touch_rows, window_starts)
-        idx = self._order[np.searchsorted(self._sorted_keys, keys)]
+        idx = self.window_patterns(touch_rows, window_starts)
         idx += np.arange(0, n_rows * n_patterns, n_patterns)[:, None]
         counts = np.bincount(idx.ravel(), minlength=n_rows * n_patterns)
         return counts.reshape(n_rows, n_patterns)

@@ -12,6 +12,9 @@ from xml.sax.saxutils import escape
 
 from .analytics import Dendrogram, DendrogramNode
 
+# Size of every plot, in pixels.
+WIDTH, HEIGHT = 720, 540
+
 PALETTE = (
     "#1f77b4",
     "#ff7f0e",
@@ -30,10 +33,10 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _svg_doc(width: int, height: int, body: list[str]) -> str:
+def _svg_doc(body: list[str]) -> str:
     head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="11">'
     )
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
@@ -46,17 +49,10 @@ def _axis_range(values: list[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def scatter_svg(
-    points: list[tuple[float, float, str, int]],
-    title: str = "",
-    x_label: str = "pc1",
-    y_label: str = "pc2",
-    width: int = 720,
-    height: int = 540,
-) -> str:
-    """Labeled scatter plot; the int in each point picks the palette color."""
+def scatter_svg(points: list[tuple[float, float, str, int]]) -> str:
+    """Labeled scatter plot of two PCA components; the int in each point picks the palette color."""
     margin = 50
-    plot_w, plot_h = width - 2 * margin, height - 2 * margin
+    plot_w, plot_h = WIDTH - 2 * margin, HEIGHT - 2 * margin
     xs = [p[0] for p in points] or [0.0]
     ys = [p[1] for p in points] or [0.0]
     x_lo, x_hi = _axis_range(xs)
@@ -70,29 +66,24 @@ def scatter_svg(
 
     body = [
         f'<rect x="{margin}" y="{margin}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#333"/>'
+        'fill="none" stroke="#333"/>',
+        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" font-size="14">'
+        "teams by motif fingerprint (PCA)</text>",
     ]
-    if title:
-        body.append(
-            f'<text x="{width // 2}" y="24" text-anchor="middle" font-size="14">'
-            f"{escape(title)}</text>"
-        )
     for i in range(5):
         fx = x_lo + (x_hi - x_lo) * i / 4
         fy = y_lo + (y_hi - y_lo) * i / 4
         body.append(
-            f'<text x="{_fmt(px(fx))}" y="{height - margin + 16}" text-anchor="middle">'
+            f'<text x="{_fmt(px(fx))}" y="{HEIGHT - margin + 16}" text-anchor="middle">'
             f"{fx:.3g}</text>"
         )
         body.append(
             f'<text x="{margin - 6}" y="{_fmt(py(fy) + 4)}" text-anchor="end">{fy:.3g}</text>'
         )
+    body.append(f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" text-anchor="middle">pc1</text>')
     body.append(
-        f'<text x="{width // 2}" y="{height - 10}" text-anchor="middle">{escape(x_label)}</text>'
-    )
-    body.append(
-        f'<text x="14" y="{height // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {height // 2})">{escape(y_label)}</text>'
+        f'<text x="14" y="{HEIGHT // 2}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {HEIGHT // 2})">pc2</text>'
     )
     for x, y, label, color in points:
         cx, cy = px(x), py(y)
@@ -101,15 +92,15 @@ def scatter_svg(
         body.append(
             f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}">{escape(label)}</text>'
         )
-    return _svg_doc(width, height, body)
+    return _svg_doc(body)
 
 
-def dendrogram_svg(dendrogram: Dendrogram, width: int = 720, height: int = 540) -> str:
+def dendrogram_svg(dendrogram: Dendrogram) -> str:
     """Bottom-up dendrogram; merge bar y-positions scale with merge height."""
     margin = 50
     label_space = 90
-    plot_w = width - 2 * margin
-    plot_h = height - 2 * margin - label_space
+    plot_w = WIDTH - 2 * margin
+    plot_h = HEIGHT - 2 * margin - label_space
     leaves = dendrogram.root.leaves()
     n = len(leaves)
     max_h = max(dendrogram.merge_heights) if dendrogram.merge_heights else 1.0
@@ -152,4 +143,4 @@ def dendrogram_svg(dendrogram: Dendrogram, width: int = 720, height: int = 540) 
         f'<text x="14" y="{margin + plot_h // 2}" text-anchor="middle" '
         f'transform="rotate(-90 14 {margin + plot_h // 2})">merge height (ESS increase)</text>'
     )
-    return _svg_doc(width, height, body)
+    return _svg_doc(body)

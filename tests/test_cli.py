@@ -243,6 +243,36 @@ def test_full_pipeline_to_cluster_and_pca(league_dir, tmp_path):
     clusters = {r["cluster"] for r in assignments}
     assert len(fills(cluster_dir / "pca_scatter.svg")) == len(clusters)
     assert len(fills(pca_dir / "pca_scatter.svg")) == 1
+    digests = {
+        (path.parent.name, path.name): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (*cluster_dir.iterdir(), *pca_dir.iterdir())
+        if path.name != "manifest.json"
+    }
+    assert digests == CLUSTER_GOLDEN
+
+
+# sha256 of the cluster and pca outputs of the pipeline above. They are
+# versioned like ``GOLDEN`` below.
+CLUSTER_GOLDEN = {
+    ("cluster", "clusters.csv"):
+        "5d280ec05b9c42446d69ac85517a4ffac405607756e96b97455bb24e868fcc8f",
+    ("cluster", "cluster_stats.json"):
+        "e7607fad665aad9cbe6fef9b3a0001cba385229ee69129d04929b620473ec7ba",
+    ("cluster", "dendrogram.json"):
+        "de2b1c71ba8fb31873118a8b929cdf4932e85ee1796f61e23b791904b6f071dd",
+    ("cluster", "dendrogram.svg"):
+        "9989faf6fcd43abf2c64e86837c6550672a73464e2a84d3c16eca90b760f1efe",
+    ("cluster", "pca.csv"):
+        "e5da6b35b15f3ece23a0597f5ef2abf17ea074104ed518f9c0f5542d2c878ab9",
+    ("cluster", "pca_scatter.svg"):
+        "c1ea695805af6d1368a8c67bac9c27da5ccbfef1bc43bed5577cfa47221ade47",
+    ("pca", "pca.csv"):
+        "e5da6b35b15f3ece23a0597f5ef2abf17ea074104ed518f9c0f5542d2c878ab9",
+    ("pca", "pca_explained.json"):
+        "46649cc35a440edb2866fa72a894c41dd70866ce639a8e90f553b40ebdc41546",
+    ("pca", "pca_scatter.svg"):
+        "9f3dbf8164577fc0aa1965b94fc080c84c665d9320eb8fb7809cfbc54876f27c",
+}
 
 
 def fills(svg_path):
@@ -292,6 +322,15 @@ def test_bad_team_spec_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries", [[{"bogus": 1}], [1], [{"squad_size": "x"}]])
+def test_bad_team_spec_entry_exits_2(tmp_path, capsys, entries):
+    spec = tmp_path / "teams.json"
+    spec.write_text(json.dumps(entries))
+    assert main(["synth", "--teams", str(spec), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: team spec entry 0") and "Traceback" not in err
+
+
 def test_cluster_rejects_malformed_fingerprint_csv(tmp_path, capsys):
     bad = tmp_path / "f.csv"
     bad.write_text("team_id,k,pattern\nclub,3,ABAB\n")
@@ -306,6 +345,18 @@ def test_cluster_rejects_malformed_fingerprint_csv(tmp_path, capsys):
     )
     assert main(["cluster", str(incomplete), "--out", str(tmp_path / "c2")]) == 2
     assert "missing pattern" in capsys.readouterr().err
+    short = tmp_path / "short.csv"
+    short.write_text("team_id,k,pattern,mean_z,matches_used\na,3,ABAB,1.0,2\na,3,ABAC\n")
+    assert main(["cluster", str(short), "--out", str(tmp_path / "c4")]) == 2
+    assert f"error: {short}: line 3 has too few fields" in capsys.readouterr().err
+    complete = "".join(f"a,3,{p},1.0,2\n" for p in ("ABAB", "ABAC", "ABCA", "ABCB", "ABCD"))
+    for extra, reason in (("a,3,ZZZZ,1.0,2\n", "unknown"), ("a,3,ABCA,0.0,2\n", "repeated")):
+        bad = tmp_path / f"{reason}.csv"
+        bad.write_text("team_id,k,pattern,mean_z,matches_used\n" + complete + extra)
+        assert main(["cluster", str(bad), "--out", str(tmp_path / "c3")]) == 2
+        err = capsys.readouterr().err
+        pattern = extra.split(",")[2]
+        assert f"error: {bad}: team_id 'a': {reason} pattern '{pattern}'" in err
 
 
 @pytest.mark.parametrize("command", ["motifs", "zscores"])
@@ -347,6 +398,18 @@ def test_fingerprint_rejects_zscores_missing_a_pattern(tmp_path, capsys):
     )
     assert main(["fingerprint", str(zs), "--out", str(tmp_path / "f.csv")]) == 2
     assert "missing pattern" in capsys.readouterr().err
+    complete = "".join(
+        f"m,a,3,{p},1,1.0,0.0,0.0,false\n" for p in ("ABAB", "ABAC", "ABCA", "ABCB", "ABCD")
+    )
+    for extra, reason in (
+        ("m,a,3,ZZZZ,1,1.0,0.0,0.0,false\n", "unknown"),
+        ("m,a,3,ABAC,1,1.0,0.0,5.0,false\n", "repeated"),
+    ):
+        zs.write_text(zs.read_text().splitlines(keepends=True)[0] + complete + extra)
+        assert main(["fingerprint", str(zs), "--out", str(tmp_path / "f.csv")]) == 2
+        err = capsys.readouterr().err
+        pattern = extra.split(",")[3]
+        assert f"error: {zs}: match_id 'm', team_id 'a': {reason} pattern '{pattern}'" in err
 
 
 # sha256 of zscores.csv and fingerprints.csv for the league of ``league_dir``

@@ -11,7 +11,6 @@ from flowmotif import (
     MotifCountVector,
     NullDistribution,
     NullModelConfig,
-    canonicalize,
     derive_seed,
     enumerate_patterns,
     extract_motifs,
@@ -32,7 +31,7 @@ from flowmotif.nullmodel import (
     _moments,
 )
 from flowmotif.synth import TeamStyleParams, generate_match
-from helpers import chain_possession, oracle_match_rows, possession_touches
+from helpers import chain_possession, oracle_canonical, oracle_match_rows, possession_touches
 
 POLICIES = ("touch_shuffle_match", "touch_shuffle_possession", "uniform_walk")
 
@@ -271,7 +270,7 @@ def enumerated_counts(touches, policy, players, k=3):
         outcomes = valid_arrangements(touches)
     patterns = enumerate_patterns(k)
     windows = [
-        Counter(canonicalize(o[i : i + k + 1]) for i in range(len(o) - k)) for o in outcomes
+        Counter(oracle_canonical(o[i : i + k + 1]) for i in range(len(o) - k)) for o in outcomes
     ]
     return np.array([[c[p] for p in patterns] for c in windows])
 
@@ -621,7 +620,7 @@ def test_exact_nulls_are_symmetric_under_reversal(policy, k):
     null = null_distribution(possessions, k, NullModelConfig(replicates=2, policy=policy))
     assert null.sampled_possessions == 0
     patterns = list(enumerate_patterns(k))
-    reverse = [patterns.index(canonicalize(p[::-1])) for p in patterns]
+    reverse = [patterns.index(oracle_canonical(p[::-1])) for p in patterns]
     assert null.mean == pytest.approx(null.mean[reverse], abs=1e-12)
     assert null.std == pytest.approx(null.std[reverse], abs=1e-12)
 
