@@ -11,13 +11,18 @@ possession) and two of a back-passing team (4.0 passes per possession,
 back-pass bias 0.5). The ``null_distribution`` cases score them at 1000
 replicates, and only the match shuffle draws every replicate. The walk
 draws none: its moments are exact. The possession shuffle takes exact
-moments for the possessions it can table and samples the rest, which the
-back-passing team's repeated players make more common. So the walk case
-times the exact moments alone, and the possession case mostly its
-rejection rounds. The ``randomize_possessions`` cases draw one replicate
-of each team-match, one seed per team-match; under the possession
-shuffle every possession takes rejection rounds, tabled or not.
+moments for every possession of at most ``EXACT_TOUCHES[3]`` touches,
+which here is all of them, and keeps them per signature for the process.
+So after the first round the walk and possession cases time the exact
+moments alone, looked up or computed. ``test_possession_moments_cold``
+times the counting DP behind the possession shuffle's moments from an
+empty cache, over every signature of the four team-matches. The
+``randomize_possessions`` cases draw one replicate of each team-match, one
+seed per team-match; under the possession shuffle every possession takes
+rejection rounds, however long.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -26,7 +31,9 @@ from flowmotif import (
     null_distribution,
     randomize_possessions,
     segment_possessions,
+    touch_sequence,
 )
+from flowmotif import nullmodel
 from flowmotif.nullmodel import POLICIES
 from flowmotif.synth import TeamStyleParams, generate_league
 
@@ -35,6 +42,14 @@ TEAMS = [
     TeamStyleParams(10, 25, 4.0, 0.5, matches=2, team_id="backpass"),
 ]
 TEAM_MATCHES = [segment_possessions(log) for log in generate_league(TEAMS, seed=1)]
+SIGNATURES = sorted(
+    {
+        tuple(sorted(Counter(touch_sequence(p)).values()))
+        for possessions in TEAM_MATCHES
+        for p in possessions
+        if len(p) >= 3
+    }
+)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -50,3 +65,13 @@ def test_randomize_possessions(benchmark, policy):
         lambda: [randomize_possessions(p, policy, seed) for seed, p in enumerate(TEAM_MATCHES)]
     )
     assert [len(d) for d in draws] == [len(p) for p in TEAM_MATCHES]
+
+
+def test_possession_moments_cold(benchmark):
+    def cold():
+        nullmodel._signature_moments.cache_clear()
+        nullmodel._shuffle_dp.cache_clear()
+        return [nullmodel._signature_moments(s, 3) for s in SIGNATURES]
+
+    moments = benchmark(cold)
+    assert len(moments) == len(SIGNATURES)

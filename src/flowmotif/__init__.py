@@ -53,7 +53,7 @@ from .possessions import (
 from .seeding import derive_seed
 from .synth import TeamStyleParams, generate_league, generate_match
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "ClusterAssignment",

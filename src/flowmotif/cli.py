@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -45,7 +44,7 @@ from .events import (
     parse_pass_events,
     serialize_pass_events,
 )
-from .motifs import DEFAULT_K, MotifCountVector, count_motifs, enumerate_patterns
+from .motifs import DEFAULT_K, MAX_K, MotifCountVector, count_motifs, enumerate_patterns
 from .nullmodel import (
     DEFAULT_REPLICATES,
     POLICIES,
@@ -146,9 +145,10 @@ def _read_pattern_csv(
     """Read a long per-pattern CSV: (key, k, columns) per key, in order of appearance.
 
     ``values`` maps each value column to the function that parses its cells.
-    Each column comes back as a list aligned with ``enumerate_patterns(k)``,
-    for the k of the key's first row. A missing column or field is an error,
-    and so is a pattern that a key misses, repeats, or has outside its alphabet.
+    Each column comes back as a list aligned with ``enumerate_patterns(k)``.
+    A missing column or field is an error, and so are a k outside
+    ``enumerate_patterns``' range, rows of one key that disagree on k, and a
+    pattern that a key misses, repeats, or has outside its alphabet.
     """
     text = _read_input(path, digests).decode("utf-8")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -169,10 +169,15 @@ def _read_pattern_csv(
         key, k, pattern = tuple([row[i] for i in key_at]), int(row[k_at]), row[pattern_at]
         if key not in tables:
             if k not in alphabet:
-                alphabet[k] = enumerate_patterns(k)
+                try:
+                    alphabet[k] = enumerate_patterns(k)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {_key_text(keys, key)}: {exc}") from None
             patterns = alphabet[k]
             tables[key] = k, patterns, [[None] * len(patterns) for _ in values]
-        k, patterns, columns = tables[key]
+        first_k, patterns, columns = tables[key]
+        if k != first_k:
+            raise ValueError(f"{path}: {_key_text(keys, key)}: k {k} after k {first_k}")
         i = bisect_left(patterns, pattern)  # the alphabet is in lexicographic order
         if i == len(patterns) or patterns[i] != pattern:
             raise ValueError(f"{path}: {_key_text(keys, key)}: unknown pattern {pattern!r}")
@@ -252,6 +257,8 @@ def _parallel_map(func, payloads: list) -> list:
     threads = min(_thread_count(), len(payloads))
     if threads <= 1 or len(payloads) <= 1:
         return [func(p) for p in payloads]
+    import multiprocessing  # here, so that single-threaded runs never load it
+
     with multiprocessing.Pool(threads) as pool:
         return pool.map(func, payloads, chunksize=1)
 
@@ -389,6 +396,9 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
 
 def _read_fingerprints(path: Path, digests: dict[str, str]) -> list[TeamFingerprint]:
     tables = _read_pattern_csv(path, digests, ("team_id",), {"mean_z": float, "matches_used": int})
+    for (team,), _, (_, matches_used) in tables:
+        if len(set(matches_used)) > 1:
+            raise ValueError(f"{path}: team_id {team!r}: matches_used differs between patterns")
     return [
         TeamFingerprint(team_id=team, k=k, features=tuple(mean_z), matches_used=matches_used[0])
         for (team,), k, (mean_z, matches_used) in tables
@@ -551,7 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     seg = argparse.ArgumentParser(add_help=False)
-    seg.add_argument("--k", type=int, default=DEFAULT_K, help="passes per motif")
+    seg.add_argument(
+        "--k", type=int, choices=range(2, MAX_K + 1), default=DEFAULT_K, help="passes per motif"
+    )
     seg.add_argument(
         "--tmax",
         type=float,

@@ -23,6 +23,9 @@ import numpy as np
 from .possessions import Possession, possession_runs
 
 DEFAULT_K = 3
+# Largest k: its alphabet has 4,140 patterns, and each k past it about five
+# times as many.
+MAX_K = 8
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -34,12 +37,11 @@ def enumerate_patterns(k: int) -> list[MotifPattern]:
 
     Valid means: starts with A, each letter is either already seen or the
     next unused one (restricted growth), and no two adjacent letters are
-    equal. The alphabet is computed, never hard-coded, so any k works.
+    equal. The alphabet is computed, never hard-coded, for any k from 1
+    to ``MAX_K``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k + 1 > len(_LETTERS):
-        raise ValueError(f"k={k} needs more than {len(_LETTERS)} labels")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be between 1 and {MAX_K}, got {k}")
     out: list[str] = []
 
     def extend(prefix: list[str], used: int) -> None:

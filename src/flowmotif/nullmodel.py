@@ -25,16 +25,15 @@ possession's walk moments follow from its window count and the joint
 pattern law of two windows at most k apart, counted once per (players,
 k) from the pattern alphabet. Under the possession shuffle, a
 possession's moments depend only on its signature, its sorted player
-counts: a signature whose table of valid arrangements grows within
-``TABLE_LIMIT`` kept prefixes has the exact moments of its table
-rows. The tables serve only these moments. Every possession the shuffle
-draws, those without a table in ``null_distribution`` and all of them in
-``randomize_possessions``, takes rejection rounds, which keep the uniform
-permutations with no adjacent repeat, and rows still waiting after
-``POSSESSION_ROUNDS`` rounds are drawn from exact counts of valid
-arrangements. A possession's observed arrangement is valid, so the
-sampler always terminates. The sample variance of the possessions
-without a table adds to the exact one.
+counts, and one counting DP over touch positions gives them exactly for
+every signature of at most ``EXACT_TOUCHES[k]`` touches, once per
+(signature, k). Every possession the shuffle draws, the longer ones in
+``null_distribution`` and all of them in ``randomize_possessions``, takes
+rejection rounds, which keep the uniform permutations with no adjacent
+repeat, and rows still waiting after ``POSSESSION_ROUNDS`` rounds are
+drawn from exact counts of valid arrangements. A possession's observed
+arrangement is valid, so the sampler always terminates. The sample
+variance of the sampled possessions adds to the exact one.
 
 Each team-match draws its sampled rows from one random stream, seeded
 from (master_seed, match_id, team_id), in batches of ``BATCH_ROWS``
@@ -74,9 +73,13 @@ COUNT_ROWS = 64
 # Rejection rounds of the possession shuffle before the stragglers are
 # drawn from completion counts.
 POSSESSION_ROUNDS = 64
-# Most prefixes one growth step of a possession's table of valid
-# arrangements may keep; possessions whose table outgrows it are sampled.
-TABLE_LIMIT = 1024
+# Most touches of a possession whose moments under the possession shuffle
+# are exact, by k (entry k). Over every signature within its limit, the
+# counting DP holds at most 2**20 state values, 8 MiB; one more touch
+# would pass that. Longer possessions are sampled.
+EXACT_TOUCHES = (0, 34, 26, 20, 14, 10, 8, 6, 5)
+# Touches left at which the DP's states are kept for every signature.
+SHARED_TOUCHES = 12
 
 # Bound for |z| when the null distribution has zero variance but the real
 # count still deviates from it; keeps downstream feature vectors finite.
@@ -203,57 +206,139 @@ def _match_rows(codes: TouchCodes, rng: np.random.Generator, n_rows: int) -> np.
     )
 
 
-def _arrangement_table(signature: tuple[int, ...], limit: int) -> np.ndarray | None:
-    """Every valid arrangement of touches with these sorted player counts, one per row.
+class _SignatureMoments:
+    """Exact moments of a possession's counts under the shuffle, by one counting DP.
 
-    Player ``i`` of a row holds ``signature[i]`` touches, and the rows are
-    in lexicographic order. The table is grown one touch at a time over
-    all valid prefixes at once, so the only objects it leaves are arrays.
-    A prefix is kept only if it can still be completed: with ``rest``
-    touches left after it, the player just placed holds at most half of
-    them and every other player at most half of ``rest + 1``. So no step
-    holds more prefixes than the table has rows. Returns None as soon as
-    one step keeps more than ``limit`` prefixes, and for more players than
-    int8 codes can name.
+    A state of the DP is a touch position: the last k touches relabelled by
+    first appearance, those players' remaining touches, and the sorted
+    remaining touches of every other player, who are interchangeable. Its
+    value sums, over the valid completions of the state, their count N and,
+    for every pattern, the sums S of the pattern's window counts and Q of
+    their squares (the second-order expectation semiring). A touch that
+    completes a window of pattern p maps a child's (N, S, Q) to
+    (N, S + N e_p, Q + (2 S_p + N) e_p). A state adds up its children in a
+    fixed order, so its value is a pure function of the state, whatever was
+    computed before it.
+
+    A state is reached only if it can be completed: with ``rest`` touches
+    left, the last holder holds at most half of them and every other player
+    at most half of ``rest + 1``. States with at most ``SHARED_TOUCHES``
+    touches left are kept for every signature of this k, the others while
+    one signature is computed. A state's key takes a byte per number, and
+    ``EXACT_TOUCHES`` keeps every count below 256.
     """
-    if len(signature) > np.iinfo(np.int8).max:
-        return None
-    players = np.arange(len(signature), dtype=np.int8)
-    table = np.empty((1, 0), dtype=np.int8)
-    left = np.array([signature])
-    last = np.full((1, 1), -1)
-    for rest in range(sum(signature) - 1, -1, -1):
-        prefix, player = np.nonzero((left > 0) & (players != last))
-        rows = np.arange(prefix.size)
-        left = left[prefix]
-        left[rows, player] -= 1
-        keep = (2 * left <= rest + 1).all(axis=1) & (2 * left[rows, player] <= rest)
-        if np.count_nonzero(keep) > limit:
+
+    def __init__(self, k: int) -> None:
+        patterns = pattern_index(k).patterns
+        self.k = k
+        self.n_patterns = len(patterns)
+        # every full window: its pattern, the next window and which of its
+        # labels that keeps, in their new order
+        self.steps = {}
+        for i, pattern in enumerate(patterns):
+            full = tuple(ord(c) - ord("A") for c in pattern)
+            kept = tuple(dict.fromkeys(full[1:]))
+            self.steps[full] = i, tuple(kept.index(t) for t in full[1:]), kept
+        self.shared = _StateValues(1 + 2 * self.n_patterns)
+
+    def moments(self, signature: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and population variance of every pattern's count over the valid arrangements."""
+        value = self._value((), (), signature, sum(signature), _StateValues(self.shared.width))
+        n = self.n_patterns
+        mean = value[1 : 1 + n] / value[0]
+        return mean, value[1 + n :] / value[0] - mean * mean
+
+    def _value(
+        self,
+        window: tuple[int, ...],
+        held: tuple[int, ...],
+        others: tuple[int, ...],
+        rest: int,
+        local: _StateValues,
+    ) -> np.ndarray:
+        """(N, S, Q) of a state with ``rest`` touches left, from its children."""
+        states = self.shared if rest <= SHARED_TOUCHES else local
+        key = bytes((len(window), *window, *held, *others))
+        known = states.get(key)
+        if known is not None:
+            return known
+        n = self.n_patterns
+        value = np.zeros(1 + 2 * n)
+        value[0] = not rest
+        last = window[-1] if window else -1
+        new = len(held)
+        moves = [(a, 1, c) for a, c in enumerate(held) if c and a != last]
+        moves += [(new, others.count(c), c) for c in sorted(set(others))]
+        if rest % 2:
+            # a player holding half of the touches left, rounded up, must hold the next
+            moves = [m for m in moves if 2 * m[2] == rest + 1] or moves
+        for a, weight, c in moves:
+            if a == new:
+                i = others.index(c)
+                after, left = held + (c - 1,), others[:i] + others[i + 1 :]
+            else:
+                after, left = held[:a] + (c - 1,) + held[a + 1 :], others
+            full = window + (a,)
+            pattern = None
+            if len(full) > self.k:
+                pattern, full, kept = self.steps[full]
+                if 0 not in kept and after[0]:
+                    left = tuple(sorted(left + after[:1]))
+                after = tuple([after[t] for t in kept])
+            child = self._value(full, after, left, rest - 1, local)
+            value += child if weight == 1 else weight * child
+            if pattern is not None:
+                count, total = weight * child[0], weight * child[1 + pattern]
+                value[1 + pattern] += count
+                value[1 + n + pattern] += 2 * total + count
+        return states.add(key, value)
+
+
+class _StateValues:
+    """Values of DP states by a bytes key each, as rows of float64 blocks.
+
+    Rows of blocks took less time and memory than one bytes value per key.
+    """
+
+    BLOCK_ROWS = 1024
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.rows: dict[bytes, int] = {}
+        self.blocks: list[np.ndarray] = []
+
+    def get(self, key: bytes) -> np.ndarray | None:
+        row = self.rows.get(key)
+        if row is None:
             return None
-        table = np.column_stack([table[prefix[keep]], players[player[keep]]])
-        left = left[keep]
-        last = table[:, -1:]
-    table.flags.writeable = False
-    return table
+        return self.blocks[row // self.BLOCK_ROWS][row % self.BLOCK_ROWS]
+
+    def add(self, key: bytes, value: np.ndarray) -> np.ndarray:
+        row = len(self.rows)
+        if row % self.BLOCK_ROWS == 0:
+            self.blocks.append(np.empty((self.BLOCK_ROWS, self.width)))
+        self.rows[key] = row
+        out = self.blocks[-1][row % self.BLOCK_ROWS]
+        out[:] = value
+        return out
 
 
 @cache
-def _table_moments(
-    signature: tuple[int, ...], k: int, limit: int
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _shuffle_dp(k: int) -> _SignatureMoments:
+    """The counting DP of k, whose shared states live as long as the process."""
+    return _SignatureMoments(k)
+
+
+@cache
+def _signature_moments(signature: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-pattern mean and variance of a possession's counts under the shuffle.
 
-    The possession shuffle draws every row of the signature's table of
-    valid arrangements equally often, so these are the mean and population
-    variance of the window counts over its rows. None when
-    ``_arrangement_table`` gives no table. Only the moments are kept, not
-    the tables, and a signature that outgrew ``limit`` is not grown again.
+    The possession shuffle draws every valid arrangement of the touches
+    equally often, so these are the mean and population variance of the
+    window counts over them. Only the moments are kept, not the DP's states
+    of more than ``SHARED_TOUCHES`` touches left.
     """
-    table = _arrangement_table(signature, limit)
-    if table is None:
-        return None
-    counts = pattern_index(k).window_counts(table, np.arange(sum(signature) - k))
-    moments = counts.mean(axis=0), counts.var(axis=0)
+    moments = _shuffle_dp(k).moments(signature)
     for m in moments:
         m.flags.writeable = False
     return moments
@@ -301,7 +386,7 @@ def _possession_rows(
     """Rows whose possessions are independent uniform valid arrangements.
 
     Every possession, in order, takes ``_rejection_rows`` with the counts
-    memo ``memo``; arrangement tables serve only the exact moments of
+    memo ``memo``; the counting DP serves only the exact moments of
     ``null_distribution``. The possessions are cut out by slicing:
     ``np.split`` took about 40 µs for 25 possessions against 7 µs (2-core
     Xeon VM), and made the possession shuffle 3% slower.
@@ -486,9 +571,8 @@ def _draw_rows(
     """``n_rows`` independent replicates of the touches, one per row.
 
     ``memo`` holds the arrangement counts of the possession shuffle, which
-    draws every possession by rejection rounds, then counts, and no
-    possession from an arrangement table; the caller keeps it across the
-    batches of one team-match.
+    draws every possession by rejection rounds, then counts; the caller
+    keeps it across the batches of one team-match.
     """
     if codes.touches.size == 0:
         return np.empty((n_rows, 0), dtype=codes.touches.dtype)
@@ -526,7 +610,7 @@ def _sampled_moments(
     The rows come from one random stream seeded from (master seed, match
     id, team id), in batches of ``BATCH_ROWS``, and each batch is counted
     in slices of ``COUNT_ROWS``. Under the possession shuffle ``codes``
-    holds only possessions without a table. Counts are accumulated as
+    holds only the possessions of more than ``EXACT_TOUCHES[k]`` touches. Counts are accumulated as
     exact integers before the moments are taken.
     """
     pidx = pattern_index(k)
@@ -580,10 +664,11 @@ def null_distribution(
 ) -> NullDistribution:
     """Per-pattern moments of the team-match's motif counts under ``config.policy``.
 
-    The walk's moments are exact, and so are those of every possession
-    the possession shuffle can table; a possession with fewer than k + 1
-    touches has no window and adds nothing. The other possessions, all of
-    them under the match shuffle, are sampled by ``_sampled_moments``. The
+    The walk's moments are exact, and so are those of every possession of
+    at most ``EXACT_TOUCHES[k]`` touches under the possession shuffle; a
+    possession with fewer than k + 1 touches has no window and adds
+    nothing. The other possessions, all of them under the match shuffle,
+    are sampled by ``_sampled_moments``. The
     possessions of a team-match are independent under the possession
     shuffle, so the moments of the two parts add.
     """
@@ -600,11 +685,11 @@ def null_distribution(
         for i, (start, length) in enumerate(zip(codes.starts.tolist(), codes.lengths.tolist())):
             if length <= k:
                 continue
-            counts = Counter(codes.touches[start : start + length].tolist())
-            moments = _table_moments(tuple(sorted(counts.values())), k, TABLE_LIMIT)
-            if moments is None:
+            if length > EXACT_TOUCHES[k]:
                 picks.append(i)
             else:
+                counts = Counter(codes.touches[start : start + length].tolist())
+                moments = _signature_moments(tuple(sorted(counts.values())), k)
                 mean += moments[0]
                 var += moments[1]
         codes = TouchCodes(runs[np.array(picks, dtype=np.int64)])

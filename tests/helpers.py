@@ -140,6 +140,41 @@ def oracle_match_rows(touches, adjacency, rng, n_rows, max_attempts):
     return out
 
 
+def arrangement_table(signature: tuple[int, ...]) -> np.ndarray:
+    """Every valid arrangement of touches with these sorted player counts, up to
+    swapping players of equal count, one per row in lexicographic order.
+
+    Player ``i`` of a row holds ``signature[i]`` touches, and of two players
+    with equal counts the lower code appears first. So each row stands for
+    the same number of arrangements, prod(m!) over the m players of each
+    count, and they all have the same windows. The table is grown one touch
+    at a time over all valid prefixes at once. A prefix is kept only if it
+    can still be completed: with ``rest`` touches left after it, the player
+    just placed holds at most half of them and every other player at most
+    half of ``rest + 1``.
+    """
+    size = len(signature)
+    players = np.arange(size)
+    full = np.array(signature)
+    # players whose lower neighbour has the same count, and may appear only after it
+    follows = np.r_[False, full[1:] == full[:-1]]
+    table = np.empty((1, 0), dtype=np.int64)
+    left = full[None, :]
+    last = np.full((1, 1), -1)
+    for rest in range(sum(signature) - 1, -1, -1):
+        seen = left < full
+        ready = seen | ~follows | np.c_[np.zeros((len(left), 1), bool), seen[:, :-1]]
+        prefix, player = np.nonzero((left > 0) & (players != last) & ready)
+        rows = np.arange(prefix.size)
+        left = left[prefix]
+        left[rows, player] -= 1
+        keep = (2 * left <= rest + 1).all(axis=1) & (2 * left[rows, player] <= rest)
+        table = np.column_stack([table[prefix[keep]], player[keep]])
+        left = left[keep]
+        last = table[:, -1:]
+    return table
+
+
 def _oracle_event(fields: dict, line: int):
     """One record's dict of fields as a PassEvent, or the diagnostic that rejects it."""
     for name in CSV_HEADER:

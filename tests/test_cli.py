@@ -275,6 +275,15 @@ CLUSTER_GOLDEN = {
 }
 
 
+def test_svg_escape_matches_the_standard_library():
+    from xml.sax.saxutils import escape
+
+    from flowmotif.svg import _escape
+
+    for text in ["club", "A&B <C> D&amp;", "<<&&>>", ""]:
+        assert _escape(text) == escape(text)
+
+
 def fills(svg_path):
     return set(re.findall(r'<circle [^>]*fill="([^"]+)"', svg_path.read_text()))
 
@@ -357,6 +366,15 @@ def test_cluster_rejects_malformed_fingerprint_csv(tmp_path, capsys):
         err = capsys.readouterr().err
         pattern = extra.split(",")[2]
         assert f"error: {bad}: team_id 'a': {reason} pattern '{pattern}'" in err
+    # every row of a key must agree on k and on matches_used
+    for name, rows, reason in (
+        ("k", complete.replace("a,3,ABCB", "a,4,ABCB"), "k 4 after k 3"),
+        ("used", complete.replace("ABCB,1.0,2", "ABCB,1.0,7"), "matches_used differs"),
+    ):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("team_id,k,pattern,mean_z,matches_used\n" + rows)
+        assert main(["cluster", str(bad), "--out", str(tmp_path / "c5")]) == 2
+        assert f"error: {bad}: team_id 'a': {reason}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["motifs", "zscores"])
@@ -410,6 +428,31 @@ def test_fingerprint_rejects_zscores_missing_a_pattern(tmp_path, capsys):
         err = capsys.readouterr().err
         pattern = extra.split(",")[3]
         assert f"error: {zs}: match_id 'm', team_id 'a': {reason} pattern '{pattern}'" in err
+    zs.write_text(zs.read_text().splitlines(keepends=True)[0] + complete.replace("3,ABCD", "5,ABCD"))
+    assert main(["fingerprint", str(zs), "--out", str(tmp_path / "f.csv")]) == 2
+    assert f"error: {zs}: match_id 'm', team_id 'a': k 5 after k 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["motifs", "zscores"])
+@pytest.mark.parametrize("k", ["1", "9", "15"])
+def test_k_past_the_alphabet_cap_exits_2(tmp_path, capsys, command, k):
+    # The alphabet has Bell(k) patterns, 4,140 at k = 8 and about five times
+    # as many per step past it, so larger k are refused before any work.
+    src = tmp_path / "events.csv"
+    src.write_text(WORKED_EXAMPLE_CSV)
+    with pytest.raises(SystemExit) as exit:
+        main([command, str(src), "--k", k, "--out", str(tmp_path / "o.csv")])
+    assert exit.value.code == 2
+    assert "error: argument --k: invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_pattern_csv_with_k_past_the_cap_exits_2(tmp_path, capsys):
+    fps = tmp_path / "f.csv"
+    fps.write_text("team_id,k,pattern,mean_z,matches_used\na,15,ABAB,1.0,2\n")
+    assert main(["pca", str(fps), "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {fps}: team_id 'a': k must be between 1 and 8, got 15" in err
 
 
 # sha256 of zscores.csv and fingerprints.csv for the league of ``league_dir``
@@ -422,11 +465,13 @@ GOLDEN = {
         "cb8f61838e6925cf606267cee9fe607c8c81056d3a959e9fe1476b9c10a37102",
         "e828ffbabf0b1944fdf4d7f5da67934dd0f9e9d2c40bfaa4aee4ac626fce8425",
     ),
-    # re-recorded in version 0.6.0: the possession shuffle takes exact
-    # moments for its tabled possessions and samples only the rest
+    # re-recorded in version 0.12.0: the possession shuffle takes exact
+    # moments for every possession of at most EXACT_TOUCHES[k] touches, which
+    # in this league is all of them, so 40 and 300 replicates give the same
+    # bytes
     ("touch-shuffle-possession", "40"): (
-        "5aa5e5f149a6bd633fd5acc8d215c5362669d49b9edfdf767d13ee658379cc69",
-        "67e7fb92fb6db57347916cc5a53910e07c879398a58e7dcce03a4654ab7d3d78",
+        "777619fa0f15c2190a7edd29623a53fdd469cdc05a15e2205048a1f190d41d32",
+        "d3a1aea9864c4a6738cc512797f45fd5b691398b706b45769c6570aad6af7619",
     ),
     # recorded in version 0.10.0: 300 replicates span two batches of 256
     # rows, so these pin the stream across a batch boundary
@@ -435,8 +480,8 @@ GOLDEN = {
         "6f7f8d76376568bf8ba61e01e89f9e6d43ae6d41dabd9e52d089da7cfbeab7ff",
     ),
     ("touch-shuffle-possession", "300"): (
-        "ab1edb5f3f53079eaa499fe786050d5854e85b1992cf0c9fc34387031cd49203",
-        "74f91ef032b4477fc4b15798f969850288583d093a3308a40d54e1276c270dd5",
+        "777619fa0f15c2190a7edd29623a53fdd469cdc05a15e2205048a1f190d41d32",
+        "d3a1aea9864c4a6738cc512797f45fd5b691398b706b45769c6570aad6af7619",
     ),
     # re-recorded in version 0.6.0: the walk's moments are exact
     ("uniform-walk", "40"): (

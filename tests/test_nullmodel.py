@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -24,14 +25,19 @@ from flowmotif import nullmodel
 from flowmotif.motifs import TouchCodes, pattern_index
 from flowmotif.nullmodel import (
     BATCH_ROWS,
-    TABLE_LIMIT,
-    _arrangement_table,
+    EXACT_TOUCHES,
     _arrangements,
     _draw_rows,
     _moments,
 )
 from flowmotif.synth import TeamStyleParams, generate_match
-from helpers import chain_possession, oracle_canonical, oracle_match_rows, possession_touches
+from helpers import (
+    arrangement_table,
+    chain_possession,
+    oracle_canonical,
+    oracle_match_rows,
+    possession_touches,
+)
 
 POLICIES = ("touch_shuffle_match", "touch_shuffle_possession", "uniform_walk")
 
@@ -210,9 +216,10 @@ def test_null_distribution_matches_object_path_recomputation():
     # The sampled moments must agree exactly with counting every replicate
     # through the object path; 300 replicates span two batches and five
     # count slices. The match shuffle samples every possession. The
-    # possession shuffle samples only the possessions without a table,
-    # here ABCDEFGAB and BACDEFGHIB, and draws them as _draw_rows draws a
-    # layout of just those two; the tabled ACBA and CABCA add exact moments.
+    # possession shuffle samples only the possessions of more than
+    # EXACT_TOUCHES[3] touches, here of 21 and 22, and draws them as
+    # _draw_rows draws a layout of just those two; ACBA and CABCA add exact
+    # moments.
     reps = 300
     possessions = synth_possessions(possessions=10)
     config = NullModelConfig(replicates=reps, policy="touch_shuffle_match", master_seed=17)
@@ -222,15 +229,14 @@ def test_null_distribution_matches_object_path_recomputation():
     assert null.mean == pytest.approx(mean, abs=1e-12)
     assert null.std == pytest.approx(np.sqrt(var), abs=1e-12)
 
-    tabled, untabled = ["ACBA", "CABCA"], ["ABCDEFGAB", "BACDEFGHIB"]
-    for touches in untabled:
-        assert _arrangement_table(signature_of(touches), TABLE_LIMIT) is None
-    possessions = [chain_possession(list(t)) for t in tabled[:1] + untabled + tabled[1:]]
+    exact, long = ["ACBA", "CABCA"], ["ABCDEFGHIJABCDEFGHIJA", "BACDEFGHIBKLMNOPQRSTUB"]
+    assert min(map(len, long)) > EXACT_TOUCHES[3]
+    possessions = [chain_possession(list(t)) for t in exact[:1] + long + exact[1:]]
     config = NullModelConfig(replicates=reps, policy="touch_shuffle_possession", master_seed=17)
     null = null_distribution(possessions, 3, config)
-    rest = TouchCodes([chain_possession(list(t)) for t in untabled])
+    rest = TouchCodes([chain_possession(list(t)) for t in long])
     mean, var = object_path_moments(rest, config.policy, 17, reps)
-    exact_mean, exact_var = enumerated_moments(tabled, "touch_shuffle_possession")
+    exact_mean, exact_var = enumerated_moments(exact, "touch_shuffle_possession")
     assert null.sampled_possessions == 2
     assert null.mean == pytest.approx(mean + exact_mean, abs=1e-12)
     assert null.std == pytest.approx(np.sqrt(var + exact_var), abs=1e-12)
@@ -312,17 +318,27 @@ def test_counts_route_keeps_the_arrangements_after_each_holder(monkeypatch):
     assert memo[(1, 10), 19] + memo[(1, 10), 18] == memo[1, 10, 19]
 
 
+def canonical_by_count(arrangement, counts):
+    """True when, of the letters with equal counts, the earlier letter appears first."""
+    order = list(dict.fromkeys(arrangement))
+    return all(
+        order.index(a) < order.index(b)
+        for a, b in zip(sorted(counts), sorted(counts)[1:])
+        if counts[a] == counts[b]
+    )
+
+
 @pytest.mark.parametrize(
     "touches", ["AB", "ACBA", "ABCBDAC", "ABABABABAB", "AAABBBCCD", "AAAAB", "ABCABCABC"]
 )
 def test_arrangement_tables_match_enumeration(touches):
-    # Player i of a table holds the i-th smallest count; ties follow the letters.
+    # Player i of the oracle's table holds the i-th smallest count; ties
+    # follow the letters, and a row stands for all swaps of equal counts.
     counts = Counter(touches)
-    holders = sorted(counts, key=counts.get)
-    table = _arrangement_table(tuple(sorted(counts.values())), TABLE_LIMIT)
+    holders = sorted(counts, key=lambda c: (counts[c], c))
+    table = arrangement_table(tuple(sorted(counts.values())))
     rows = sorted("".join(holders[i] for i in row) for row in table.tolist())
-    assert rows == valid_arrangements(touches)
-    assert table.dtype == np.int8 and not table.flags.writeable
+    assert rows == [a for a in valid_arrangements(touches) if canonical_by_count(a, counts)]
 
 
 def signatures(touches, players):
@@ -336,34 +352,90 @@ def signatures(touches, players):
                     yield (first,) + rest
 
 
+def swaps(signature):
+    """Arrangements that one row of ``arrangement_table`` stands for."""
+    return prod(factorial(m) for m in Counter(signature).values())
+
+
 def test_arrangement_tables_hold_every_valid_arrangement():
-    # Growth keeps only prefixes that can be completed, so a table has one
-    # row per valid arrangement; signatures with none give empty tables.
+    # Growth keeps only prefixes that can be completed, so the oracle's rows
+    # stand for every valid arrangement; signatures with none give empty tables.
     memo = {}
-    tabled = 0
     for length in range(1, 12):
         for signature in signatures(length, 5):
-            table = _arrangement_table(signature, TABLE_LIMIT)
-            if table is not None:
-                assert len(table) == _arrangements(signature, memo), signature
-                tabled += 1
-    assert tabled > 100
-    # seven distinct players keep 2520 prefixes at the fifth touch; seven
-    # touches of one player among six others leave 720 arrangements, and
-    # the limit counts the kept prefixes, not the 1080 candidates of the
-    # ninth touch
-    assert _arrangement_table((1,) * 7, TABLE_LIMIT) is None
-    table = _arrangement_table((1, 1, 1, 1, 1, 1, 7), TABLE_LIMIT)
-    assert len(table) == _arrangements((1, 1, 1, 1, 1, 1, 7), memo) == 720
+            rows = len(arrangement_table(signature))
+            assert rows * swaps(signature) == _arrangements(signature, memo), signature
+    # seven touches of one player among six others leave 720 arrangements
+    assert len(arrangement_table((1, 1, 1, 1, 1, 1, 7))) == 1
+    assert _arrangements((1, 1, 1, 1, 1, 1, 7), memo) == 720
+
+
+def table_moments(signature, k):
+    """Mean, variance and fourth central moment of the counts over the oracle's table."""
+    table = arrangement_table(signature)
+    counts = pattern_index(k).window_counts(table, np.arange(sum(signature) - k))
+    deviation = counts - counts.mean(axis=0)
+    return counts.mean(axis=0), counts.var(axis=0), (deviation**4).mean(axis=0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_signature_moments_match_enumeration(k):
+    # Every signature of up to 10 touches with a valid arrangement and a
+    # window, against the moments over every valid arrangement.
+    nullmodel._signature_moments.cache_clear()
+    checked = 0
+    for length in range(k + 1, 11):
+        for signature in signatures(length, length):
+            if 2 * signature[-1] > length + 1:
+                continue  # no valid arrangement
+            mean, var = nullmodel._signature_moments(signature, k)
+            exact_mean, exact_var, _ = table_moments(signature, k)
+            assert mean == pytest.approx(exact_mean, abs=1e-12), signature
+            assert var == pytest.approx(exact_var, abs=1e-12), signature
+            checked += 1
+    assert checked > 60
+
+
+def test_signature_moments_do_not_depend_on_what_came_before():
+    # A state's value is a pure function of the state, summed in a fixed
+    # order, so a signature's moments are the same bits whether the DP meets
+    # it first or after others have filled the shared states.
+    signature = (1, 1, 2, 2, 3, 4, 6)
+    nullmodel._signature_moments.cache_clear()
+    nullmodel._shuffle_dp.cache_clear()
+    first = nullmodel._signature_moments(signature, 3)
+    nullmodel._signature_moments.cache_clear()
+    nullmodel._shuffle_dp.cache_clear()
+    for other in [(1, 2, 3), (2, 2, 2, 2, 3), (1, 1, 1, 2, 3, 4, 6), (1, 1, 2, 2, 3, 3, 6)]:
+        nullmodel._signature_moments(other, 3)
+    after = nullmodel._signature_moments(signature, 3)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, after))
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_exact_touches_bound_the_states_of_every_signature(k, monkeypatch):
+    # Over every signature of at most EXACT_TOUCHES[k] touches the DP holds
+    # at most 2**20 state values; one more touch would pass that. All states
+    # are shared here, so the shared ones are all the DP ever holds.
+    monkeypatch.setattr(nullmodel, "SHARED_TOUCHES", 10**6)
+    dp = nullmodel._SignatureMoments(k)
+    width = 1 + 2 * len(enumerate_patterns(k))
+    for length in range(1, EXACT_TOUCHES[k] + 2):
+        for signature in signatures(length, length):
+            if 2 * signature[-1] <= length + 1:
+                dp.moments(signature)
+        if length == EXACT_TOUCHES[k]:
+            assert len(dp.shared.rows) * width <= 2**20
+    assert len(dp.shared.rows) * width > 2**20
 
 
 def test_possession_routes_follow_the_signature(monkeypatch):
-    # Every possession the shuffle draws takes rejection rounds, with a
-    # table or without: CA, ACBA and ABCABCABC (174 of 1680 permutations
-    # valid) have one, and so does a two-player chain of any length, while
-    # seven distinct players outgrow TABLE_LIMIT. null_distribution takes
-    # exact moments for the tabled ones and, as CA has no 3-pass window,
-    # samples only ABCDEFG, through the same _possession_rows.
+    # Every possession the shuffle draws takes rejection rounds, however
+    # long: CA, ACBA and ABCABCABC (174 of 1680 permutations valid), the
+    # 21-touch one and a two-player chain of 801 touches. null_distribution
+    # takes exact moments for those of at most EXACT_TOUCHES[k] touches and,
+    # as CA has no 3-pass window, samples only the 21-touch one, through
+    # the same _possession_rows.
     rejected = []
 
     def rejection_rows(touches, rng, n_rows, memo):
@@ -372,57 +444,56 @@ def test_possession_routes_follow_the_signature(monkeypatch):
 
     real_rejection_rows = nullmodel._rejection_rows
     monkeypatch.setattr(nullmodel, "_rejection_rows", rejection_rows)
-    possessions = [chain_possession(list(t)) for t in ("CA", "ACBA", "ABCABCABC", "ABCDEFG")]
+    layout = ("CA", "ACBA", "ABCABCABC", "ABCDEFGHIJABCDEFGHIJA")
+    possessions = [chain_possession(list(t)) for t in layout]
     rng = np.random.default_rng(0)
     _draw_rows(TouchCodes(possessions), "touch_shuffle_possession", rng, 8, {})
-    assert rejected == [2, 4, 9, 7]
+    assert rejected == [2, 4, 9, 21]
     long_pair = TouchCodes([chain_possession(["A", "B"] * 400 + ["A"])])
     _draw_rows(long_pair, "touch_shuffle_possession", rng, 8, {})
-    assert rejected == [2, 4, 9, 7, 801]
+    assert rejected == [2, 4, 9, 21, 801]
     rejected.clear()
     config = NullModelConfig(replicates=8, policy="touch_shuffle_possession")
     assert null_distribution(possessions, 3, config).sampled_possessions == 1
-    assert rejected == [7]
+    assert rejected == [21]
 
-    monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 0)
+    monkeypatch.setattr(nullmodel, "EXACT_TOUCHES", (0,) * len(EXACT_TOUCHES))
     assert null_distribution(possessions, 3, config).sampled_possessions == 3
-    assert rejected == [7, 4, 9, 7]
+    assert rejected == [21, 4, 9, 21]
 
 
-def test_possession_shuffle_builds_each_table_once_per_call(monkeypatch):
+def test_possession_shuffle_computes_each_signature_once(monkeypatch):
     # ACBA, ABCA and BACB share one signature, CABCA and CBCAB another, and
-    # the two seven-player chains a third with no table. randomize_possessions
-    # draws by rejection rounds and builds no table. null_distribution grows
-    # each signature's table for its moments once per (k, limit), and an
-    # outgrown signature is remembered like the others and not grown again.
-    built = []
+    # the two seven-player chains a third, while 30 touches are past
+    # EXACT_TOUCHES[k] for k = 2 and 3. randomize_possessions draws by
+    # rejection rounds and computes no moments. null_distribution computes
+    # each signature's moments once per k, and never those of a possession
+    # past the limit.
+    computed = []
 
-    def arrangement_table(signature, limit):
-        built.append(signature)
-        return real_arrangement_table(signature, limit)
+    def moments(dp, signature):
+        computed.append(signature)
+        return real_moments(dp, signature)
 
-    real_arrangement_table = nullmodel._arrangement_table
-    monkeypatch.setattr(nullmodel, "_arrangement_table", arrangement_table)
-    nullmodel._table_moments.cache_clear()
-    layout = ("ACBA", "CABCA", "ABCA", "ABCDEFG", "BACB", "CBCAB", "GFEDCBA")
+    real_moments = nullmodel._SignatureMoments.moments
+    monkeypatch.setattr(nullmodel._SignatureMoments, "moments", moments)
+    nullmodel._signature_moments.cache_clear()
+    layout = ("ACBA", "CABCA", "ABCA", "ABCDEFG", "BACB", "CBCAB", "GFEDCBA", "ABCDEFGHIJ" * 3)
     possessions = [chain_possession(list(t)) for t in layout]
     for seed in (6, 7):
         randomize_possessions(possessions, "touch_shuffle_possession", seed)
-    assert built == []
+    assert computed == []
     config = NullModelConfig(replicates=8, policy="touch_shuffle_possession")
     signatures = [(1, 1, 2), (1, 2, 2), (1,) * 7]
     for k in (3, 3, 2, 2):
         null_distribution(possessions, k, config)
-    assert built == signatures * 2
-    monkeypatch.setattr(nullmodel, "TABLE_LIMIT", 2 * TABLE_LIMIT)
-    null_distribution(possessions, 3, config)
-    assert built == signatures * 3
+    assert computed == signatures * 2
 
 
 @pytest.mark.parametrize("players,repeated", [(200, 0), (130, 1)])
 def test_possession_shuffle_takes_more_players_than_int8_codes(players, repeated):
-    # Rows keep the possession's own codes. The moments of null_distribution
-    # ask for a table, whose int8 player codes would wrap past 127 players.
+    # Rows keep the possession's own codes, and a possession this long is
+    # sampled, so no count passes the DP's one-byte state keys.
     names = [f"p{i}" for i in range(players)]
     touches = names + names[1 : 1 + repeated]
     possessions = [chain_possession(touches), chain_possession(["x", "y", "x"])]
@@ -589,20 +660,21 @@ def test_possession_shuffle_moments_match_enumeration(layout):
     assert null.std**2 == pytest.approx(var, abs=1e-12)
 
 
-def test_possession_shuffle_samples_only_the_untabled_possessions():
-    # ABCDEFGA (seven players, A twice) outgrows TABLE_LIMIT, so its
-    # moments are sampled while ACBA's are exact. The sampled mean and
-    # variance must lie within 5 standard errors of the enumerated ones.
-    layout = ["ACBA", "ABCDEFGA"]
-    assert _arrangement_table(signature_of(layout[1]), TABLE_LIMIT) is None
+def test_possession_shuffle_samples_only_the_long_possessions():
+    # The 21-touch possession, A ten times and F six, is past EXACT_TOUCHES[3],
+    # so its moments are sampled while ACBA's are exact. The sampled mean and
+    # variance must lie within 5 standard errors of those over its 17,892
+    # valid arrangements up to swaps.
+    layout = ["ACBA", "AFABAFACAFADAFAEAFAGF"]
+    assert len(layout[1]) > EXACT_TOUCHES[3]
     reps = 4000
     config = NullModelConfig(replicates=reps, policy="touch_shuffle_possession", master_seed=5)
     null = null_distribution([chain_possession(list(t)) for t in layout], 3, config)
     assert null.sampled_possessions == 1
-    mean, var = enumerated_moments(layout, "touch_shuffle_possession")
-    rest = enumerated_counts(layout[1], "touch_shuffle_possession", None)
-    rest_var = rest.var(axis=0)
-    fourth = ((rest - rest.mean(axis=0)) ** 4).mean(axis=0)
+    exact_mean, exact_var = enumerated_moments(layout[:1], "touch_shuffle_possession")
+    rest_mean, rest_var, fourth = table_moments(signature_of(layout[1]), 3)
+    mean, var = exact_mean + rest_mean, exact_var + rest_var
+    assert rest_var.any()
     assert (abs(null.mean - mean) <= 5 * np.sqrt(rest_var / reps) + 1e-12).all()
     assert (abs(null.std**2 - var) <= 5 * np.sqrt((fourth - rest_var**2) / reps) + 1e-12).all()
 
@@ -614,8 +686,12 @@ def test_exact_nulls_are_symmetric_under_reversal(policy, k):
     # one to one, and turns each window into one with the reversed pattern,
     # canonicalized (ABAC into ABCB). So an exact null gives a pattern and its
     # reverse the same moments. The possessions, of 480, 540 and 445 valid
-    # arrangements, are tabled but too long for the enumeration tests.
+    # arrangements, are too long for the enumeration tests, and so is the
+    # 16-touch one of eight players, which had no arrangement table; at k = 4
+    # it is past EXACT_TOUCHES[4].
     layout = ["ABACBCABCAB", "ABACADABACAD", "ABCBABCBABCBA"]
+    if k < 4:
+        layout.append("ABCDEFABCDEFGHAB")
     possessions = [chain_possession(list(t)) for t in layout]
     null = null_distribution(possessions, k, NullModelConfig(replicates=2, policy=policy))
     assert null.sampled_possessions == 0
