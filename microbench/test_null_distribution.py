@@ -11,8 +11,8 @@ possession) and two of a back-passing team (4.0 passes per possession,
 back-pass bias 0.5). The ``null_distribution`` cases score them at 1000
 replicates, and only the match shuffle draws every replicate. The walk
 draws none: its moments are exact. The possession shuffle takes exact
-moments for every possession of at most ``EXACT_TOUCHES[3]`` touches,
-which here is all of them, and keeps them per signature for the process.
+moments for every possession within its counting DP's budget, which here
+is all of them, and keeps them per signature for the process.
 So after the first round the walk and possession cases time the exact
 moments alone, looked up or computed. ``test_possession_moments_cold``
 times the counting DP behind the possession shuffle's moments from an

@@ -20,6 +20,7 @@ import time
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -628,8 +629,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once: building it took about 1 ms a command."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

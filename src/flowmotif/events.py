@@ -180,13 +180,20 @@ class PassRuns:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def _row(self, start: int, end: int, match: int, team: int):
-        names = self.passes.names
-        row = object.__new__(self.row)
-        values = names[match], names[team], self.passes[start:end]
-        for field, value in zip(self.row.__slots__, values):
-            object.__setattr__(row, field, value)
-        return row
+    def _rows(self, starts: list[int], ends: list[int]) -> Iterator:
+        """Rows of the runs from each of ``starts`` up to the matching end."""
+        passes = self.passes
+        names, codes, timestamp = passes.names, passes.codes, passes.timestamp
+        match, team = codes[:2, starts].tolist()
+        row, new = self.row, object.__new__
+        # the slots' own setters, which skip the frozen dataclass's __setattr__
+        set_match, set_team, set_passes = [getattr(row, f).__set__ for f in row.__slots__]
+        for start, end, m, t in zip(starts, ends, match, team):
+            out = new(row)
+            set_match(out, names[m])
+            set_team(out, names[t])
+            set_passes(out, PassTable(names, codes[:, start:end], timestamp[start:end]))
+            yield out
 
     def __getitem__(self, i):
         if isinstance(i, np.ndarray):  # the runs at these ascending indices, as runs
@@ -198,14 +205,12 @@ class PassRuns:
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
-        start = int(self.starts[i])
         end = int(self.starts[i + 1]) if i + 1 < len(self) else len(self.passes)
-        return self._row(start, end, *self.passes.codes[:2, start].tolist())
+        return next(self._rows([int(self.starts[i])], [end]))
 
     def __iter__(self) -> Iterator:
         starts = self.starts.tolist()
-        match, team = self.passes.codes[:2, starts].tolist()
-        return map(self._row, starts, starts[1:] + [len(self.passes)], match, team)
+        return self._rows(starts, starts[1:] + [len(self.passes)])
 
 
 @dataclass(frozen=True, slots=True)

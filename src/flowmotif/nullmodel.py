@@ -25,10 +25,12 @@ possession's walk moments follow from its window count and the joint
 pattern law of two windows at most k apart, counted once per (players,
 k) from the pattern alphabet. Under the possession shuffle, a
 possession's moments depend only on its signature, its sorted player
-counts, and one counting DP over touch positions gives them exactly for
-every signature of at most ``EXACT_TOUCHES[k]`` touches, once per
-(signature, k). Every possession the shuffle draws, the longer ones in
-``null_distribution`` and all of them in ``randomize_possessions``, takes
+counts, and one counting DP over touch positions gives them exactly, once
+per (signature, k), for every signature whose DP fits a budget of
+``STATE_VALUES`` values: all of at most ``EXACT_TOUCHES[k]`` touches, and
+longer ones with few arrangements. Every possession the shuffle draws, the
+ones past the budget in ``null_distribution`` and all of them in
+``randomize_possessions``, takes
 rejection rounds, which keep the uniform permutations with no adjacent
 repeat, and rows still waiting after ``POSSESSION_ROUNDS`` rounds are
 drawn from exact counts of valid arrangements. A possession's observed
@@ -47,7 +49,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import comb, perm
+from math import comb, factorial, perm, prod
 from typing import Sequence
 
 import numpy as np
@@ -73,10 +75,13 @@ COUNT_ROWS = 64
 # Rejection rounds of the possession shuffle before the stragglers are
 # drawn from completion counts.
 POSSESSION_ROUNDS = 64
-# Most touches of a possession whose moments under the possession shuffle
-# are exact, by k (entry k). Over every signature within its limit, the
-# counting DP holds at most 2**20 state values, 8 MiB; one more touch
-# would pass that. Longer possessions are sampled.
+# Most values the counting DP may hold for one signature, 8 MiB; past them
+# a possession is sampled.
+STATE_VALUES = 2**20
+# Touches of the longest possession whose exact moments need no count of
+# its arrangements, by k (entry k): over every signature of at most this
+# many touches the DP holds at most STATE_VALUES values; one more touch
+# would pass that.
 EXACT_TOUCHES = (0, 34, 26, 20, 14, 10, 8, 6, 5)
 # Touches left at which the DP's states are kept for every signature.
 SHARED_TOUCHES = 12
@@ -213,40 +218,49 @@ class _SignatureMoments:
     first appearance, those players' remaining touches, and the sorted
     remaining touches of every other player, who are interchangeable. Its
     value sums, over the valid completions of the state, their count N and,
-    for every pattern, the sums S of the pattern's window counts and Q of
-    their squares (the second-order expectation semiring). A touch that
-    completes a window of pattern p maps a child's (N, S, Q) to
-    (N, S + N e_p, Q + (2 S_p + N) e_p). A state adds up its children in a
-    fixed order, so its value is a pure function of the state, whatever was
-    computed before it.
+    for every pattern of ``columns``, the sums S of the pattern's window
+    counts and Q of their squares (the second-order expectation semiring).
+    A touch that completes a window of pattern p maps a child's (N, S, Q)
+    to (N, S + N e_p, Q + (2 S_p + N) e_p). A state adds up its children in
+    a fixed order, so its value is a pure function of the state, whatever
+    was computed before it, and each column the same bits whatever the
+    other columns are.
 
     A state is reached only if it can be completed: with ``rest`` touches
     left, the last holder holds at most half of them and every other player
-    at most half of ``rest + 1``. States with at most ``SHARED_TOUCHES``
-    touches left are kept for every signature of this k, the others while
-    one signature is computed. A state's key takes a byte per number, and
-    ``EXACT_TOUCHES`` keeps every count below 256.
+    at most half of ``rest + 1``. A DP over the whole alphabet keeps its
+    states of at most ``SHARED_TOUCHES`` touches left, and never more than
+    ``EXACT_TOUCHES[k] - k``, for every signature; those are states of
+    signatures within ``EXACT_TOUCHES[k]``. Every other state lives while one
+    signature is computed. A state's key takes a byte per number, so a
+    signature must hold fewer than 256 touches.
     """
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, k: int, columns: tuple[int, ...]) -> None:
         patterns = pattern_index(k).patterns
         self.k = k
         self.n_patterns = len(patterns)
-        # every full window: its pattern, the next window and which of its
-        # labels that keeps, in their new order
+        self.columns = columns
+        # every full window of a pattern of ``columns``: its column, the next
+        # window and which of its labels that keeps, in their new order
         self.steps = {}
-        for i, pattern in enumerate(patterns):
+        for i, pattern in enumerate(patterns[c] for c in columns):
             full = tuple(ord(c) - ord("A") for c in pattern)
             kept = tuple(dict.fromkeys(full[1:]))
             self.steps[full] = i, tuple(kept.index(t) for t in full[1:]), kept
-        self.shared = _StateValues(1 + 2 * self.n_patterns)
+        whole = len(columns) == self.n_patterns
+        self.shared_touches = min(SHARED_TOUCHES, EXACT_TOUCHES[k] - k) if whole else -1
+        self.shared = _StateValues(1 + 2 * len(columns))
 
     def moments(self, signature: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Mean and population variance of every pattern's count over the valid arrangements."""
         value = self._value((), (), signature, sum(signature), _StateValues(self.shared.width))
-        n = self.n_patterns
+        n, columns = len(self.columns), list(self.columns)
         mean = value[1 : 1 + n] / value[0]
-        return mean, value[1 + n :] / value[0] - mean * mean
+        full_mean, full_var = np.zeros(self.n_patterns), np.zeros(self.n_patterns)
+        full_mean[columns] = mean
+        full_var[columns] = value[1 + n :] / value[0] - mean * mean
+        return full_mean, full_var
 
     def _value(
         self,
@@ -257,12 +271,12 @@ class _SignatureMoments:
         local: _StateValues,
     ) -> np.ndarray:
         """(N, S, Q) of a state with ``rest`` touches left, from its children."""
-        states = self.shared if rest <= SHARED_TOUCHES else local
+        states = self.shared if rest <= self.shared_touches else local
         key = bytes((len(window), *window, *held, *others))
         known = states.get(key)
         if known is not None:
             return known
-        n = self.n_patterns
+        n = len(self.columns)
         value = np.zeros(1 + 2 * n)
         value[0] = not rest
         last = window[-1] if window else -1
@@ -279,18 +293,18 @@ class _SignatureMoments:
             else:
                 after, left = held[:a] + (c - 1,) + held[a + 1 :], others
             full = window + (a,)
-            pattern = None
+            column = None
             if len(full) > self.k:
-                pattern, full, kept = self.steps[full]
+                column, full, kept = self.steps[full]
                 if 0 not in kept and after[0]:
                     left = tuple(sorted(left + after[:1]))
                 after = tuple([after[t] for t in kept])
             child = self._value(full, after, left, rest - 1, local)
             value += child if weight == 1 else weight * child
-            if pattern is not None:
-                count, total = weight * child[0], weight * child[1 + pattern]
-                value[1 + pattern] += count
-                value[1 + n + pattern] += 2 * total + count
+            if column is not None:
+                count, total = weight * child[0], weight * child[1 + column]
+                value[1 + column] += count
+                value[1 + n + column] += 2 * total + count
         return states.add(key, value)
 
 
@@ -324,21 +338,53 @@ class _StateValues:
 
 
 @cache
-def _shuffle_dp(k: int) -> _SignatureMoments:
-    """The counting DP of k, whose shared states live as long as the process."""
-    return _SignatureMoments(k)
+def _pattern_counts(k: int) -> np.ndarray:
+    """Every pattern's label counts, largest first and padded with zeros, a row each."""
+    rows = [
+        sorted(Counter(pattern).values(), reverse=True) + [0] * (k + 1 - len(set(pattern)))
+        for pattern in pattern_index(k).patterns
+    ]
+    return np.array(rows)
 
 
 @cache
-def _signature_moments(signature: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+def _shuffle_dp(k: int, columns: tuple[int, ...]) -> _SignatureMoments:
+    """The counting DP of k over ``columns``, whose shared states live as long as the process."""
+    return _SignatureMoments(k, columns)
+
+
+@cache
+def _signature_moments(
+    signature: tuple[int, ...], k: int
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Exact per-pattern mean and variance of a possession's counts under the shuffle.
 
     The possession shuffle draws every valid arrangement of the touches
     equally often, so these are the mean and population variance of the
-    window counts over them. Only the moments are kept, not the DP's states
-    of more than ``SHARED_TOUCHES`` touches left.
+    window counts over them. The DP's columns are the patterns whose label
+    counts fit under the signature's, as every window's must. No touch
+    position has more states than the signature has arrangements up to
+    swaps of players with equal counts, since each state starts a
+    different set of them. None when that bound, over every position,
+    times the values of a state passes ``STATE_VALUES``, unless the
+    signature is within ``EXACT_TOUCHES[k]``, and when the sums could pass
+    the largest float: the possession is then sampled. Only the moments are
+    kept, not the DP's states of more than ``SHARED_TOUCHES`` touches left.
     """
-    moments = _shuffle_dp(k).moments(signature)
+    touches = sum(signature)
+    if touches > 255:
+        return None
+    counts = sorted(signature, reverse=True)[: k + 1]
+    fits = (_pattern_counts(k) <= counts + [0] * (k + 1 - len(counts))).all(axis=1)
+    columns = tuple(np.flatnonzero(fits).tolist())
+    if touches > EXACT_TOUCHES[k]:
+        arrangements = _arrangements(signature, {})
+        classes = arrangements // prod(map(factorial, Counter(signature).values()))
+        if (touches + 1) * classes * (1 + 2 * len(columns)) > STATE_VALUES:
+            return None
+        if arrangements * touches**2 > 2**1000:  # N and the sums of squares stay finite
+            return None
+    moments = _shuffle_dp(k, columns).moments(signature)
     for m in moments:
         m.flags.writeable = False
     return moments
@@ -610,8 +656,8 @@ def _sampled_moments(
     The rows come from one random stream seeded from (master seed, match
     id, team id), in batches of ``BATCH_ROWS``, and each batch is counted
     in slices of ``COUNT_ROWS``. Under the possession shuffle ``codes``
-    holds only the possessions of more than ``EXACT_TOUCHES[k]`` touches. Counts are accumulated as
-    exact integers before the moments are taken.
+    holds only the possessions past the counting DP's budget. Counts are
+    accumulated as exact integers before the moments are taken.
     """
     pidx = pattern_index(k)
     window_starts = codes.window_starts(k)
@@ -664,13 +710,13 @@ def null_distribution(
 ) -> NullDistribution:
     """Per-pattern moments of the team-match's motif counts under ``config.policy``.
 
-    The walk's moments are exact, and so are those of every possession of
-    at most ``EXACT_TOUCHES[k]`` touches under the possession shuffle; a
-    possession with fewer than k + 1 touches has no window and adds
-    nothing. The other possessions, all of them under the match shuffle,
-    are sampled by ``_sampled_moments``. The
-    possessions of a team-match are independent under the possession
-    shuffle, so the moments of the two parts add.
+    The walk's moments are exact, and so are those of every possession
+    within the counting DP's budget under the possession shuffle
+    (``_signature_moments``); a possession with fewer than k + 1 touches has
+    no window and adds nothing. The other possessions, all of them under
+    the match shuffle, are sampled by ``_sampled_moments``. The possessions
+    of a team-match are independent under the possession shuffle, so the
+    moments of the two parts add.
     """
     runs = possession_runs(possessions)
     codes = TouchCodes(runs)
@@ -685,11 +731,11 @@ def null_distribution(
         for i, (start, length) in enumerate(zip(codes.starts.tolist(), codes.lengths.tolist())):
             if length <= k:
                 continue
-            if length > EXACT_TOUCHES[k]:
+            counts = Counter(codes.touches[start : start + length].tolist())
+            moments = _signature_moments(tuple(sorted(counts.values())), k)
+            if moments is None:
                 picks.append(i)
             else:
-                counts = Counter(codes.touches[start : start + length].tolist())
-                moments = _signature_moments(tuple(sorted(counts.values())), k)
                 mean += moments[0]
                 var += moments[1]
         codes = TouchCodes(runs[np.array(picks, dtype=np.int64)])

@@ -466,9 +466,10 @@ GOLDEN = {
         "e828ffbabf0b1944fdf4d7f5da67934dd0f9e9d2c40bfaa4aee4ac626fce8425",
     ),
     # re-recorded in version 0.12.0: the possession shuffle takes exact
-    # moments for every possession of at most EXACT_TOUCHES[k] touches, which
-    # in this league is all of them, so 40 and 300 replicates give the same
-    # bytes
+    # moments for every possession within its counting DP's budget, which in
+    # this league is all of them, so 40 and 300 replicates give the same
+    # bytes; test_possession_shuffle_sampled_stream_is_pinned pins the
+    # sampled rest
     ("touch-shuffle-possession", "40"): (
         "777619fa0f15c2190a7edd29623a53fdd469cdc05a15e2205048a1f190d41d32",
         "d3a1aea9864c4a6738cc512797f45fd5b691398b706b45769c6570aad6af7619",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -40,6 +41,19 @@ from helpers import (
 )
 
 POLICIES = ("touch_shuffle_match", "touch_shuffle_possession", "uniform_walk")
+
+
+@pytest.fixture
+def fresh_moments():
+    """Signature moments computed afresh, and none left behind from a patched budget."""
+    nullmodel._signature_moments.cache_clear()
+    yield
+    nullmodel._signature_moments.cache_clear()
+
+
+def sampled_at(touches, k=3):
+    """True when the possession shuffle samples a possession of these touches."""
+    return nullmodel._signature_moments(signature_of(touches), k) is None
 
 
 def synth_possessions(seed=11, possessions=25, squad=8, bias=0.1):
@@ -216,10 +230,9 @@ def test_null_distribution_matches_object_path_recomputation():
     # The sampled moments must agree exactly with counting every replicate
     # through the object path; 300 replicates span two batches and five
     # count slices. The match shuffle samples every possession. The
-    # possession shuffle samples only the possessions of more than
-    # EXACT_TOUCHES[3] touches, here of 21 and 22, and draws them as
-    # _draw_rows draws a layout of just those two; ACBA and CABCA add exact
-    # moments.
+    # possession shuffle samples only the possessions past the DP's budget,
+    # here of 21 and 22 touches of ten players, and draws them as _draw_rows
+    # draws a layout of just those two; ACBA and CABCA add exact moments.
     reps = 300
     possessions = synth_possessions(possessions=10)
     config = NullModelConfig(replicates=reps, policy="touch_shuffle_match", master_seed=17)
@@ -229,8 +242,8 @@ def test_null_distribution_matches_object_path_recomputation():
     assert null.mean == pytest.approx(mean, abs=1e-12)
     assert null.std == pytest.approx(np.sqrt(var), abs=1e-12)
 
-    exact, long = ["ACBA", "CABCA"], ["ABCDEFGHIJABCDEFGHIJA", "BACDEFGHIBKLMNOPQRSTUB"]
-    assert min(map(len, long)) > EXACT_TOUCHES[3]
+    exact, long = ["ACBA", "CABCA"], ["ABCDEFGHIJABCDEFGHIJA", "BACDEFGHIJBACDEFGHIJAB"]
+    assert all(map(sampled_at, long))
     possessions = [chain_possession(list(t)) for t in exact[:1] + long + exact[1:]]
     config = NullModelConfig(replicates=reps, policy="touch_shuffle_possession", master_seed=17)
     null = null_distribution(possessions, 3, config)
@@ -413,29 +426,56 @@ def test_signature_moments_do_not_depend_on_what_came_before():
 
 
 @pytest.mark.parametrize("k", [5, 6, 7, 8])
-def test_exact_touches_bound_the_states_of_every_signature(k, monkeypatch):
+def test_exact_touches_bound_the_states_of_every_signature(k):
     # Over every signature of at most EXACT_TOUCHES[k] touches the DP holds
     # at most 2**20 state values; one more touch would pass that. All states
     # are shared here, so the shared ones are all the DP ever holds.
-    monkeypatch.setattr(nullmodel, "SHARED_TOUCHES", 10**6)
-    dp = nullmodel._SignatureMoments(k)
     width = 1 + 2 * len(enumerate_patterns(k))
+    dp = nullmodel._SignatureMoments(k, tuple(range(len(enumerate_patterns(k)))))
+    dp.shared_touches = 10**6
     for length in range(1, EXACT_TOUCHES[k] + 2):
         for signature in signatures(length, length):
             if 2 * signature[-1] <= length + 1:
                 dp.moments(signature)
         if length == EXACT_TOUCHES[k]:
-            assert len(dp.shared.rows) * width <= 2**20
-    assert len(dp.shared.rows) * width > 2**20
+            assert len(dp.shared.rows) * width <= nullmodel.STATE_VALUES
+    assert len(dp.shared.rows) * width > nullmodel.STATE_VALUES
 
 
-def test_possession_routes_follow_the_signature(monkeypatch):
+@pytest.mark.parametrize(
+    "signature,k",
+    [((50, 50), 8), ((2, 6, 7), 4), ((1, 5, 6), 8), ((1, 1, 1, 2, 4), 8), ((2, 3, 3), 7)],
+)
+def test_signatures_with_few_arrangements_are_exact_past_exact_touches(signature, k):
+    # Past EXACT_TOUCHES[k] a signature is exact while (touches + 1) x its
+    # arrangements up to swaps of equal counts, times the values of a state,
+    # stays within STATE_VALUES. No touch position holds more states than
+    # arrangements follow it, so the DP holds no more. A state's values cover
+    # the patterns whose label counts fit under the signature's, so a
+    # two-player chain takes one pattern however large k is. 0.11.0's
+    # arrangement tables made all of these exact.
+    touches = sum(signature)
+    assert touches > EXACT_TOUCHES[k]
+    mean, var = nullmodel._signature_moments(signature, k)
+    exact_mean, exact_var, _ = table_moments(signature, k)
+    assert mean == pytest.approx(exact_mean, rel=1e-12, abs=1e-12)
+    assert var == pytest.approx(exact_var, rel=1e-12, abs=1e-12)
+    # every state of the DP, on the columns of the patterns that occur
+    dp = nullmodel._SignatureMoments(k, tuple(np.flatnonzero(exact_mean).tolist()))
+    dp.shared_touches = -1
+    states = nullmodel._StateValues(dp.shared.width)
+    dp._value((), (), signature, touches, states)
+    classes = _arrangements(signature, {}) // swaps(signature)
+    assert len(states.rows) <= (touches + 1) * classes
+
+
+def test_possession_routes_follow_the_signature(monkeypatch, fresh_moments):
     # Every possession the shuffle draws takes rejection rounds, however
     # long: CA, ACBA and ABCABCABC (174 of 1680 permutations valid), the
     # 21-touch one and a two-player chain of 801 touches. null_distribution
-    # takes exact moments for those of at most EXACT_TOUCHES[k] touches and,
-    # as CA has no 3-pass window, samples only the 21-touch one, through
-    # the same _possession_rows.
+    # takes exact moments for those within the DP's budget and, as CA has
+    # no 3-pass window, samples only the 21-touch one, through the same
+    # _possession_rows. With no budget it samples all three.
     rejected = []
 
     def rejection_rows(touches, rng, n_rows, memo):
@@ -458,6 +498,8 @@ def test_possession_routes_follow_the_signature(monkeypatch):
     assert rejected == [21]
 
     monkeypatch.setattr(nullmodel, "EXACT_TOUCHES", (0,) * len(EXACT_TOUCHES))
+    monkeypatch.setattr(nullmodel, "STATE_VALUES", 0)
+    nullmodel._signature_moments.cache_clear()
     assert null_distribution(possessions, 3, config).sampled_possessions == 3
     assert rejected == [21, 4, 9, 21]
 
@@ -492,8 +534,9 @@ def test_possession_shuffle_computes_each_signature_once(monkeypatch):
 
 @pytest.mark.parametrize("players,repeated", [(200, 0), (130, 1)])
 def test_possession_shuffle_takes_more_players_than_int8_codes(players, repeated):
-    # Rows keep the possession's own codes, and a possession this long is
-    # sampled, so no count passes the DP's one-byte state keys.
+    # Rows keep the possession's own codes. The long possession is sampled:
+    # 200 players once each have more valid arrangements than a float holds,
+    # and with one player twice the DP's states would pass its budget.
     names = [f"p{i}" for i in range(players)]
     touches = names + names[1 : 1 + repeated]
     possessions = [chain_possession(touches), chain_possession(["x", "y", "x"])]
@@ -511,7 +554,8 @@ def test_possession_shuffle_takes_a_player_with_hundreds_of_touches():
     # Two players alternating over 520 touches hold 260 each, so rejection
     # rounds pass every row to the arrangement counts. Those once failed on
     # a count of 256 (the memo took its keys as bytes), then took seconds;
-    # their memo is also checked directly at counts of 256.
+    # their memo is also checked directly at counts of 256. The DP's state
+    # keys take a byte per count, so null_distribution samples the chain.
     memo = {}
     assert _arrangements((1, 256), memo) == 0
     assert _arrangements((1, 1, 256), memo) == 0
@@ -526,6 +570,7 @@ def test_possession_shuffle_takes_a_player_with_hundreds_of_touches():
         3,
         NullModelConfig(replicates=4, policy="touch_shuffle_possession"),
     )
+    assert null.sampled_possessions == 1
     assert null.mean.tolist() == [517.0, 0.0, 0.0, 0.0, 0.0]
 
 
@@ -677,6 +722,36 @@ def test_possession_shuffle_samples_only_the_long_possessions():
     assert rest_var.any()
     assert (abs(null.mean - mean) <= 5 * np.sqrt(rest_var / reps) + 1e-12).all()
     assert (abs(null.std**2 - var) <= 5 * np.sqrt((fourth - rest_var**2) / reps) + 1e-12).all()
+
+
+# Possessions past the DP's budget at k = 3. The first passes 298 of 300
+# rows to the arrangement counts after its rejection rounds.
+LONG = ["AFABAFACAFADAFAEAFAGF", "ABCDEFGHIJABCDEFGHIJA", "BACDEFGHIJBACDEFGHIJAB"]
+
+
+@pytest.mark.parametrize(
+    "replicates,digest",
+    [
+        (40, "4905f33d22b06584a98db6b2c0e5060d6fb2b7fbdf6640a83ccf6cb7ef087dd8"),
+        # two batches of 256 rows
+        (300, "bcd0c7af93030aab570981e7f360ad8d2532343067ea789e1c29da56d9fdd73e"),
+    ],
+)
+def test_possession_shuffle_sampled_stream_is_pinned(replicates, digest):
+    # sha256 of the moments of possessions that are all sampled: they pin the
+    # rejection rounds, the batches and the draws from arrangement counts,
+    # which no exact possession reaches. Recorded in version 0.12.0; 0.11.0
+    # gave the same bytes.
+    assert all(map(sampled_at, LONG))
+    config = NullModelConfig(replicates, "touch_shuffle_possession", master_seed=3)
+    null = null_distribution([chain_possession(list(t)) for t in LONG], 3, config)
+    assert null.sampled_possessions == 3
+    assert hashlib.sha256(null.mean.tobytes() + null.std.tobytes()).hexdigest() == digest
+    drawn = randomize_possessions([chain_possession(list(t)) for t in LONG], config.policy, 3)
+    text = " ".join("".join(touch_sequence(p)) for p in drawn)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "892a1ba1890a30497614b1233e85902450a1ed11d81b59ef6a1c74f2ba4ab97f"
+    )
 
 
 @pytest.mark.parametrize("policy", ["uniform_walk", "touch_shuffle_possession"])
