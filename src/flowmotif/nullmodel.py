@@ -30,10 +30,10 @@ per (signature, k), for every signature whose DP fits a budget of
 ``STATE_VALUES`` values: all of at most ``EXACT_TOUCHES[k]`` touches, and
 longer ones with few arrangements. Every possession the shuffle draws, the
 ones past the budget in ``null_distribution`` and all of them in
-``randomize_possessions``, takes
-rejection rounds, which keep the uniform permutations with no adjacent
-repeat, and rows still waiting after ``POSSESSION_ROUNDS`` rounds are
-drawn from exact counts of valid arrangements. A possession's observed
+``randomize_possessions``, takes rejection rounds, which keep the uniform
+permutations with no adjacent repeat, and rows still waiting after
+``POSSESSION_ROUNDS`` rounds are drawn from exact counts of valid
+arrangements. A possession's observed
 arrangement is valid, so the sampler always terminates. The sample
 variance of the sampled possessions adds to the exact one.
 
