@@ -12,7 +12,9 @@ JSON lines, and groups the columns of all files; segmentation takes the
 logs that grouping gives, and counting the possessions that segmentation
 gives, with the ids the CLI passes. Fingerprinting averages one z-score profile per
 team-match, drawn from a fixed seed since its cost does not depend on the
-values, and clustering (k-means and Ward) takes the 20 fingerprints.
+values, and clustering (k-means and Ward) takes the 20 fingerprints. The
+alphabet case times the largest alphabet, k = 8 with 4,140 patterns: listing
+it, and fingerprinting 20 teams from one k = 8 profile each.
 """
 
 import io
@@ -64,6 +66,15 @@ PROFILES = {
     for team in TEAMS
 }
 FINGERPRINTS = [team_fingerprint(profiles) for profiles in PROFILES.values()]
+PATTERNS_K8 = len(enumerate_patterns(8))
+PROFILES_K8 = [
+    [ZScoreProfile("m0", t.team_id, 8, _rng.normal(size=PATTERNS_K8), np.zeros(PATTERNS_K8, bool))]
+    for t in TEAMS
+]
+ALPHABET_CASES = {
+    "enumerate_patterns": lambda: enumerate_patterns(8),
+    "team_fingerprint": lambda: [team_fingerprint(p) for p in PROFILES_K8],
+}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -100,3 +111,9 @@ def test_kmeans(benchmark):
 def test_ward(benchmark):
     result = benchmark(lambda: ward_cluster(FINGERPRINTS))
     assert result.root.size == len(TEAMS)
+
+
+@pytest.mark.parametrize("case", ALPHABET_CASES)
+def test_alphabet_k8(benchmark, case):
+    result = benchmark(ALPHABET_CASES[case])
+    assert len(result) in (PATTERNS_K8, len(TEAMS))

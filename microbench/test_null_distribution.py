@@ -19,7 +19,10 @@ times the counting DP behind the possession shuffle's moments from an
 empty cache, over every signature of the four team-matches. The
 ``randomize_possessions`` cases draw one replicate of each team-match, one
 seed per team-match; under the possession shuffle every possession takes
-rejection rounds, however long.
+rejection rounds, however long. ``test_possession_shuffle_large_k`` scores
+the four team-matches under the possession shuffle at k = 5..8, where the
+DP's budget leaves some possessions to sampling; its first round also
+computes the DP.
 """
 
 from collections import Counter
@@ -75,3 +78,10 @@ def test_possession_moments_cold(benchmark):
 
     moments = benchmark(cold)
     assert len(moments) == len(SIGNATURES)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_possession_shuffle_large_k(benchmark, k):
+    config = NullModelConfig(replicates=1000, policy="touch_shuffle_possession", master_seed=3)
+    nulls = benchmark(lambda: [null_distribution(p, k, config) for p in TEAM_MATCHES])
+    assert len(nulls) == len(TEAM_MATCHES)

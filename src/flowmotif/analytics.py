@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .motifs import enumerate_patterns
+from .motifs import pattern_index
 from .nullmodel import ZScoreProfile
 from .seeding import derive_seed
 
@@ -41,7 +41,7 @@ class TeamFingerprint:
     def __post_init__(self) -> None:
         if self.matches_used < 1:
             raise ValueError("matches_used must be >= 1")
-        if len(self.features) != len(enumerate_patterns(self.k)):
+        if len(self.features) != len(pattern_index(self.k).patterns):
             raise ValueError(
                 f"feature dimension {len(self.features)} does not match the "
                 f"k={self.k} alphabet"

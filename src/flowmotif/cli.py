@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from functools import cache
@@ -45,7 +44,7 @@ from .events import (
     parse_pass_events,
     serialize_pass_events,
 )
-from .motifs import DEFAULT_K, MAX_K, MotifCountVector, count_motifs, enumerate_patterns
+from .motifs import DEFAULT_K, MAX_K, MotifCountVector, count_motifs, pattern_index
 from .nullmodel import (
     DEFAULT_REPLICATES,
     POLICIES,
@@ -124,11 +123,10 @@ def _write_pattern_csv(
     Its columns are ``keys``, ``k``, ``pattern`` and ``values``. ``heads``
     holds each key's cells followed by its k. Each of ``columns`` holds a
     value column's cells, key after key, and each key's in the order of
-    ``enumerate_patterns(k)``. The csv module writes a number as ``str``,
+    ``pattern_index(k).patterns``. The csv module writes a number as ``str``,
     which is ``repr`` for a float.
     """
-    alphabet = {k: enumerate_patterns(k) for k in {head[-1] for head in heads}}
-    alphabets = [alphabet[head[-1]] for head in heads]
+    alphabets = [pattern_index(head[-1]).patterns for head in heads]
     sizes = [len(patterns) for patterns in alphabets]
     repeated = [np.repeat(np.array(cells, dtype=object), sizes).tolist() for cells in zip(*heads)]
     rows = zip(*repeated, chain.from_iterable(alphabets), *columns)
@@ -146,10 +144,11 @@ def _read_pattern_csv(
     """Read a long per-pattern CSV: (key, k, columns) per key, in order of appearance.
 
     ``values`` maps each value column to the function that parses its cells.
-    Each column comes back as a list aligned with ``enumerate_patterns(k)``.
-    A missing column or field is an error, and so are a k outside
-    ``enumerate_patterns``' range, rows of one key that disagree on k, and a
-    pattern that a key misses, repeats, or has outside its alphabet.
+    Each column comes back as a list aligned with ``pattern_index(k).patterns``.
+    A missing column or field is an error, and so are a cell that does not
+    parse, a k outside ``pattern_index``' range, rows of one key that
+    disagree on k, and a pattern that a key misses, repeats, or has outside
+    its alphabet.
     """
     text = _read_input(path, digests).decode("utf-8")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -160,34 +159,35 @@ def _read_pattern_csv(
         raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
     key_at, k_at, pattern_at = [at[c] for c in keys], at["k"], at["pattern"]
     parsers = [(at[name], parse) for name, parse in values.items()]
-    alphabet: dict[int, list[str]] = {}
-    tables: dict[tuple[str, ...], tuple[int, list[str], list[list]]] = {}
+    tables: dict[tuple[str, ...], tuple] = {}  # key: k, its pattern index, columns
     for row in reader:
         if not row:
             continue
         if len(row) < len(header):
             raise ValueError(f"{path}: line {reader.line_num} has too few fields")
-        key, k, pattern = tuple([row[i] for i in key_at]), int(row[k_at]), row[pattern_at]
+        try:
+            k, cells = int(row[k_at]), [parse(row[j]) for j, parse in parsers]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        key, pattern = tuple([row[i] for i in key_at]), row[pattern_at]
         if key not in tables:
-            if k not in alphabet:
-                try:
-                    alphabet[k] = enumerate_patterns(k)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: {_key_text(keys, key)}: {exc}") from None
-            patterns = alphabet[k]
-            tables[key] = k, patterns, [[None] * len(patterns) for _ in values]
-        first_k, patterns, columns = tables[key]
+            try:
+                index = pattern_index(k)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {_key_text(keys, key)}: {exc}") from None
+            tables[key] = k, index, [[None] * len(index.patterns) for _ in values]
+        first_k, index, columns = tables[key]
         if k != first_k:
             raise ValueError(f"{path}: {_key_text(keys, key)}: k {k} after k {first_k}")
-        i = bisect_left(patterns, pattern)  # the alphabet is in lexicographic order
-        if i == len(patterns) or patterns[i] != pattern:
+        i = index.position.get(pattern)
+        if i is None:
             raise ValueError(f"{path}: {_key_text(keys, key)}: unknown pattern {pattern!r}")
         if columns[0][i] is not None:
             raise ValueError(f"{path}: {_key_text(keys, key)}: repeated pattern {pattern!r}")
-        for column, (j, parse) in zip(columns, parsers):
-            column[i] = parse(row[j])
-    for key, (_, patterns, columns) in tables.items():
-        missing = [p for p, cell in zip(patterns, columns[0]) if cell is None]
+        for column, cell in zip(columns, cells):
+            column[i] = cell
+    for key, (_, index, columns) in tables.items():
+        missing = [p for p, cell in zip(index.patterns, columns[0]) if cell is None]
         if missing:
             raise ValueError(f"{path}: {_key_text(keys, key)}: missing pattern(s) {missing}")
     return [(key, k, columns) for key, (k, _, columns) in tables.items()]

@@ -5,8 +5,10 @@ order of first appearance (first distinct player A, second B, ...), so
 the pattern keeps the structure of the exchange and forgets who played.
 For k=3 the alphabet is ABAB, ABAC, ABCA, ABCB, ABCD.
 
-A team-match's touches are laid out as integer codes once, and one
-classifier (``pattern_index``) gives every window its pattern at once.
+One index per k (``pattern_index``) owns the alphabet, as rows of label
+codes with their strings, and is the one classifier: a team-match's touches
+are laid out as integer codes once, and it gives every window its pattern
+at once. Other modules never parse a pattern's letters.
 ``count_motifs`` counts them, ``extract_motifs`` lists them for one
 possession, and the null model's ``TouchCodes`` re-codes the same layout by
 first appearance and counts its randomized replicates the same way.
@@ -33,29 +35,14 @@ MotifPattern = str
 
 
 def enumerate_patterns(k: int) -> list[MotifPattern]:
-    """All valid k-pass motif patterns, in lexicographic order.
+    """All valid k-pass motif patterns, in lexicographic order, as a new list.
 
     Valid means: starts with A, each letter is either already seen or the
     next unused one (restricted growth), and no two adjacent letters are
-    equal. The alphabet is computed, never hard-coded, for any k from 1
-    to ``MAX_K``.
+    equal. The list is a copy of ``pattern_index(k).patterns``, built once
+    per process, for any k from 2 to ``MAX_K``.
     """
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be between 1 and {MAX_K}, got {k}")
-    out: list[str] = []
-
-    def extend(prefix: list[str], used: int) -> None:
-        if len(prefix) == k + 1:
-            out.append("".join(prefix))
-            return
-        for code in range(used + 1):  # seen labels plus the next unused one
-            ch = _LETTERS[code]
-            if ch == prefix[-1]:
-                continue
-            extend(prefix + [ch], used + 1 if code == used else used)
-
-    extend(["A"], 1)
-    return out
+    return list(pattern_index(k).patterns)
 
 
 def extract_motifs(possession: Possession, k: int = DEFAULT_K) -> list[MotifPattern]:
@@ -64,10 +51,8 @@ def extract_motifs(possession: Possession, k: int = DEFAULT_K) -> list[MotifPatt
     A possession of n passes yields max(0, n-k+1) motifs; windows never
     span possession boundaries.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    _, _, _, touches, first = _touch_layout([possession], "", "")
     index = pattern_index(k)
+    _, _, _, touches, first = _touch_layout([possession], "", "")
     window_starts = _window_starts(first, touches.size, k)
     found = index.window_patterns(touches[None, :], window_starts)[0]
     return [index.patterns[i] for i in found.tolist()]
@@ -152,21 +137,34 @@ class TouchCodes:
 
 
 class _PatternIndex:
-    """Classifies touch windows of a fixed k by their pattern, all at once.
+    """The k-pass alphabet, and the classifier of touch windows by it, all at once.
+
+    ``letters`` holds each pattern's labels as codes (A is 0, B is 1, ...),
+    a row each in lexicographic order, as a read-only int64 array;
+    ``patterns`` spells the rows as strings and ``position`` maps a pattern
+    to its row. The rows are grown label by label: each row takes every
+    label it has seen and the next unused one, except the label it ends on.
 
     A window's pattern is fixed by which of its touches share a player.
     Adjacent touches never do, so the key of a window has one bit per pair
     of touches two or more apart, set when the pair shares a player. The
-    keys of the alphabet come from the same function, applied to each
-    pattern's own letters as players.
+    keys of the alphabet come from the same function, applied to
+    ``letters`` as players.
     """
 
     def __init__(self, k: int) -> None:
-        self.patterns = enumerate_patterns(k)
+        if not 2 <= k <= MAX_K:
+            raise ValueError(f"k must be between 2 and {MAX_K}, got {k}")
+        rows = [[0]]
+        for _ in range(k):
+            rows = [r + [c] for r in rows for c in range(max(r) + 2) if c != r[-1]]
+        self.letters = np.array(rows)
+        self.letters.flags.writeable = False
+        self.patterns = tuple(["".join([_LETTERS[c] for c in r]) for r in rows])
+        self.position = {p: i for i, p in enumerate(self.patterns)}
         self._left, self._right = np.triu_indices(k + 1, 2)
         self._bits = 1 << np.arange(self._left.size, dtype=np.int64)
-        letters = np.array([[ord(c) for c in p] for p in self.patterns])
-        keys = self._keys(letters, np.zeros(1, dtype=np.int64))[:, 0]
+        keys = self._keys(self.letters, np.zeros(1, dtype=np.int64))[:, 0]
         self._order = np.argsort(keys)
         self._sorted_keys = keys[self._order]
 
@@ -191,7 +189,7 @@ class _PatternIndex:
 
 @cache
 def pattern_index(k: int) -> _PatternIndex:
-    """The window classifier for k, built once per process."""
+    """The alphabet and window classifier for k, built once per process."""
     return _PatternIndex(k)
 
 
@@ -225,9 +223,8 @@ def count_motifs(
     ``match_id``/``team_id`` are only used when ``possessions`` is empty;
     otherwise they are taken from the possessions, which must all agree.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    index = pattern_index(k)
     match_id, team_id, _, touches, first = _touch_layout(possessions, match_id, team_id)
     window_starts = _window_starts(first, touches.size, k)
-    counts = pattern_index(k).window_counts(touches[None, :], window_starts)
+    counts = index.window_counts(touches[None, :], window_starts)
     return MotifCountVector(match_id, team_id, k, counts[0])

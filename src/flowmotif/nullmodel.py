@@ -237,15 +237,14 @@ class _SignatureMoments:
     """
 
     def __init__(self, k: int, columns: tuple[int, ...]) -> None:
-        patterns = pattern_index(k).patterns
+        letters = pattern_index(k).letters
         self.k = k
-        self.n_patterns = len(patterns)
+        self.n_patterns = len(letters)
         self.columns = columns
         # every full window of a pattern of ``columns``: its column, the next
         # window and which of its labels that keeps, in their new order
         self.steps = {}
-        for i, pattern in enumerate(patterns[c] for c in columns):
-            full = tuple(ord(c) - ord("A") for c in pattern)
+        for i, full in enumerate(map(tuple, letters[list(columns)].tolist())):
             kept = tuple(dict.fromkeys(full[1:]))
             self.steps[full] = i, tuple(kept.index(t) for t in full[1:]), kept
         whole = len(columns) == self.n_patterns
@@ -340,11 +339,9 @@ class _StateValues:
 @cache
 def _pattern_counts(k: int) -> np.ndarray:
     """Every pattern's label counts, largest first and padded with zeros, a row each."""
-    rows = [
-        sorted(Counter(pattern).values(), reverse=True) + [0] * (k + 1 - len(set(pattern)))
-        for pattern in pattern_index(k).patterns
-    ]
-    return np.array(rows)
+    letters = pattern_index(k).letters
+    counts = (letters[:, :, None] == np.arange(k + 1)).sum(axis=1)
+    return -np.sort(-counts, axis=1)
 
 
 @cache
@@ -567,8 +564,7 @@ def _walk_joint(n_players: int, k: int) -> np.ndarray:
     C(b-c, j) (b-c)!/(b-c-j)! ways, leaves 2b - c - j players in the walk.
     The cost grows with the alphabet, not with the walks.
     """
-    patterns = "".join(pattern_index(k).patterns).encode()
-    letters = np.frombuffer(patterns, dtype=np.uint8).reshape(-1, k + 1) - ord("A")
+    letters = pattern_index(k).letters
     b = letters.max(axis=1).astype(np.int64) + 1
     # walks[x]: walks of one pattern with x players
     walks = np.cumprod(np.r_[1.0, np.arange(n_players, n_players - 2 * k - 1, -1).clip(0)])

@@ -375,6 +375,15 @@ def test_cluster_rejects_malformed_fingerprint_csv(tmp_path, capsys):
         bad.write_text("team_id,k,pattern,mean_z,matches_used\n" + rows)
         assert main(["cluster", str(bad), "--out", str(tmp_path / "c5")]) == 2
         assert f"error: {bad}: team_id 'a': {reason}" in capsys.readouterr().err
+    # a cell that does not parse names the file and line
+    for name, rows, reason in (
+        ("kcell", complete.replace("a,3,ABCA", "a,x,ABCA"), "line 4: invalid literal for int()"),
+        ("zcell", complete.replace("ABCB,1.0", "ABCB,abc"), "line 5: could not convert string"),
+    ):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("team_id,k,pattern,mean_z,matches_used\n" + rows)
+        assert main(["cluster", str(bad), "--out", str(tmp_path / "c6")]) == 2
+        assert f"error: {bad}: {reason}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["motifs", "zscores"])
@@ -448,11 +457,13 @@ def test_k_past_the_alphabet_cap_exits_2(tmp_path, capsys, command, k):
 
 
 def test_pattern_csv_with_k_past_the_cap_exits_2(tmp_path, capsys):
-    fps = tmp_path / "f.csv"
-    fps.write_text("team_id,k,pattern,mean_z,matches_used\na,15,ABAB,1.0,2\n")
-    assert main(["pca", str(fps), "--out", str(tmp_path / "p")]) == 2
-    err = capsys.readouterr().err
-    assert f"error: {fps}: team_id 'a': k must be between 1 and 8, got 15" in err
+    # k = 1 is below what any command writes, k = 15 past the alphabet cap
+    for k, pattern in ((15, "ABAB"), (1, "AB")):
+        fps = tmp_path / f"f{k}.csv"
+        fps.write_text(f"team_id,k,pattern,mean_z,matches_used\na,{k},{pattern},1.0,2\n")
+        assert main(["pca", str(fps), "--out", str(tmp_path / f"p{k}")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {fps}: team_id 'a': k must be between 2 and 8, got {k}" in err
 
 
 # sha256 of zscores.csv and fingerprints.csv for the league of ``league_dir``

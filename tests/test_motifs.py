@@ -1,9 +1,11 @@
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from flowmotif import count_motifs, enumerate_patterns, extract_motifs
+from flowmotif.motifs import MAX_K, pattern_index
 from helpers import (
     chain_possession,
     oracle_alphabet,
@@ -49,10 +51,47 @@ def test_alphabet_for_three_pass_motifs():
 
 
 def test_alphabet_sizes_against_brute_force():
-    for k in (1, 2, 3, 4, 5):
+    for k in (2, 3, 4, 5):
         assert enumerate_patterns(k) == oracle_alphabet(k)
     assert len(enumerate_patterns(2)) == 2
     assert len(enumerate_patterns(4)) == 15
+    # a one-pass window has no pattern that counting or the CLI could use
+    with pytest.raises(ValueError, match=f"k must be between 2 and {MAX_K}, got 1"):
+        enumerate_patterns(1)
+
+
+def test_pattern_index_rows_spell_the_whole_alphabet():
+    # Distinct, valid rows as many as the alphabet has patterns are the whole
+    # alphabet. A window of k passes has one pattern per partition of its
+    # k + 1 touches with no two adjacent touches in one block, and there
+    # are Bell(k) of them.
+    bell = [1]
+    for n in range(MAX_K):
+        bell.append(sum(comb(n, i) * bell[i] for i in range(n + 1)))
+    for k in range(2, MAX_K + 1):
+        index = pattern_index(k)
+        rows = index.letters.tolist()
+        assert index.letters.shape == (bell[k], k + 1)
+        assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+        for row in rows:
+            assert row[0] == 0
+            assert all(a != b for a, b in zip(row, row[1:]))
+            assert all(c <= max(row[:i]) + 1 for i, c in enumerate(row) if i)
+        assert list(index.patterns) == ["".join(chr(ord("A") + c) for c in row) for row in rows]
+        assert [index.position[p] for p in index.patterns] == list(range(len(rows)))
+        assert len(index.position) == len(rows)
+        assert not index.letters.flags.writeable
+
+
+def test_enumerate_patterns_returns_a_fresh_list():
+    patterns = enumerate_patterns(6)
+    misses = pattern_index.cache_info().misses
+    mine = enumerate_patterns(6)
+    mine[0] = "ZZZZZZZ"
+    mine.append("ABABABA")
+    assert enumerate_patterns(6) == patterns
+    assert list(pattern_index(6).patterns) == patterns
+    assert pattern_index.cache_info().misses == misses
 
 
 def test_alphabet_is_lexicographic_and_restricted_growth():
@@ -171,5 +210,5 @@ def test_count_motifs_matches_brute_force_oracle(walks, k):
 
 def test_count_motifs_rejects_k_below_two():
     for possessions in ([], [chain_possession(["1", "2", "3"])]):
-        with pytest.raises(ValueError, match="k must be >= 2"):
+        with pytest.raises(ValueError, match=f"k must be between 2 and {MAX_K}, got 1"):
             count_motifs(possessions, 1)
