@@ -14,7 +14,12 @@ gives, with the ids the CLI passes. Fingerprinting averages one z-score profile 
 team-match, drawn from a fixed seed since its cost does not depend on the
 values, and clustering (k-means and Ward) takes the 20 fingerprints. The
 alphabet case times the largest alphabet, k = 8 with 4,140 patterns: listing
-it, and fingerprinting 20 teams from one k = 8 profile each.
+it, and fingerprinting 20 teams from one k = 8 profile each. The CLI cases run
+``cli.main`` in one process (``FLOWMOTIF_THREADS=1``) on the league written as
+one CSV file per team-match: ``motifs``, ``zscores`` under the match shuffle
+at 20 replicates, and ``fingerprint`` and ``cluster`` on what those wrote. They
+time the commands' fixed work (reading, hashing, writing and the manifest)
+around the layers above.
 """
 
 import io
@@ -36,6 +41,7 @@ from flowmotif import (
     team_fingerprint,
     ward_cluster,
 )
+from flowmotif.cli import main
 from flowmotif.synth import TeamStyleParams, generate_league
 
 TEAMS = [TeamStyleParams(10, 25, 3.2, 0.0, matches=4, team_id=f"t{i:02d}") for i in range(20)]
@@ -117,3 +123,29 @@ def test_ward(benchmark):
 def test_alphabet_k8(benchmark, case):
     result = benchmark(ALPHABET_CASES[case])
     assert len(result) in (PATTERNS_K8, len(TEAMS))
+
+
+@pytest.fixture(scope="module")
+def cli_argv(tmp_path_factory):
+    """Each CLI case's argv, over the league's files, with the inputs it reads written."""
+    root = tmp_path_factory.mktemp("cli")
+    events = root / "events"
+    events.mkdir()
+    for log, data in zip(LOGS, FILES["csv"]):
+        events.joinpath(f"{log.match_id}.csv").write_bytes(data)
+    argv = {
+        "motifs": ["motifs", str(events), "--out", str(root / "m.csv")],
+        "zscores": ["zscores", str(events), "--replicates", "20", "--out", str(root / "z.csv")],
+        "fingerprint": ["fingerprint", str(root / "z.csv"), "--out", str(root / "f.csv")],
+        "cluster": ["cluster", str(root / "f.csv"), "--out", str(root / "c")],
+    }
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("FLOWMOTIF_THREADS", "1")
+        assert main(argv["zscores"]) == 0 and main(argv["fingerprint"]) == 0
+    return argv
+
+
+@pytest.mark.parametrize("command", ["motifs", "zscores", "fingerprint", "cluster"])
+def test_cli_command(benchmark, monkeypatch, cli_argv, command):
+    monkeypatch.setenv("FLOWMOTIF_THREADS", "1")
+    assert benchmark(main, cli_argv[command]) == 0

@@ -1,7 +1,10 @@
 """Command-line pipeline: synth -> motifs/zscores -> fingerprint -> cluster/pca.
 
-Every command writes machine-readable CSV/JSON plus a manifest that echoes
-the configuration, input digests, and version needed to reproduce the run.
+Every command writes machine-readable CSV/JSON, and ``main`` writes its
+manifest: the version, the sha256 of every input read, the run's duration and
+counts, and as ``config`` every parsed value but the input and output paths.
+The manifest is ``manifest.json`` inside ``--out`` when that is a directory
+after the command ran, and ``<out>.manifest.json`` next to it otherwise.
 Exit codes: 0 success, 1 internal error, 2 input or domain error.
 Parallelism is capped by the FLOWMOTIF_THREADS environment variable and
 never affects results (per-match seeds are derived, not shared).
@@ -18,7 +21,6 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import chain
 from pathlib import Path
@@ -35,6 +37,7 @@ from .analytics import (
     ward_cluster,
 )
 from .events import (
+    FORMATS,
     FormatError,
     MatchEventLog,
     ParseDiagnostic,
@@ -58,23 +61,9 @@ from .possessions import DEFAULT_T_MAX, SegmentationConfig, segment_possessions
 from .svg import dendrogram_svg, scatter_svg
 from .synth import TeamStyleParams, generate_league
 
-_EXTENSIONS = {"csv": ".csv", "jsonl": ".jsonl"}
-
-
-@dataclass(frozen=True, slots=True)
-class RunManifest:
-    """Everything needed to reproduce a run bit-exactly, plus its duration and counts.
-
-    ``counts`` holds what the command counted along the way; like the
-    duration it is no part of any result.
-    """
-
-    command: str
-    version: str
-    config: dict
-    input_digests: dict[str, str]
-    duration_s: float
-    counts: dict[str, int] = field(default_factory=dict)
+# Parsed values that are no setting of the run: the dispatch fields, and the
+# input and output paths, which the digests and the manifest's place record.
+_NOT_CONFIG = frozenset({"command", "func", "inputs", "zscores", "fingerprints", "teams", "out"})
 
 
 def _read_input(path: Path, digests: dict[str, str]) -> bytes:
@@ -85,22 +74,24 @@ def _read_input(path: Path, digests: dict[str, str]) -> bytes:
 
 
 def _write_manifest(
-    path: Path,
-    command: str,
-    config: dict,
-    digests: dict[str, str],
-    started: float,
-    counts: dict[str, int] | None = None,
+    args: argparse.Namespace, digests: dict[str, str], counts: dict[str, int], started: float
 ) -> None:
-    manifest = RunManifest(
-        command=command,
-        version=__version__,
-        config=config,
-        input_digests=digests,
-        duration_s=time.perf_counter() - started,
-        counts=counts or {},
-    )
-    path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    """Write everything needed to reproduce the run bit-exactly, plus its duration and counts.
+
+    ``counts`` holds what the command counted along the way; like the
+    duration it is no part of any result.
+    """
+    out = Path(args.out)
+    path = out / "manifest.json" if out.is_dir() else out.with_name(out.name + ".manifest.json")
+    manifest = {
+        "command": args.command,
+        "version": __version__,
+        "config": {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG},
+        "input_digests": digests,
+        "duration_s": time.perf_counter() - started,
+        "counts": counts,
+    }
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
@@ -199,7 +190,7 @@ def _key_text(keys: tuple[str, ...], key: tuple[str, ...]) -> str:
 
 
 def _collect_input_files(paths: list[str], fmt: str) -> list[Path]:
-    ext = _EXTENSIONS[fmt]
+    ext = "." + fmt
     files: list[Path] = []
     for raw in paths:
         p = Path(raw)
@@ -275,25 +266,15 @@ def _count_for_log(payload: tuple[MatchEventLog, int, float]) -> MotifCountVecto
     return count_motifs(possessions, k, match_id=log.match_id, team_id=log.team_id)
 
 
-def cmd_motifs(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    digests: dict[str, str] = {}
+def cmd_motifs(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> int:
     logs, had_errors = _load_match_logs(args.inputs, args.format, digests)
-    vectors = _parallel_map(_count_for_log, [(log, args.k, args.tmax) for log in logs])
-    out = Path(args.out)
+    vectors = _parallel_map(_count_for_log, [(log, args.k, args.t_max) for log in logs])
     _write_pattern_csv(
-        out,
+        Path(args.out),
         ("match_id", "team_id"),
         ("count",),
         [(vec.match_id, vec.team_id, vec.k) for vec in vectors],
         [_flat([vec.counts for vec in vectors])],
-    )
-    _write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        "motifs",
-        {"k": args.k, "t_max": args.tmax, "format": args.format},
-        digests,
-        started,
     )
     return 2 if had_errors else 0
 
@@ -308,9 +289,7 @@ def _zscore_for_log(
     return counts, null, z_scores(counts, null), len(possessions)
 
 
-def cmd_zscores(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    digests: dict[str, str] = {}
+def cmd_zscores(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> int:
     logs, had_errors = _load_match_logs(args.inputs, args.format, digests)
     config = NullModelConfig(
         replicates=args.replicates,
@@ -318,14 +297,14 @@ def cmd_zscores(args: argparse.Namespace) -> int:
         master_seed=args.seed,
     )
     results = _parallel_map(
-        _zscore_for_log, [(log, args.k, args.tmax, config) for log in logs]
+        _zscore_for_log, [(log, args.k, args.t_max, config) for log in logs]
     )
     vectors, nulls, profiles = ([r[i] for r in results] for i in range(3))
     possessions = sum(r[3] for r in results)
     sampled = sum(null.sampled_possessions for null in nulls)
-    out = Path(args.out)
+    counts.update(exact_possessions=possessions - sampled, sampled_possessions=sampled)
     _write_pattern_csv(
-        out,
+        Path(args.out),
         ("match_id", "team_id"),
         ("count", "null_mean", "null_std", "z", "degenerate"),
         [(vec.match_id, vec.team_id, vec.k) for vec in vectors],
@@ -336,21 +315,6 @@ def cmd_zscores(args: argparse.Namespace) -> int:
             _flat([prof.z for prof in profiles]),
             ["true" if d else "false" for d in _flat([prof.degenerate for prof in profiles])],
         ],
-    )
-    _write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        "zscores",
-        {
-            "k": args.k,
-            "t_max": args.tmax,
-            "replicates": args.replicates,
-            "seed": args.seed,
-            "null_model": args.null_model,
-            "format": args.format,
-        },
-        digests,
-        started,
-        {"exact_possessions": possessions - sampled, "sampled_possessions": sampled},
     )
     return 2 if had_errors else 0
 
@@ -370,17 +334,14 @@ def _read_zscore_profiles(path: Path, digests: dict[str, str]) -> list[ZScorePro
     ]
 
 
-def cmd_fingerprint(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    digests: dict[str, str] = {}
+def cmd_fingerprint(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> int:
     profiles = _read_zscore_profiles(Path(args.zscores), digests)
     by_team: dict[str, list[ZScoreProfile]] = {}
     for prof in profiles:
         by_team.setdefault(prof.team_id, []).append(prof)
     fingerprints = [team_fingerprint(by_team[team]) for team in sorted(by_team)]
-    out = Path(args.out)
     _write_pattern_csv(
-        out,
+        Path(args.out),
         ("team_id",),
         ("mean_z", "matches_used"),
         [(fp.team_id, fp.k) for fp in fingerprints],
@@ -388,9 +349,6 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
             _flat([fp.features for fp in fingerprints]),
             _flat([[fp.matches_used] * len(fp.features) for fp in fingerprints]),
         ],
-    )
-    _write_manifest(
-        out.with_name(out.name + ".manifest.json"), "fingerprint", {}, digests, started
     )
     return 0
 
@@ -434,9 +392,7 @@ def _write_pca(
     out_dir.joinpath("pca_scatter.svg").write_text(scatter_svg(points))
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    digests: dict[str, str] = {}
+def cmd_cluster(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> int:
     fingerprints = _read_fingerprints(Path(args.fingerprints), digests)
     clustering = kmeans(fingerprints, args.clusters, seed=args.seed)
     dendrogram = ward_cluster(fingerprints)
@@ -466,24 +422,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     )
     _write_pca(out_dir, projection, args.pca_dims, clustering.assignments)
     out_dir.joinpath("dendrogram.svg").write_text(dendrogram_svg(dendrogram))
-    _write_manifest(
-        out_dir / "manifest.json",
-        "cluster",
-        {
-            "clusters": args.clusters,
-            "seed": args.seed,
-            "pca_dims": args.pca_dims,
-            "pca_standardize": args.pca_standardize,
-        },
-        digests,
-        started,
-    )
     return 0
 
 
-def cmd_pca(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    digests: dict[str, str] = {}
+def cmd_pca(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> int:
     fingerprints = _read_fingerprints(Path(args.fingerprints), digests)
     projection = pca_project(fingerprints, args.pca_dims, standardize=args.pca_standardize)
     out_dir = Path(args.out)
@@ -496,13 +438,6 @@ def cmd_pca(args: argparse.Namespace) -> int:
         )
         + "\n"
     )
-    _write_manifest(
-        out_dir / "manifest.json",
-        "pca",
-        {"pca_dims": args.pca_dims, "pca_standardize": args.pca_standardize},
-        digests,
-        started,
-    )
     return 0
 
 
@@ -511,9 +446,7 @@ def cmd_pca(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    digests: dict[str, str] = {}
+def cmd_synth(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> int:
     raw = json.loads(_read_input(Path(args.teams), digests))
     if not isinstance(raw, list):
         raise ValueError("team spec file must be a JSON array of team parameter objects")
@@ -525,21 +458,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
             teams.append(TeamStyleParams(**entry))
         except TypeError as exc:
             raise ValueError(f"team spec entry {i}: {exc}") from None
-    logs = generate_league(teams, args.seed, t_max=args.tmax)
+    logs = generate_league(teams, args.seed, t_max=args.t_max)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = _EXTENSIONS[args.format]
     for log in logs:
-        out_dir.joinpath(log.match_id + ext).write_text(
+        out_dir.joinpath(f"{log.match_id}.{args.format}").write_text(
             serialize_pass_events(log.events, args.format)
         )
-    _write_manifest(
-        out_dir / "manifest.json",
-        "synth",
-        {"seed": args.seed, "t_max": args.tmax, "format": args.format},
-        digests,
-        started,
-    )
     return 0
 
 
@@ -557,9 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=sorted(_EXTENSIONS), default="csv", help="event file format"
-    )
+    fmt.add_argument("--format", choices=FORMATS, default="csv", help="event file format")
 
     seg = argparse.ArgumentParser(add_help=False)
     seg.add_argument(
@@ -567,6 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seg.add_argument(
         "--tmax",
+        dest="t_max",
+        metavar="TMAX",
         type=float,
         default=DEFAULT_T_MAX,
         help="max seconds between consecutive passes of one possession",
@@ -619,6 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--tmax",
+        dest="t_max",
+        metavar="TMAX",
         type=float,
         default=DEFAULT_T_MAX,
         help="segmentation threshold the generated timestamps must respect",
@@ -636,9 +563,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, then write its manifest; the command fills in its digests and counts."""
     args = _parser().parse_args(argv)
+    started = time.perf_counter()
+    digests: dict[str, str] = {}
+    counts: dict[str, int] = {}
     try:
-        return args.func(args)
+        status = args.func(args, digests, counts)
+        _write_manifest(args, digests, counts, started)
+        return status
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -734,8 +734,9 @@ def null_distribution(
             else:
                 mean += moments[0]
                 var += moments[1]
-        codes = TouchCodes(runs[np.array(picks, dtype=np.int64)])
         sampled = len(picks)
+        if picks:
+            codes = TouchCodes(runs[np.array(picks, dtype=np.int64)])
     if sampled:
         sampled_mean, sampled_var = _sampled_moments(codes, k, config)
         mean += sampled_mean

@@ -302,6 +302,29 @@ def test_pca_sign_convention_largest_loading_positive():
         assert centered @ expected == pytest.approx(coords[:, axis], abs=1e-9)
 
 
+def test_pca_standardize_matches_a_numpy_oracle():
+    # Center, divide by the ddof=1 std, take the SVD and turn each axis so its
+    # largest loading is positive. A zero-variance feature keeps scale 1, and
+    # rescaling a feature leaves the projection as it is.
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(8, DIM)) * np.array([0.1, 1.0, 30.0, 1.0, 4.0])
+    rows[:, 3] = 2.5
+    std = rows.std(axis=0, ddof=1)
+    scaled = (rows - rows.mean(axis=0)) / np.where(std > 0.0, std, 1.0)
+    _, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    lead = np.abs(vt).argmax(axis=1)
+    vt *= np.sign(vt[np.arange(len(vt)), lead])[:, None]
+    expected = scaled @ vt[:3].T
+    rescaled = rows * np.array([1000.0, 1.0, 0.01, 1.0, 1.0])
+    for data in (rows, rescaled):
+        projection = pca_project([fp(f"t{i}", *r) for i, r in enumerate(data)], 3, True)
+        coords = np.array([projection.coordinates[f"t{i}"] for i in range(8)])
+        assert np.isfinite(coords).all()
+        assert coords == pytest.approx(expected, abs=1e-9)
+        ratios = projection.explained_variance_ratio
+        assert ratios == pytest.approx((s[:3] ** 2 / (s**2).sum()).tolist(), abs=1e-12)
+
+
 def test_pca_rejects_bad_dims_and_too_few_teams():
     fingerprints = [fp(f"t{i}", float(i)) for i in range(4)]
     with pytest.raises(ValueError):

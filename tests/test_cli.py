@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from flowmotif import TeamFingerprint, pca_project
 from flowmotif.cli import main
 
 TEAMS = [
@@ -288,6 +289,26 @@ def fills(svg_path):
     return set(re.findall(r'<circle [^>]*fill="([^"]+)"', svg_path.read_text()))
 
 
+def test_pca_standardize_writes_the_standardized_coordinates(league_dir, tmp_path):
+    zs, fps = tmp_path / "z.csv", tmp_path / "f.csv"
+    assert main(["zscores", str(league_dir), "--replicates", "5", "--out", str(zs)]) == 0
+    assert main(["fingerprint", str(zs), "--out", str(fps)]) == 0
+    features = {}
+    for row in read_rows(fps):
+        features.setdefault(row["team_id"], []).append(float(row["mean_z"]))
+    fingerprints = [TeamFingerprint(team, 3, tuple(z), 3) for team, z in features.items()]
+    coords = {}
+    for standardize in (False, True):
+        out = tmp_path / f"pca{standardize}"
+        flags = ["--pca-standardize"] if standardize else []
+        assert main(["pca", str(fps), *flags, "--out", str(out)]) == 0
+        coords[standardize] = {
+            r["team_id"]: (float(r["pc1"]), float(r["pc2"])) for r in read_rows(out / "pca.csv")
+        }
+    assert coords[True] == pca_project(fingerprints, 2, standardize=True).coordinates
+    assert coords[True] != coords[False]
+
+
 def test_cluster_with_too_few_teams_exits_2(league_dir, tmp_path, capsys):
     zs = tmp_path / "z.csv"
     main(["zscores", str(league_dir), "--replicates", "5", "--out", str(zs)])
@@ -404,17 +425,43 @@ def test_manifest_digests_every_input_once_read(tmp_path, command):
     }
 
 
-def test_zscores_manifest_config_holds_exactly_the_settings(tmp_path):
-    # The manifest echoes every setting of the command and nothing else;
-    # the null model is named as on the command line.
-    src = tmp_path / "events.csv"
-    src.write_text(WORKED_EXAMPLE_CSV)
-    out = tmp_path / "z.csv"
-    argv = ["zscores", str(src), "--null-model", "uniform-walk", "--replicates", "3"]
-    assert main(argv + ["--out", str(out)]) == 0
-    config = json.loads(out.with_name("z.csv.manifest.json").read_text())["config"]
-    assert sorted(config) == ["format", "k", "null_model", "replicates", "seed", "t_max"]
-    assert config["null_model"] == "uniform-walk"
+# Per command: its settings, and where its manifest sits under ``tmp_path``.
+MANIFEST_CASES = {
+    "synth": (["format", "seed", "t_max"], "events/manifest.json"),
+    "motifs": (["format", "k", "t_max"], "m.csv.manifest.json"),
+    "zscores": (
+        ["format", "k", "null_model", "replicates", "seed", "t_max"],
+        "z.csv.manifest.json",
+    ),
+    "fingerprint": ([], "f.csv.manifest.json"),
+    "cluster": (["clusters", "pca_dims", "pca_standardize", "seed"], "cluster/manifest.json"),
+    "pca": (["pca_dims", "pca_standardize"], "pca/manifest.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+def test_manifest_config_holds_exactly_the_settings(league_dir, tmp_path, command):
+    # Each manifest echoes every setting of its command and nothing else, the
+    # null model named as on the command line. It sits inside an output
+    # directory and next to an output file, and only zscores counts anything.
+    league, fps = str(league_dir), str(tmp_path / "f.csv")
+    for argv, out in (
+        (["motifs", league], "m.csv"),
+        (["zscores", league, "--null-model", "uniform-walk", "--replicates", "3"], "z.csv"),
+        (["fingerprint", str(tmp_path / "z.csv")], "f.csv"),
+        (["cluster", fps, "--clusters", "2"], "cluster"),
+        (["pca", fps], "pca"),
+    ):
+        assert main(argv + ["--out", str(tmp_path / out)]) == 0
+    settings, place = MANIFEST_CASES[command]
+    manifest = json.loads((tmp_path / place).read_text())
+    assert manifest["command"] == command
+    assert sorted(manifest["config"]) == settings
+    if command == "zscores":
+        assert manifest["config"]["null_model"] == "uniform-walk"
+        assert sorted(manifest["counts"]) == ["exact_possessions", "sampled_possessions"]
+    else:
+        assert manifest["counts"] == {}
 
 
 def test_fingerprint_rejects_zscores_missing_a_pattern(tmp_path, capsys):
