@@ -16,13 +16,19 @@ is all of them, and keeps them per signature for the process.
 So after the first round the walk and possession cases time the exact
 moments alone, looked up or computed. ``test_possession_moments_cold``
 times the counting DP behind the possession shuffle's moments from an
-empty cache, over every signature of the four team-matches. The
+empty cache and an empty table of arrangement counts, over every
+signature of the four team-matches. The
 ``randomize_possessions`` cases draw one replicate of each team-match, one
 seed per team-match; under the possession shuffle every possession takes
 rejection rounds, however long. ``test_possession_shuffle_large_k`` scores
 the four team-matches under the possession shuffle at k = 5..8, where the
 DP's budget leaves some possessions to sampling; its first round also
-computes the DP.
+computes the DP. ``test_possession_shuffle_long`` scores four team-matches
+of long possessions (squad 11, 25 possessions, 8 passes per possession)
+at 250 replicates, where the budget counts the arrangements of the
+possessions past ``EXACT_TOUCHES[3]`` and the rows the rejection rounds
+leave are drawn from those counts; ``cold`` empties the moments' cache and
+the counts table before every round, ``warm`` keeps them.
 """
 
 from collections import Counter
@@ -45,6 +51,8 @@ TEAMS = [
     TeamStyleParams(10, 25, 4.0, 0.5, matches=2, team_id="backpass"),
 ]
 TEAM_MATCHES = [segment_possessions(log) for log in generate_league(TEAMS, seed=1)]
+LONG = [TeamStyleParams(11, 25, 8.0, 0.0, matches=4, team_id="long")]
+LONG_MATCHES = [segment_possessions(log) for log in generate_league(LONG, seed=1)]
 SIGNATURES = sorted(
     {
         tuple(sorted(Counter(touch_sequence(p)).values()))
@@ -74,6 +82,7 @@ def test_possession_moments_cold(benchmark):
     def cold():
         nullmodel._signature_moments.cache_clear()
         nullmodel._shuffle_dp.cache_clear()
+        nullmodel._COUNTS.clear()
         return [nullmodel._signature_moments(s, 3) for s in SIGNATURES]
 
     moments = benchmark(cold)
@@ -85,3 +94,17 @@ def test_possession_shuffle_large_k(benchmark, k):
     config = NullModelConfig(replicates=1000, policy="touch_shuffle_possession", master_seed=3)
     nulls = benchmark(lambda: [null_distribution(p, k, config) for p in TEAM_MATCHES])
     assert len(nulls) == len(TEAM_MATCHES)
+
+
+@pytest.mark.parametrize("table", ["cold", "warm"])
+def test_possession_shuffle_long(benchmark, table):
+    config = NullModelConfig(replicates=250, policy="touch_shuffle_possession", master_seed=3)
+
+    def score():
+        if table == "cold":
+            nullmodel._signature_moments.cache_clear()
+            nullmodel._COUNTS.clear()
+        return [null_distribution(p, 3, config) for p in LONG_MATCHES]
+
+    nulls = benchmark(score)
+    assert sum(n.sampled_possessions for n in nulls) > 0

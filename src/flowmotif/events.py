@@ -196,12 +196,6 @@ class PassRuns:
             yield out
 
     def __getitem__(self, i):
-        if isinstance(i, np.ndarray):  # the runs at these ascending indices, as runs
-            lengths = np.diff(self.starts, append=len(self.passes))
-            keep = np.zeros(len(self), dtype=bool)
-            keep[i] = True
-            passes = self.passes[np.repeat(keep, lengths)]
-            return PassRuns(passes, np.cumsum(lengths[keep]) - lengths[keep], self.row)
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]

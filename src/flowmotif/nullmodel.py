@@ -33,9 +33,10 @@ ones past the budget in ``null_distribution`` and all of them in
 ``randomize_possessions``, takes rejection rounds, which keep the uniform
 permutations with no adjacent repeat, and rows still waiting after
 ``POSSESSION_ROUNDS`` rounds are drawn from exact counts of valid
-arrangements. A possession's observed
-arrangement is valid, so the sampler always terminates. The sample
-variance of the sampled possessions adds to the exact one.
+arrangements. The budget reads the same counts, and like the moments they
+are kept for the process. A possession's observed arrangement is valid, so
+the sampler always terminates. The sample variance of the sampled
+possessions adds to the exact one.
 
 Each team-match draws its sampled rows from one random stream, seeded
 from (master_seed, match_id, team_id), in batches of ``BATCH_ROWS``
@@ -375,7 +376,7 @@ def _signature_moments(
     fits = (_pattern_counts(k) <= counts + [0] * (k + 1 - len(counts))).all(axis=1)
     columns = tuple(np.flatnonzero(fits).tolist())
     if touches > EXACT_TOUCHES[k]:
-        arrangements = _arrangements(signature, {})
+        arrangements = _arrangements(signature)
         classes = arrangements // prod(map(factorial, Counter(signature).values()))
         if (touches + 1) * classes * (1 + 2 * len(columns)) > STATE_VALUES:
             return None
@@ -387,9 +388,7 @@ def _signature_moments(
     return moments
 
 
-def _rejection_rows(
-    touches: np.ndarray, rng: np.random.Generator, n_rows: int, memo: dict[tuple, int]
-) -> np.ndarray:
+def _rejection_rows(touches: np.ndarray, rng: np.random.Generator, n_rows: int) -> np.ndarray:
     """``n_rows`` independent uniform valid arrangements of one possession's touches.
 
     A uniform permutation of the touches that has no adjacent repeat is
@@ -398,11 +397,11 @@ def _rejection_rows(
     permutations in order to the rows still waiting for one. A uniform
     permutation of last round's rows is again a uniform permutation of the
     touches, so the rounds permute one array in place. Rows still waiting
-    after ``POSSESSION_ROUNDS`` rounds are drawn by ``_counted_arrangement``
-    with the counts memo ``memo``. A possession's rounds all have the same
-    array shapes: pooling the waiting rows of every possession into one
-    draw was as fast, but its ever-changing small arrays stay cached by
-    numpy and grew the process's memory by several percent.
+    after ``POSSESSION_ROUNDS`` rounds are drawn by ``_counted_arrangement``.
+    A possession's rounds all have the same array shapes: pooling the
+    waiting rows of every possession into one draw was as fast, but its
+    ever-changing small arrays stay cached by numpy and grew the process's
+    memory by several percent.
     """
     drawn = np.tile(touches, (n_rows, 1))
     out = np.empty_like(drawn)
@@ -416,26 +415,21 @@ def _rejection_rows(
         if filled == n_rows:
             break
     for row in range(filled, n_rows):
-        out[row] = _counted_arrangement(touches, rng, memo)
+        out[row] = _counted_arrangement(touches, rng)
     return out
 
 
-def _possession_rows(
-    codes: TouchCodes,
-    rng: np.random.Generator,
-    n_rows: int,
-    memo: dict[tuple, int],
-) -> np.ndarray:
+def _possession_rows(codes: TouchCodes, rng: np.random.Generator, n_rows: int) -> np.ndarray:
     """Rows whose possessions are independent uniform valid arrangements.
 
-    Every possession, in order, takes ``_rejection_rows`` with the counts
-    memo ``memo``; the counting DP serves only the exact moments of
-    ``null_distribution``. The possessions are cut out by slicing:
-    ``np.split`` took about 40 µs for 25 possessions against 7 µs (2-core
-    Xeon VM), and made the possession shuffle 3% slower.
+    Every possession, in order, takes ``_rejection_rows``; the counting DP
+    serves only the exact moments of ``null_distribution``. The possessions
+    are cut out by slicing: ``np.split`` took about 40 µs for 25
+    possessions against 7 µs (2-core Xeon VM), and made the possession
+    shuffle 3% slower.
     """
     blocks = [
-        _rejection_rows(codes.touches[start : start + length], rng, n_rows, memo)
+        _rejection_rows(codes.touches[start : start + length], rng, n_rows)
         for start, length in zip(codes.starts.tolist(), codes.lengths.tolist())
     ]
     return np.concatenate(blocks, axis=1)
@@ -446,44 +440,49 @@ def _others(counts: list[int], holder: int) -> tuple[int, ...]:
     return tuple(sorted(c for i, c in enumerate(counts) if c and i != holder))
 
 
-def _arrangements(counts: tuple[int, ...], memo: dict[tuple, int]) -> int:
+# Exact counts of ``_arrangements`` and ``_after``, each a pure function of
+# its key, kept for the life of the process.
+_COUNTS: dict[tuple, int] = {}
+
+
+def _arrangements(counts: tuple[int, ...]) -> int:
     """Arrangements with no adjacent repeat of touches with these player counts.
 
     ``counts`` is sorted and holds no zeros; players with equal counts are
-    interchangeable, so the number depends on nothing else, and ``memo``
-    is keyed by the counts. The recursion is twice as deep as the touches.
-    ``memo`` also holds ``_after``'s counts, under keys of their own.
+    interchangeable, so the number depends on nothing else, and ``_COUNTS``
+    keeps it under the key ``counts``. The recursion is at most twice as
+    deep as the touches.
     """
-    n = memo.get(counts)
+    n = _COUNTS.get(counts)
     if n is None:
         n = 0 if counts else 1
         for i, c in enumerate(counts):
             if i and counts[i - 1] == c:
                 continue  # starts with a player of the same count: same number
-            n += counts.count(c) * _after(counts[:i] + counts[i + 1 :], c - 1, memo)
-        memo[counts] = n
+            n += counts.count(c) * _after(counts[:i] + counts[i + 1 :], c - 1)
+        _COUNTS[counts] = n
     return n
 
 
-def _after(others: tuple[int, ...], held: int, memo: dict[tuple, int]) -> int:
+def _after(others: tuple[int, ...], held: int) -> int:
     """Valid arrangements that do not start with the last holder.
 
     The last holder has ``held`` touches left and the other players
     ``others``. The arrangements that do start with the last holder number
     ``_after(others, held - 1)``, so the count alternates over the
     arrangements with ``held``, ``held - 1``, ... 0 touches of theirs.
-    ``memo`` keeps every ``_after(others, h)`` under the key ``(others,
+    ``_COUNTS`` keeps every ``_after(others, h)`` under the key ``(others,
     h)``; they are filled upwards in h from the highest one it holds.
     """
-    n = memo.get((others, held))
+    n = _COUNTS.get((others, held))
     if n is None:
         h = held
-        while h and (others, h - 1) not in memo:
+        while h and (others, h - 1) not in _COUNTS:
             h -= 1
-        n = memo[others, h - 1] if h else 0
+        n = _COUNTS[others, h - 1] if h else 0
         for h in range(h, held + 1):
-            n = _arrangements(tuple(sorted(others + (h,))) if h else others, memo) - n
-            memo[others, h] = n
+            n = _arrangements(tuple(sorted(others + (h,))) if h else others) - n
+            _COUNTS[others, h] = n
     return n
 
 
@@ -497,9 +496,7 @@ def _randbelow(rng: np.random.Generator, n: int) -> int:
             return x
 
 
-def _counted_arrangement(
-    touches: np.ndarray, rng: np.random.Generator, memo: dict[tuple, int]
-) -> np.ndarray:
+def _counted_arrangement(touches: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One uniform valid arrangement of a possession's touches.
 
     Draws a uniform rank among all valid arrangements and decodes it touch
@@ -511,12 +508,12 @@ def _counted_arrangement(
     counts = counts.tolist()
     out = np.empty_like(touches)
     last = -1
-    rank = _randbelow(rng, _arrangements(_others(counts, last), memo))
+    rank = _randbelow(rng, _arrangements(_others(counts, last)))
     for t in range(touches.size):
         for j, c in enumerate(counts):
             if j == last or c == 0:
                 continue
-            n = _after(_others(counts, j), c - 1, memo)
+            n = _after(_others(counts, j), c - 1)
             if rank < n:
                 break
             rank -= n
@@ -604,24 +601,15 @@ def _walk_moments(codes: TouchCodes, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_rows(
-    codes: TouchCodes,
-    policy: str,
-    rng: np.random.Generator,
-    n_rows: int,
-    memo: dict[tuple, int],
+    codes: TouchCodes, policy: str, rng: np.random.Generator, n_rows: int
 ) -> np.ndarray:
-    """``n_rows`` independent replicates of the touches, one per row.
-
-    ``memo`` holds the arrangement counts of the possession shuffle, which
-    draws every possession by rejection rounds, then counts; the caller
-    keeps it across the batches of one team-match.
-    """
+    """``n_rows`` independent replicates of the touches, one per row."""
     if codes.touches.size == 0:
         return np.empty((n_rows, 0), dtype=codes.touches.dtype)
     if policy == "touch_shuffle_match":
         return _match_rows(codes, rng, n_rows)
     if policy == "touch_shuffle_possession":
-        return _possession_rows(codes, rng, n_rows, memo)
+        return _possession_rows(codes, rng, n_rows)
     return _walk_rows(codes, rng, n_rows)
 
 
@@ -661,10 +649,9 @@ def _sampled_moments(
     total_sq = np.zeros_like(total)
     reps = config.replicates
     rng = np.random.default_rng(derive_seed(config.master_seed, codes.match_id, codes.team_id))
-    memo: dict[tuple, int] = {}
     for done in range(0, reps, BATCH_ROWS):
         n_rows = min(BATCH_ROWS, reps - done)
-        rows = _draw_rows(codes, config.policy, rng, n_rows, memo)
+        rows = _draw_rows(codes, config.policy, rng, n_rows)
         for first in range(0, n_rows, COUNT_ROWS):
             counts = pidx.window_counts(rows[first : first + COUNT_ROWS], window_starts)
             total += counts.sum(axis=0)
@@ -689,7 +676,7 @@ def randomize_possessions(
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     runs = possession_runs(possessions)
     codes = TouchCodes(runs)
-    row = _draw_rows(codes, policy, np.random.default_rng(seed), 1, {})[0]
+    row = _draw_rows(codes, policy, np.random.default_rng(seed), 1)[0]
     passes = runs.passes
     index = {name: i for i, name in enumerate(passes.names)}
     held = np.array([index[p] for p in codes.players], dtype=np.int32)[row]
@@ -736,7 +723,7 @@ def null_distribution(
                 var += moments[1]
         sampled = len(picks)
         if picks:
-            codes = TouchCodes(runs[np.array(picks, dtype=np.int64)])
+            codes = TouchCodes([runs[i] for i in picks])
     if sampled:
         sampled_mean, sampled_var = _sampled_moments(codes, k, config)
         mean += sampled_mean

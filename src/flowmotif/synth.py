@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .events import MatchEventLog, PassTable
-from .possessions import DEFAULT_T_MAX
+from .possessions import DEFAULT_T_MAX, SegmentationConfig
 from .seeding import derive_seed
 
 DEFAULT_MATCHES = 38
@@ -59,7 +59,9 @@ def generate_match(
     """One synthetic match log for the given team parameters.
 
     Deterministic in (params, match_index, seed); reruns are bit-identical.
+    ``t_max`` must be one that segmentation accepts.
     """
+    SegmentationConfig(t_max)
     team_id = params.team_id or "team"
     match_id = f"{team_id}-m{match_index:03d}"
     rng = np.random.default_rng(seed)

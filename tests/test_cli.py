@@ -352,6 +352,18 @@ def test_bad_team_spec_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_max", ["0", "-5", "nan"])
+def test_synth_with_a_t_max_segmentation_refuses_exits_2(tmp_path, capsys, t_max):
+    # Possessions 1 s apart (t_max 0) are not recoverable, and a negative or
+    # NaN t_max once failed later with a message about the timestamps.
+    spec = tmp_path / "teams.json"
+    spec.write_text(json.dumps(TEAMS))
+    out = tmp_path / "events"
+    assert main(["synth", "--teams", str(spec), "--tmax", t_max, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: t_max must be positive, got {float(t_max)!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entries", [[{"bogus": 1}], [1], [{"squad_size": "x"}]])
 def test_bad_team_spec_entry_exits_2(tmp_path, capsys, entries):
     spec = tmp_path / "teams.json"

@@ -181,7 +181,7 @@ def test_match_shuffle_reshuffles_rows_inside_a_batch(monkeypatch):
         monkeypatch.setattr(nullmodel, "MAX_REPAIR_ATTEMPTS", budget)
         rng = np.random.default_rng(seed)
         return np.concatenate(
-            [_draw_rows(codes, "touch_shuffle_match", rng, BATCH_ROWS, {}) for _ in range(2)]
+            [_draw_rows(codes, "touch_shuffle_match", rng, BATCH_ROWS) for _ in range(2)]
         )
 
     rows = draw(8, 2)
@@ -212,8 +212,7 @@ def object_path_moments(codes, policy, seed, reps):
     """
     rng = np.random.default_rng(derive_seed(seed, codes.match_id, codes.team_id))
     batches = [min(BATCH_ROWS, reps - done) for done in range(0, reps, BATCH_ROWS)]
-    memo = {}
-    rows = np.concatenate([_draw_rows(codes, policy, rng, n, memo) for n in batches])
+    rows = np.concatenate([_draw_rows(codes, policy, rng, n) for n in batches])
     samples = [
         Counter(
             m
@@ -304,31 +303,63 @@ def enumerated_moments(layout, policy, k=3):
 @pytest.mark.parametrize("touches", ["AB", "ACBA", "ABCBDAC", "ABABABABAB", "AAABBBCCD", "AAAAB"])
 def test_arrangement_counts_match_enumeration(touches):
     counts = tuple(sorted(Counter(touches).values()))
-    assert _arrangements(counts, {}) == len(valid_arrangements(touches))
+    assert _arrangements(counts) == len(valid_arrangements(touches))
 
 
 def test_counts_route_keeps_the_arrangements_after_each_holder(monkeypatch):
     # Decoding a row touch by touch asks, for every candidate holder, how
-    # many valid arrangements may follow. The memo keeps each answer, so four
-    # rows of a 40-touch ABAC chain evaluate the arrangement counts 2,424
-    # times; summing them afresh on every ask took 21,374 evaluations.
+    # many valid arrangements may follow. The table keeps each answer, so
+    # four rows of a 40-touch ABAC chain evaluate the arrangement counts
+    # 2,424 times from an empty table; summing them afresh on every ask took
+    # 21,374 evaluations.
     calls = []
     real_arrangements = nullmodel._arrangements
 
-    def arrangements(counts, memo):
+    def arrangements(counts):
         calls.append(counts)
-        return real_arrangements(counts, memo)
+        return real_arrangements(counts)
 
     monkeypatch.setattr(nullmodel, "_arrangements", arrangements)
+    monkeypatch.setattr(nullmodel, "_COUNTS", {})
     touches = np.array([0, 1, 0, 2] * 10, dtype=np.int64)
     rng = np.random.default_rng(0)
-    memo = {}
-    rows = [nullmodel._counted_arrangement(touches, rng, memo) for _ in range(4)]
+    rows = [nullmodel._counted_arrangement(touches, rng) for _ in range(4)]
     assert len(calls) <= 5_000
     for row in rows:
         assert (row[1:] != row[:-1]).all()
         assert Counter(row.tolist()) == Counter(touches.tolist())
-    assert memo[(1, 10), 19] + memo[(1, 10), 18] == memo[1, 10, 19]
+    counts = nullmodel._COUNTS
+    assert counts[(1, 10), 19] + counts[(1, 10), 18] == counts[1, 10, 19]
+
+
+def test_draws_and_the_budget_do_not_depend_on_the_counts_table(monkeypatch, fresh_moments):
+    # The arrangement counts are exact integers kept for the process, so the
+    # rows drawn from them and the budget's decisions read the same from an
+    # empty table and from one that other signatures of the same players
+    # filled first, where _after starts its upward fill from other entries.
+    touches = "AFABAFACAFADAFAEAFAGF"
+    signature = signature_of(touches)
+    possessions = [chain_possession(list(touches))]
+
+    def draw():
+        nullmodel._signature_moments.cache_clear()
+        budget = [nullmodel._signature_moments(signature, k) is None for k in range(3, 9)]
+        rows = [
+            touch_sequence(p)
+            for seed in range(4)
+            for p in randomize_possessions(possessions, "touch_shuffle_possession", seed)
+        ]
+        return budget, rows
+
+    monkeypatch.setattr(nullmodel, "_COUNTS", {})
+    cold = draw()
+    assert signature in nullmodel._COUNTS
+    monkeypatch.setattr(nullmodel, "_COUNTS", {})
+    for other in [(1, 1, 5, 9), (1, 1, 1, 1, 4, 8), (1, 1, 1, 1, 1, 6, 9), (1, 1, 1, 1, 6, 10)]:
+        _arrangements(other)
+    warm = draw()
+    assert cold == warm
+    assert all(cold[0]) and len(set(map(tuple, cold[1]))) > 1
 
 
 def canonical_by_count(arrangement, counts):
@@ -373,14 +404,13 @@ def swaps(signature):
 def test_arrangement_tables_hold_every_valid_arrangement():
     # Growth keeps only prefixes that can be completed, so the oracle's rows
     # stand for every valid arrangement; signatures with none give empty tables.
-    memo = {}
     for length in range(1, 12):
         for signature in signatures(length, 5):
             rows = len(arrangement_table(signature))
-            assert rows * swaps(signature) == _arrangements(signature, memo), signature
+            assert rows * swaps(signature) == _arrangements(signature), signature
     # seven touches of one player among six others leave 720 arrangements
     assert len(arrangement_table((1, 1, 1, 1, 1, 1, 7))) == 1
-    assert _arrangements((1, 1, 1, 1, 1, 1, 7), memo) == 720
+    assert _arrangements((1, 1, 1, 1, 1, 1, 7)) == 720
 
 
 def table_moments(signature, k):
@@ -465,7 +495,7 @@ def test_signatures_with_few_arrangements_are_exact_past_exact_touches(signature
     dp.shared_touches = -1
     states = nullmodel._StateValues(dp.shared.width)
     dp._value((), (), signature, touches, states)
-    classes = _arrangements(signature, {}) // swaps(signature)
+    classes = _arrangements(signature) // swaps(signature)
     assert len(states.rows) <= (touches + 1) * classes
 
 
@@ -478,19 +508,19 @@ def test_possession_routes_follow_the_signature(monkeypatch, fresh_moments):
     # _possession_rows. With no budget it samples all three.
     rejected = []
 
-    def rejection_rows(touches, rng, n_rows, memo):
+    def rejection_rows(touches, rng, n_rows):
         rejected.append(touches.size)
-        return real_rejection_rows(touches, rng, n_rows, memo)
+        return real_rejection_rows(touches, rng, n_rows)
 
     real_rejection_rows = nullmodel._rejection_rows
     monkeypatch.setattr(nullmodel, "_rejection_rows", rejection_rows)
     layout = ("CA", "ACBA", "ABCABCABC", "ABCDEFGHIJABCDEFGHIJA")
     possessions = [chain_possession(list(t)) for t in layout]
     rng = np.random.default_rng(0)
-    _draw_rows(TouchCodes(possessions), "touch_shuffle_possession", rng, 8, {})
+    _draw_rows(TouchCodes(possessions), "touch_shuffle_possession", rng, 8)
     assert rejected == [2, 4, 9, 21]
     long_pair = TouchCodes([chain_possession(["A", "B"] * 400 + ["A"])])
-    _draw_rows(long_pair, "touch_shuffle_possession", rng, 8, {})
+    _draw_rows(long_pair, "touch_shuffle_possession", rng, 8)
     assert rejected == [2, 4, 9, 21, 801]
     rejected.clear()
     config = NullModelConfig(replicates=8, policy="touch_shuffle_possession")
@@ -554,12 +584,11 @@ def test_possession_shuffle_takes_a_player_with_hundreds_of_touches():
     # Two players alternating over 520 touches hold 260 each, so rejection
     # rounds pass every row to the arrangement counts. Those once failed on
     # a count of 256 (the memo took its keys as bytes), then took seconds;
-    # their memo is also checked directly at counts of 256. The DP's state
+    # their table is also checked directly at counts of 256. The DP's state
     # keys take a byte per count, so null_distribution samples the chain.
-    memo = {}
-    assert _arrangements((1, 256), memo) == 0
-    assert _arrangements((1, 1, 256), memo) == 0
-    assert memo[(256,)] == 0
+    assert _arrangements((1, 256)) == 0
+    assert _arrangements((1, 1, 256)) == 0
+    assert nullmodel._COUNTS[(256,)] == 0
     (pos,) = randomize_possessions(
         [chain_possession(["A", "B"] * 260)], "touch_shuffle_possession", seed=4
     )
@@ -601,7 +630,7 @@ def test_match_shuffle_draws_the_law_of_the_row_by_row_repair(layout, draws):
     oracle_rng, rng = np.random.default_rng(5), np.random.default_rng(6)
     oracle = oracle_match_rows(match.touches, adjacency, oracle_rng, draws, 100)
     batches = [
-        _draw_rows(match, "touch_shuffle_match", rng, min(BATCH_ROWS, draws - done), {})
+        _draw_rows(match, "touch_shuffle_match", rng, min(BATCH_ROWS, draws - done))
         for done in range(0, draws, BATCH_ROWS)
     ]
     a = Counter(map("".join, names[oracle].tolist()))
@@ -620,9 +649,8 @@ def assert_uniform_over_valid_arrangements(layout, draws):
     rng = np.random.default_rng(11)
     names = np.array(match.players)
     seen = Counter()
-    memo = {}
     for _ in range(draws // batch):
-        rows = _draw_rows(match, "touch_shuffle_possession", rng, batch, memo)
+        rows = _draw_rows(match, "touch_shuffle_possession", rng, batch)
         seen.update(map("".join, names[rows].tolist()))
     assert set(seen) <= set(cells)
     expected = draws / len(cells)
@@ -665,7 +693,7 @@ def test_possession_shuffle_terminates_on_tight_possessions():
     assert Counter(heavy)["A"] == 14 and len(heavy) == 30
     possessions = [chain_possession(list(t)) for t in (tight, heavy)]
     codes = TouchCodes(possessions)
-    rows = _draw_rows(codes, "touch_shuffle_possession", np.random.default_rng(5), 256, {})
+    rows = _draw_rows(codes, "touch_shuffle_possession", np.random.default_rng(5), 256)
     for row in rows:
         for orig, seq in zip(possessions, possession_touches(codes, row)):
             assert all(a != b for a, b in zip(seq, seq[1:]))
@@ -799,7 +827,7 @@ def test_uniform_walk_mean_matches_closed_form():
     windows = sum(max(0, len(touch_sequence(p)) - 3) for p in possessions)
     expected = [windows * walk_probability(p, n_players) for p in enumerate_patterns(3)]
     assert null.mean == pytest.approx(expected, abs=1e-9)
-    rows = _draw_rows(codes, "uniform_walk", np.random.default_rng(2), reps, {})
+    rows = _draw_rows(codes, "uniform_walk", np.random.default_rng(2), reps)
     counts = pattern_index(3).window_counts(rows, codes.window_starts(3))
     var = null.std**2
     fourth = ((counts - counts.mean(axis=0)) ** 4).mean(axis=0)

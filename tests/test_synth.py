@@ -45,6 +45,14 @@ def test_segmentation_recovers_generated_possessions():
     assert all(g == 6.0 for g in boundary_gaps)  # t_max + 1
 
 
+@pytest.mark.parametrize("t_max", [0.0, -5.0, float("nan")])
+def test_t_max_must_be_one_segmentation_accepts(t_max):
+    with pytest.raises(ValueError, match=f"t_max must be positive, got {t_max!r}"):
+        generate_match(params(), 0, seed=3, t_max=t_max)
+    with pytest.raises(ValueError, match=f"t_max must be positive, got {t_max!r}"):
+        generate_league([params(matches=1)], seed=3, t_max=t_max)
+
+
 def test_full_back_pass_bias_gives_only_abab():
     log = generate_match(
         params(back_pass_bias=1.0, mean_possession_length=6.0), 0, seed=9
