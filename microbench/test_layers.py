@@ -17,9 +17,11 @@ alphabet case times the largest alphabet, k = 8 with 4,140 patterns: listing
 it, and fingerprinting 20 teams from one k = 8 profile each. The CLI cases run
 ``cli.main`` in one process (``FLOWMOTIF_THREADS=1``) on the league written as
 one CSV file per team-match: ``motifs``, ``zscores`` under the match shuffle
-at 20 replicates, and ``fingerprint`` and ``cluster`` on what those wrote. They
-time the commands' fixed work (reading, hashing, writing and the manifest)
-around the layers above.
+at 20 replicates, ``zscores-walk`` under the uniform walk, whose moments are
+exact and draw no replicate, and ``fingerprint`` and ``cluster`` on what those
+wrote. They time the commands' fixed work (listing, reading, hashing, writing
+and the manifest) around the layers above; ``zscores-walk`` shows it with no
+sampled null to hide it.
 """
 
 import io
@@ -136,6 +138,9 @@ def cli_argv(tmp_path_factory):
     argv = {
         "motifs": ["motifs", str(events), "--out", str(root / "m.csv")],
         "zscores": ["zscores", str(events), "--replicates", "20", "--out", str(root / "z.csv")],
+        "zscores-walk": [
+            "zscores", str(events), "--null-model", "uniform-walk", "--out", str(root / "w.csv")
+        ],
         "fingerprint": ["fingerprint", str(root / "z.csv"), "--out", str(root / "f.csv")],
         "cluster": ["cluster", str(root / "f.csv"), "--out", str(root / "c")],
     }
@@ -145,7 +150,7 @@ def cli_argv(tmp_path_factory):
     return argv
 
 
-@pytest.mark.parametrize("command", ["motifs", "zscores", "fingerprint", "cluster"])
+@pytest.mark.parametrize("command", ["motifs", "zscores", "zscores-walk", "fingerprint", "cluster"])
 def test_cli_command(benchmark, monkeypatch, cli_argv, command):
     monkeypatch.setenv("FLOWMOTIF_THREADS", "1")
     assert benchmark(main, cli_argv[command]) == 0

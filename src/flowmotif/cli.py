@@ -21,8 +21,8 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Sequence
-from functools import cache
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ from .events import (
     FORMATS,
     FormatError,
     MatchEventLog,
-    ParseDiagnostic,
     PassRuns,
     PassTable,
     group_by_match,
@@ -66,9 +65,10 @@ from .synth import TeamStyleParams, generate_league
 _NOT_CONFIG = frozenset({"command", "func", "inputs", "zscores", "fingerprints", "teams", "out"})
 
 
-def _read_input(path: Path, digests: dict[str, str]) -> bytes:
+def _read_input(path: str | Path, digests: dict[str, str]) -> bytes:
     """A file's bytes; its sha256 goes into ``digests`` for the manifest."""
-    data = path.read_bytes()
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     digests[str(path)] = hashlib.sha256(data).hexdigest()
     return data
 
@@ -79,7 +79,10 @@ def _write_manifest(
     """Write everything needed to reproduce the run bit-exactly, plus its duration and counts.
 
     ``counts`` holds what the command counted along the way; like the
-    duration it is no part of any result.
+    duration it is no part of any result. The text is that of
+    ``json.dumps(manifest, indent=2, sort_keys=True)``, which encodes in
+    Python: each value, a scalar or a dict of scalars, comes from the C
+    encoder, which separates a dict's items as ``indent`` does one level down.
     """
     out = Path(args.out)
     path = out / "manifest.json" if out.is_dir() else out.with_name(out.name + ".manifest.json")
@@ -91,7 +94,14 @@ def _write_manifest(
         "duration_s": time.perf_counter() - started,
         "counts": counts,
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    encode = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+    items = []
+    for key, value in sorted(manifest.items()):
+        text = encode(value)
+        if isinstance(value, dict) and value:
+            text = "{\n    " + text[1:-1] + "\n  }"
+        items.append(f'  "{key}": {text}')
+    path.write_bytes(("{\n" + ",\n".join(items) + "\n}\n").encode())
 
 
 def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
@@ -102,8 +112,10 @@ def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _fnum(v: float) -> str:
-    return repr(float(v))
+class _Lines(list):
+    """A list that a csv writer writes into: one string per row."""
+
+    write = list.append
 
 
 def _write_pattern_csv(
@@ -114,14 +126,21 @@ def _write_pattern_csv(
     Its columns are ``keys``, ``k``, ``pattern`` and ``values``. ``heads``
     holds each key's cells followed by its k. Each of ``columns`` holds a
     value column's cells, key after key, and each key's in the order of
-    ``pattern_index(k).patterns``. The csv module writes a number as ``str``,
-    which is ``repr`` for a float.
+    ``pattern_index(k).patterns``. Each key's cells go through the csv
+    module once, and the pattern and value cells, which never need quoting,
+    are joined onto them: a number as ``str``, ``repr`` for a float, as the
+    csv module writes it.
     """
+    lines = _Lines()
+    writer = csv.writer(lines, lineterminator="\n")
+    writer.writerows([[*keys, "k", "pattern", *values], *heads])
     alphabets = [pattern_index(head[-1]).patterns for head in heads]
-    sizes = [len(patterns) for patterns in alphabets]
-    repeated = [np.repeat(np.array(cells, dtype=object), sizes).tolist() for cells in zip(*heads)]
-    rows = zip(*repeated, chain.from_iterable(alphabets), *columns)
-    path.write_text(_csv_text([*keys, "k", "pattern", *values], rows))
+    rows = zip(
+        chain.from_iterable(map(repeat, [line[:-1] for line in lines[1:]], map(len, alphabets))),
+        chain.from_iterable(alphabets),
+        *[map(str, column) for column in columns],
+    )
+    path.write_bytes(("\n".join([lines[0][:-1], *map(",".join, rows)]) + "\n").encode())
 
 
 def _flat(arrays: list) -> list:
@@ -189,24 +208,29 @@ def _key_text(keys: tuple[str, ...], key: tuple[str, ...]) -> str:
     return ", ".join(f"{name} {cell!r}" for name, cell in zip(keys, key))
 
 
-def _collect_input_files(paths: list[str], fmt: str) -> list[Path]:
+def _collect_input_files(paths: list[str], fmt: str) -> list[str]:
+    """Each path given, a directory as its regular ``*.<fmt>`` files in name order.
+
+    Paths are spelled as ``str(Path(...))`` spells them. A file reached twice,
+    directly or through its directory, is kept once, at its first place.
+    """
     ext = "." + fmt
-    files: list[Path] = []
+    files: dict[str, str] = {}  # resolved path: the path first given for it
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(p.glob(f"*{ext}")))
+            with os.scandir(p) as entries:
+                found = [e for e in entries if e.name.endswith(ext) and e.is_file()]
+            prefix = "" if str(p) == "." else os.path.join(p, "")  # str(Path(".") / n) is n
+            real = os.path.join(os.path.realpath(p), "")
+            for e in sorted(found, key=lambda e: e.name):
+                path = prefix + e.name
+                files.setdefault(os.path.realpath(path) if e.is_symlink() else real + e.name, path)
         elif p.exists():
-            files.append(p)
+            files.setdefault(os.path.realpath(p), str(p))
         else:
             raise FileNotFoundError(f"input not found: {p}")
-    return files
-
-
-def _report_diagnostics(path: Path, diagnostics: tuple[ParseDiagnostic, ...]) -> None:
-    print(f"# {path}", file=sys.stderr)
-    for diag in diagnostics:
-        print(str(diag), file=sys.stderr)
+    return list(files.values())
 
 
 def _load_match_logs(
@@ -218,21 +242,23 @@ def _load_match_logs(
     including the files whose framing is broken. Files are parsed one at a
     time, and only their pass columns are kept.
     """
-    tables = []
     had_errors = False
+    index: dict[str, int] = {}  # codes every file's names, so the files' codes join as they are
+    codes, timestamps = [np.empty((4, 0), dtype=np.int32)], [np.empty(0)]
     for path in _collect_input_files(paths, fmt):
         try:
-            result = parse_pass_events(io.BytesIO(_read_input(path, digests)), fmt)
+            result = parse_pass_events(io.BytesIO(_read_input(path, digests)), fmt, index)
         except FormatError as exc:
-            print(f"# {path}", file=sys.stderr)
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"# {path}", f"error: {exc}", sep="\n", file=sys.stderr)
             had_errors = True
             continue
         if result.diagnostics:
-            _report_diagnostics(path, result.diagnostics)
+            print(f"# {path}", *result.diagnostics, sep="\n", file=sys.stderr)
             had_errors = True
-        tables.append(result.events)
-    return group_by_match(PassTable.concat(tables)), had_errors
+        codes.append(result.events.codes)
+        timestamps.append(result.events.timestamp)
+    events = PassTable(tuple(index), np.concatenate(codes, axis=1), np.concatenate(timestamps))
+    return group_by_match(events), had_errors
 
 
 def _thread_count() -> int:
@@ -245,7 +271,7 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _parallel_map(func, payloads: list) -> list:
+def _parallel_map(func, payloads: Sequence) -> list:
     threads = min(_thread_count(), len(payloads))
     if threads <= 1 or len(payloads) <= 1:
         return [func(p) for p in payloads]
@@ -260,15 +286,17 @@ def _parallel_map(func, payloads: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _count_for_log(payload: tuple[MatchEventLog, int, float]) -> MotifCountVector:
-    log, k, t_max = payload
-    possessions = segment_possessions(log, SegmentationConfig(t_max))
+def _count_for_log(
+    k: int, segmentation: SegmentationConfig, log: MatchEventLog
+) -> MotifCountVector:
+    possessions = segment_possessions(log, segmentation)
     return count_motifs(possessions, k, match_id=log.match_id, team_id=log.team_id)
 
 
 def cmd_motifs(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> int:
+    segmentation = SegmentationConfig(args.t_max)
     logs, had_errors = _load_match_logs(args.inputs, args.format, digests)
-    vectors = _parallel_map(_count_for_log, [(log, args.k, args.t_max) for log in logs])
+    vectors = _parallel_map(partial(_count_for_log, args.k, segmentation), logs)
     _write_pattern_csv(
         Path(args.out),
         ("match_id", "team_id"),
@@ -280,29 +308,26 @@ def cmd_motifs(args: argparse.Namespace, digests: dict[str, str], counts: dict) 
 
 
 def _zscore_for_log(
-    payload: tuple[MatchEventLog, int, float, NullModelConfig]
+    k: int, segmentation: SegmentationConfig, config: NullModelConfig, log: MatchEventLog
 ) -> tuple[MotifCountVector, NullDistribution, ZScoreProfile, int]:
-    log, k, t_max, config = payload
-    possessions = segment_possessions(log, SegmentationConfig(t_max))
+    possessions = segment_possessions(log, segmentation)
     counts = count_motifs(possessions, k, match_id=log.match_id, team_id=log.team_id)
     null = null_distribution(possessions, k, config)
     return counts, null, z_scores(counts, null), len(possessions)
 
 
 def cmd_zscores(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> int:
-    logs, had_errors = _load_match_logs(args.inputs, args.format, digests)
+    segmentation = SegmentationConfig(args.t_max)
     config = NullModelConfig(
         replicates=args.replicates,
         policy=args.null_model.replace("-", "_"),
         master_seed=args.seed,
     )
-    results = _parallel_map(
-        _zscore_for_log, [(log, args.k, args.t_max, config) for log in logs]
-    )
-    vectors, nulls, profiles = ([r[i] for r in results] for i in range(3))
-    possessions = sum(r[3] for r in results)
+    logs, had_errors = _load_match_logs(args.inputs, args.format, digests)
+    results = _parallel_map(partial(_zscore_for_log, args.k, segmentation, config), logs)
+    vectors, nulls, profiles, sizes = zip(*results) if results else ((),) * 4
     sampled = sum(null.sampled_possessions for null in nulls)
-    counts.update(exact_possessions=possessions - sampled, sampled_possessions=sampled)
+    counts.update(exact_possessions=sum(sizes) - sampled, sampled_possessions=sampled)
     _write_pattern_csv(
         Path(args.out),
         ("match_id", "team_id"),
@@ -373,21 +398,16 @@ def _write_pca(
     out_dir: Path, projection: PcaProjection, dims: int, colors: dict[str, int]
 ) -> None:
     """``pca.csv`` and ``pca_scatter.svg``; a team not in ``colors`` gets palette color 0."""
-    teams = sorted(projection.coordinates)
+    coords = projection.coordinates
+    teams = sorted(coords)
     out_dir.joinpath("pca.csv").write_text(
         _csv_text(
             ["team_id"] + [f"pc{i + 1}" for i in range(dims)],
-            [[team, *(_fnum(v) for v in projection.coordinates[team])] for team in teams],
+            [[team, *map(float, coords[team])] for team in teams],
         )
     )
     points = [
-        (
-            projection.coordinates[team][0],
-            projection.coordinates[team][1] if dims >= 2 else 0.0,
-            team,
-            colors.get(team, 0),
-        )
-        for team in teams
+        (coords[t][0], coords[t][1] if dims > 1 else 0.0, t, colors.get(t, 0)) for t in teams
     ]
     out_dir.joinpath("pca_scatter.svg").write_text(scatter_svg(points))
 
@@ -400,11 +420,9 @@ def cmd_cluster(args: argparse.Namespace, digests: dict[str, str], counts: dict)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    assignments = sorted(clustering.assignments.items())
     out_dir.joinpath("clusters.csv").write_text(
-        _csv_text(
-            ["team_id", "cluster"],
-            [[t, str(c)] for t, c in sorted(clustering.assignments.items())],
-        )
+        _csv_text(["team_id", "cluster"], [[t, str(c)] for t, c in assignments])
     )
     stats = {
         "n_clusters": args.clusters,
@@ -414,12 +432,8 @@ def cmd_cluster(args: argparse.Namespace, digests: dict[str, str], counts: dict)
         "between_over_total": clustering.between_over_total,
         "centroids": [list(c) for c in clustering.centroids],
     }
-    out_dir.joinpath("cluster_stats.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n"
-    )
-    out_dir.joinpath("dendrogram.json").write_text(
-        json.dumps(dendrogram.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    for name, data in (("cluster_stats.json", stats), ("dendrogram.json", dendrogram.to_dict())):
+        out_dir.joinpath(name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     _write_pca(out_dir, projection, args.pca_dims, clustering.assignments)
     out_dir.joinpath("dendrogram.svg").write_text(dendrogram_svg(dendrogram))
     return 0
@@ -431,13 +445,8 @@ def cmd_pca(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_pca(out_dir, projection, args.pca_dims, {})
-    out_dir.joinpath("pca_explained.json").write_text(
-        json.dumps(
-            {"explained_variance_ratio": list(projection.explained_variance_ratio)},
-            indent=2,
-        )
-        + "\n"
-    )
+    explained = {"explained_variance_ratio": list(projection.explained_variance_ratio)}
+    out_dir.joinpath("pca_explained.json").write_text(json.dumps(explained, indent=2) + "\n")
     return 0
 
 
@@ -473,6 +482,17 @@ def cmd_synth(args: argparse.Namespace, digests: dict[str, str], counts: dict) -
 # ---------------------------------------------------------------------------
 
 
+def _at_least_one(text: str) -> int:
+    """An integer option's value, refused below 1 as the option is parsed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowmotif",
@@ -484,11 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=FORMATS, default="csv", help="event file format")
 
-    seg = argparse.ArgumentParser(add_help=False)
-    seg.add_argument(
+    k = argparse.ArgumentParser(add_help=False)
+    k.add_argument(
         "--k", type=int, choices=range(2, MAX_K + 1), default=DEFAULT_K, help="passes per motif"
     )
-    seg.add_argument(
+    tmax = argparse.ArgumentParser(add_help=False)
+    tmax.add_argument(
         "--tmax",
         dest="t_max",
         metavar="TMAX",
@@ -497,16 +518,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="max seconds between consecutive passes of one possession",
     )
 
-    p = sub.add_parser("motifs", parents=[fmt, seg], help="count motifs per match")
+    p = sub.add_parser("motifs", parents=[fmt, k, tmax], help="count motifs per match")
     p.add_argument("inputs", nargs="+", help="event files or directories")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_motifs)
 
     p = sub.add_parser(
-        "zscores", parents=[fmt, seg], help="motif z-scores against the null model"
+        "zscores", parents=[fmt, k, tmax], help="motif z-scores against the null model"
     )
     p.add_argument("inputs", nargs="+", help="event files or directories")
-    p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
+    p.add_argument("--replicates", type=_at_least_one, default=DEFAULT_REPLICATES)
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument(
         "--null-model",
@@ -539,17 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pca)
 
-    p = sub.add_parser("synth", parents=[fmt], help="generate a synthetic league")
+    p = sub.add_parser("synth", parents=[fmt, tmax], help="generate a synthetic league")
     p.add_argument("--teams", required=True, help="JSON array of team style parameters")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--tmax",
-        dest="t_max",
-        metavar="TMAX",
-        type=float,
-        default=DEFAULT_T_MAX,
-        help="segmentation threshold the generated timestamps must respect",
-    )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

@@ -81,14 +81,21 @@ class PassTable:
     receiver = property(lambda self: self.codes[3])
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple[str, str, str, str, float]]) -> PassTable:
-        """Columns of (match_id, team_id, passer, receiver, timestamp) tuples."""
+    def from_rows(
+        cls, rows: Sequence[tuple[str, str, str, str, float]], index: dict[str, int] | None = None
+    ) -> PassTable:
+        """Columns of (match_id, team_id, passer, receiver, timestamp) tuples.
+
+        ``index`` maps names to codes and gains the rows' new names; the table's
+        names are all of its names, so tables coded through one share codes.
+        """
         match, team, passer, receiver, timestamp = zip(*rows) if rows else ((),) * 5
         ids = tuple(chain(match, team, passer, receiver))
-        names = tuple(dict.fromkeys(ids))
-        index = dict(zip(names, range(len(names))))
+        index = {} if index is None else index
+        for name in dict.fromkeys(ids):
+            index.setdefault(name, len(index))
         codes = np.fromiter(map(index.__getitem__, ids), np.int32, len(ids))
-        return cls(names, codes.reshape(4, -1), np.array(timestamp, dtype=np.float64))
+        return cls(tuple(index), codes.reshape(4, -1), np.array(timestamp, dtype=np.float64))
 
     @classmethod
     def from_events(cls, events: Iterable[PassEvent]) -> PassTable:
@@ -292,12 +299,12 @@ def _validate(
     return match_id, team_id, passer, receiver, timestamp  # type: ignore[return-value]
 
 
-def _parse_csv(text: IO[str]) -> ParseResult:
+def _parse_csv(text: IO[str]) -> tuple[list, list[ParseDiagnostic]]:
     reader = csv.reader(text)
     try:
         header = next(reader)
     except StopIteration:
-        return ParseResult(PassTable.from_rows([]), ())
+        return [], []
     header = [h.strip().lstrip("﻿") for h in header]
     missing = [name for name in CSV_HEADER if name not in header]
     if missing:
@@ -321,10 +328,10 @@ def _parse_csv(text: IO[str]) -> ParseResult:
             rows.append(out)
         else:
             diagnostics.append(out)
-    return ParseResult(PassTable.from_rows(rows), tuple(diagnostics))
+    return rows, diagnostics
 
 
-def _parse_jsonl(text: IO[str]) -> ParseResult:
+def _parse_jsonl(text: IO[str]) -> tuple[list, list[ParseDiagnostic]]:
     rows: list[tuple[str, str, str, str, float]] = []
     diagnostics: list[ParseDiagnostic] = []
     for line_num, line in enumerate(text, start=1):
@@ -347,23 +354,24 @@ def _parse_jsonl(text: IO[str]) -> ParseResult:
             rows.append(out)
         else:
             diagnostics.append(out)
-    return ParseResult(PassTable.from_rows(rows), tuple(diagnostics))
+    return rows, diagnostics
 
 
-def parse_pass_events(stream: IO[bytes] | IO[str], format: str = "csv") -> ParseResult:
+def parse_pass_events(
+    stream: IO[bytes] | IO[str], format: str = "csv", index: dict[str, int] | None = None
+) -> ParseResult:
     """Parse a UTF-8 stream of pass records.
 
     Well-formed records come back as a ``PassTable`` in input order;
     malformed ones become diagnostics with their line number. A broken CSV
     header or bytes that are not UTF-8 raise :class:`FormatError` because
-    nothing in the stream can be trusted.
+    nothing in the stream can be trusted. The names are coded through
+    ``index`` when it is given, as ``PassTable.from_rows`` codes them.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    text = _as_text(stream)
-    if format == "csv":
-        return _parse_csv(text)
-    return _parse_jsonl(text)
+    rows, diagnostics = (_parse_csv if format == "csv" else _parse_jsonl)(_as_text(stream))
+    return ParseResult(PassTable.from_rows(rows, index), tuple(diagnostics))
 
 
 def serialize_pass_events(events: Iterable[PassEvent], format: str = "csv") -> str:

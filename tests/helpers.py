@@ -88,6 +88,23 @@ def oracle_alphabet(k: int) -> list[str]:
     return sorted(patterns)
 
 
+def oracle_pattern_csv(keys, values, heads, columns) -> str:
+    """The long per-pattern CSV as the csv module writes it, one whole row at a time.
+
+    The arguments are those of ``cli._write_pattern_csv``: each head holds a
+    key's cells and its k, and each column a value column's cells, key after
+    key, in alphabet order.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([*keys, "k", "pattern", *values])
+    cells = zip(*columns)
+    for head in heads:
+        for pattern in oracle_alphabet(head[-1]):
+            writer.writerow([*head, pattern, *next(cells)])
+    return buf.getvalue()
+
+
 def oracle_window_patterns(touches, k: int) -> list[str]:
     """Every contiguous (k+1)-touch subsequence, canonicalized independently."""
     return [

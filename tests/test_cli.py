@@ -4,9 +4,11 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowmotif import TeamFingerprint, pca_project
-from flowmotif.cli import main
+from flowmotif.cli import _write_pattern_csv, main
+from helpers import oracle_pattern_csv
 
 TEAMS = [
     dict(
@@ -153,6 +155,152 @@ def test_huge_integer_timestamps_are_rejected_record_by_record(tmp_path, capsys)
 def test_missing_input_exits_2(tmp_path, capsys):
     assert main(["motifs", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_an_input_reached_twice_is_read_once(league_dir, tmp_path):
+    # Read twice, a file's passes were all duplicated: its possessions broke
+    # into one-pass runs and its counts collapsed, without any error.
+    first = sorted(league_dir.glob("*.csv"))[0]
+    link = tmp_path / "link"
+    link.symlink_to(league_dir)
+    outputs = []
+    for name, inputs in (
+        ("once", [league_dir]),
+        ("file-after", [league_dir, first]),
+        ("file-before", [first, league_dir]),
+        ("dir-twice", [league_dir, league_dir]),
+        ("dir-and-link", [league_dir, link]),
+    ):
+        out = tmp_path / f"{name}.csv"
+        assert main(["motifs", *map(str, inputs), "--out", str(out)]) == 0
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert len(manifest["input_digests"]) == len(list(league_dir.glob("*.csv")))
+        outputs.append(out.read_bytes())
+    # the file given first is read first, so its rows lead
+    assert outputs[0] == outputs[1] == outputs[3] == outputs[4]
+    assert sorted(outputs[2].splitlines()) == sorted(outputs[0].splitlines())
+
+
+def test_a_directory_lists_its_regular_files_only(tmp_path, capsys):
+    events = tmp_path / "events"
+    events.mkdir()
+    (events / "a.csv").write_text(WORKED_EXAMPLE_CSV)
+    assert main(["motifs", str(events), "--out", str(tmp_path / "plain.csv")]) == 0
+    (events / "sub.csv").mkdir()  # named like an event file, but a directory
+    (events / "sub.csv" / "inner.csv").write_text(WORKED_EXAMPLE_CSV.replace("M1", "M9"))
+    assert main(["motifs", str(events), "--out", str(tmp_path / "o.csv")]) == 0
+    assert (tmp_path / "o.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    missing = str(events / "missing.csv")
+    assert main(["motifs", missing, "--out", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err == f"error: input not found: {missing}\n"
+
+
+@pytest.mark.parametrize("replicates", ["0", "-3"])
+def test_replicates_below_one_exit_2_before_any_input_is_read(tmp_path, capsys, replicates):
+    argv = ["zscores", str(tmp_path / "missing"), "--replicates", replicates]
+    with pytest.raises(SystemExit) as exit:
+        main(argv + ["--out", str(tmp_path / "z.csv")])
+    assert exit.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --replicates: must be >= 1, got {replicates}" in err
+    assert "input not found" not in err
+
+
+@pytest.mark.parametrize("command", ["motifs", "zscores"])
+def test_a_t_max_segmentation_refuses_exits_2_before_any_input_is_read(tmp_path, capsys, command):
+    # Checked once per command, up front: once per team-match, an empty
+    # input was never checked and a bad one was read and parsed first.
+    argv = [command, str(tmp_path / "missing"), "--tmax", "0", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: t_max must be positive, got 0.0\n"
+
+
+_CELL = st.text(alphabet=list("aZ09 ,\"\n\r\t-é"), max_size=6)
+_NUMBER = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e-05, 1e16, -0.0, 0.0001, 1e-4 / 3, 123456789012345.6, 5e-324]),
+    st.sampled_from(["true", "false"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.sampled_from([("team_id",), ("match_id", "team_id")]),
+    ks=st.lists(st.sampled_from([2, 3]), max_size=4),
+    data=st.data(),
+)
+def test_pattern_csv_matches_the_csv_module_row_by_row(tmp_path_factory, keys, ks, data):
+    heads = [(*data.draw(st.tuples(*[_CELL] * len(keys))), k) for k in ks]
+    values = ("count", "z")
+    rows = sum({2: 2, 3: 5}[k] for k in ks)
+    columns = [data.draw(st.lists(_NUMBER, min_size=rows, max_size=rows)) for _ in values]
+    path = tmp_path_factory.mktemp("csv") / "p.csv"
+    _write_pattern_csv(path, keys, values, heads, columns)
+    assert path.read_bytes() == oracle_pattern_csv(keys, values, heads, columns).encode()
+
+
+# The manifests of ``test_manifest_text_is_pinned`` over the worked example,
+# with the input's directory and the duration masked.
+MANIFEST_TEXT = {
+    "motifs": """{
+  "command": "motifs",
+  "config": {
+    "format": "csv",
+    "k": 3,
+    "t_max": 5.0
+  },
+  "counts": {},
+  "duration_s": <masked>,
+  "input_digests": {
+    "<in>/events.csv": "<sha256>"
+  },
+  "version": "<version>"
+}
+""",
+    "zscores": """{
+  "command": "zscores",
+  "config": {
+    "format": "csv",
+    "k": 3,
+    "null_model": "uniform-walk",
+    "replicates": 3,
+    "seed": 0,
+    "t_max": 5.0
+  },
+  "counts": {
+    "exact_possessions": 1,
+    "sampled_possessions": 0
+  },
+  "duration_s": <masked>,
+  "input_digests": {
+    "<in>/events.csv": "<sha256>"
+  },
+  "version": "<version>"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_TEXT))
+def test_manifest_text_is_pinned(tmp_path, command):
+    from flowmotif import __version__
+
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "events.csv").write_text(WORKED_EXAMPLE_CSV)
+    out = tmp_path / "o.csv"
+    extra = ["--null-model", "uniform-walk", "--replicates", "3"] if command == "zscores" else []
+    assert main([command, str(inputs), *extra, "--out", str(out)]) == 0
+    text = out.with_name("o.csv.manifest.json").read_text()
+    text = re.sub(r'"duration_s": [^,\n]+,', '"duration_s": <masked>,', text)
+    expected = (
+        MANIFEST_TEXT[command]
+        .replace("<in>", str(inputs))
+        .replace("<sha256>", hashlib.sha256(WORKED_EXAMPLE_CSV.encode()).hexdigest())
+        .replace("<version>", __version__)
+    )
+    assert text == expected
 
 
 def test_zscores_deterministic_across_runs_and_threads(league_dir, tmp_path, monkeypatch):

@@ -284,6 +284,14 @@ def test_columnar_ingest_matches_object_oracle(files, t_max, k):
         tables.append(got[0])
         oracle_events += want[0]
 
+    # Parsed through one index, as the CLI parses a command's files, each
+    # table's codes still name its rows in the index's final names.
+    index: dict[str, int] = {}
+    read = [data for data, want in zip(files, expected) if not isinstance(want[0], type)]
+    shared = [parse_pass_events(io.BytesIO(data), fmt, index).events for data in read]
+    names = tuple(index)
+    assert [list(PassTable(names, t.codes, t.timestamp)) for t in shared] == list(map(list, tables))
+
     logs = group_by_match(PassTable.concat(tables))
     groups = oracle_group(oracle_events)
     assert [(log.match_id, log.team_id, list(log.events)) for log in logs] == groups
