@@ -8,17 +8,22 @@ The inputs are one synthetic league of 20 teams of the README's shape
 (squad 10, 25 possessions, 3.2 passes per possession) over 4 matchdays:
 80 team-matches. The ingest cases take the path of the ``motifs`` and
 ``zscores`` commands: parsing reads one file per team-match, in CSV or
-JSON lines, and groups the columns of all files; segmentation takes the
+JSON lines, through one name index shared by all files, joins their code
+columns with one ``np.concatenate`` and groups them; segmentation takes the
 logs that grouping gives, and counting the possessions that segmentation
-gives, with the ids the CLI passes. Fingerprinting averages one z-score profile per
-team-match, drawn from a fixed seed since its cost does not depend on the
-values, and clustering (k-means and Ward) takes the 20 fingerprints. The
-alphabet case times the largest alphabet, k = 8 with 4,140 patterns: listing
-it, and fingerprinting 20 teams from one k = 8 profile each. The CLI cases run
-``cli.main`` in one process (``FLOWMOTIF_THREADS=1``) on the league written as
-one CSV file per team-match: ``motifs``, ``zscores`` under the match shuffle
-at 20 replicates, ``zscores-walk`` under the uniform walk, whose moments are
-exact and draw no replicate, and ``fingerprint`` and ``cluster`` on what those
+gives, with the ids the CLI passes. The window-count cases classify and
+count the windows of the first team-match at k = 3 and k = 5, for its own
+touches (one row, as ``count_motifs`` does) and for a batch of 256 rows of
+the match shuffle (as the null model does). Fingerprinting averages one
+z-score profile per team-match, drawn from a fixed seed since its cost does
+not depend on the values, and clustering (k-means and Ward) takes the 20
+fingerprints. The alphabet case times the largest alphabet, k = 8 with 4,140
+patterns: listing it, and fingerprinting 20 teams from one k = 8 profile
+each. The CLI cases run ``cli.main`` in one process
+(``FLOWMOTIF_THREADS=1``) on the league written as one CSV file per
+team-match: ``motifs``, ``zscores`` under the match shuffle at 20
+replicates, ``zscores-walk`` under the uniform walk, whose moments are exact
+and draw no replicate, and ``fingerprint`` and ``cluster`` on what those
 wrote. They time the commands' fixed work (listing, reading, hashing, writing
 and the manifest) around the layers above; ``zscores-walk`` shows it with no
 sampled null to hide it.
@@ -44,6 +49,8 @@ from flowmotif import (
     ward_cluster,
 )
 from flowmotif.cli import main
+from flowmotif.motifs import TouchCodes, pattern_index
+from flowmotif.nullmodel import _draw_rows
 from flowmotif.synth import TeamStyleParams, generate_league
 
 TEAMS = [TeamStyleParams(10, 25, 3.2, 0.0, matches=4, team_id=f"t{i:02d}") for i in range(20)]
@@ -56,12 +63,20 @@ SEGMENTATION = SegmentationConfig()
 
 
 def ingest(fmt):
-    tables = [parse_pass_events(io.BytesIO(data), fmt).events for data in FILES[fmt]]
-    return group_by_match(PassTable.concat(tables))
+    index: dict[str, int] = {}
+    tables = [parse_pass_events(io.BytesIO(data), fmt, index).events for data in FILES[fmt]]
+    codes = np.concatenate([table.codes for table in tables], axis=1)
+    timestamps = np.concatenate([table.timestamp for table in tables])
+    return group_by_match(PassTable(tuple(index), codes, timestamps))
 
 
 GROUPED = ingest("csv")
 POSSESSIONS = [segment_possessions(log, SEGMENTATION) for log in GROUPED]
+WINDOW_CODES = TouchCodes(POSSESSIONS[0])
+WINDOW_ROWS = {
+    1: WINDOW_CODES.touches[None, :],
+    256: _draw_rows(WINDOW_CODES, "touch_shuffle_match", np.random.default_rng(3), 256),
+}
 PATTERNS = len(enumerate_patterns(3))
 _rng = np.random.default_rng(2)
 PROFILES = {
@@ -104,6 +119,14 @@ def test_count(benchmark):
         ]
     )
     assert len(result) == len(POSSESSIONS)
+
+
+@pytest.mark.parametrize("rows", WINDOW_ROWS)
+@pytest.mark.parametrize("k", [3, 5])
+def test_window_counts(benchmark, k, rows):
+    starts = WINDOW_CODES.window_starts(k)
+    result = benchmark(pattern_index(k).window_counts, WINDOW_ROWS[rows], starts)
+    assert result.sum() == rows * starts.size
 
 
 def test_fingerprint(benchmark):

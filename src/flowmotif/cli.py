@@ -155,10 +155,10 @@ def _read_pattern_csv(
 
     ``values`` maps each value column to the function that parses its cells.
     Each column comes back as a list aligned with ``pattern_index(k).patterns``.
-    A missing column or field is an error, and so are a cell that does not
-    parse, a k outside ``pattern_index``' range, rows of one key that
-    disagree on k, and a pattern that a key misses, repeats, or has outside
-    its alphabet.
+    A missing column is an error, and so are a row with fewer or more
+    fields than the header, a cell that does not parse, a k outside
+    ``pattern_index``' range, rows of one key that disagree on k, and a
+    pattern that a key misses, repeats, or has outside its alphabet.
     """
     text = _read_input(path, digests).decode("utf-8")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -173,8 +173,9 @@ def _read_pattern_csv(
     for row in reader:
         if not row:
             continue
-        if len(row) < len(header):
-            raise ValueError(f"{path}: line {reader.line_num} has too few fields")
+        if len(row) != len(header):
+            fields = "few" if len(row) < len(header) else "many"
+            raise ValueError(f"{path}: line {reader.line_num} has too {fields} fields")
         try:
             k, cells = int(row[k_at]), [parse(row[j]) for j, parse in parsers]
         except ValueError as exc:

@@ -149,7 +149,12 @@ class _PatternIndex:
     Adjacent touches never do, so the key of a window has one bit per pair
     of touches two or more apart, set when the pair shares a player. The
     keys of the alphabet come from the same function, applied to
-    ``letters`` as players.
+    ``letters`` as players. Each of a window's k + 1 positions is gathered
+    once for all rows and windows, the pairs are compared one distance at a
+    time, and their bits are summed into a key of one, two or four bytes,
+    so a batch of rows costs about as many numpy calls as one row. Up to 16
+    pairs (k <= 6) a table indexed by key gives the pattern; past that the
+    keys are looked up in sorted order.
     """
 
     def __init__(self, k: int) -> None:
@@ -162,21 +167,30 @@ class _PatternIndex:
         self.letters.flags.writeable = False
         self.patterns = tuple(["".join([_LETTERS[c] for c in r]) for r in rows])
         self.position = {p: i for i, p in enumerate(self.patterns)}
-        self._left, self._right = np.triu_indices(k + 1, 2)
-        self._bits = 1 << np.arange(self._left.size, dtype=np.int64)
+        self._offsets = np.arange(k + 1)[:, None]
+        self._distances = range(2, k + 1)
+        pairs = k * (k - 1) // 2
+        key_type = np.uint8 if pairs <= 8 else np.uint16 if pairs <= 16 else np.uint32
+        self._bits = (1 << np.arange(pairs)).astype(key_type)
         keys = self._keys(self.letters, np.zeros(1, dtype=np.int64))[:, 0]
-        self._order = np.argsort(keys)
-        self._sorted_keys = keys[self._order]
+        if pairs <= 16:
+            table = np.zeros(1 << pairs, dtype=np.intp)
+            table[keys] = np.arange(keys.size)
+            self._lookup = table.take
+        else:
+            order = np.argsort(keys)
+            sorted_keys = keys[order]
+            self._lookup = lambda found: order[np.searchsorted(sorted_keys, found)]
 
     def _keys(self, touch_rows: np.ndarray, window_starts: np.ndarray) -> np.ndarray:
-        left = touch_rows[:, window_starts[:, None] + self._left]
-        right = touch_rows[:, window_starts[:, None] + self._right]
-        return (left == right) @ self._bits
+        held = touch_rows[:, window_starts + self._offsets]  # rows x positions x windows
+        # rows x pairs x windows, the pairs one distance after another
+        shared = np.concatenate([held[:, d:] == held[:, :-d] for d in self._distances], axis=1)
+        return np.einsum("rpw,p->rw", shared.view(np.uint8), self._bits)
 
     def window_patterns(self, touch_rows: np.ndarray, window_starts: np.ndarray) -> np.ndarray:
         """Each window's index in ``patterns``, one row per row of touches."""
-        keys = self._keys(touch_rows, window_starts)
-        return self._order[np.searchsorted(self._sorted_keys, keys)]
+        return self._lookup(self._keys(touch_rows, window_starts))
 
     def window_counts(self, touch_rows: np.ndarray, window_starts: np.ndarray) -> np.ndarray:
         """Per-row count of every pattern over the windows, aligned with ``patterns``."""

@@ -40,9 +40,9 @@ possessions adds to the exact one.
 
 Each team-match draws its sampled rows from one random stream, seeded
 from (master_seed, match_id, team_id), in batches of ``BATCH_ROWS``
-rows, and counts each batch in slices of ``COUNT_ROWS`` rows.
-Distributions are therefore reproducible bit-for-bit whatever the
-parallelism, and the two teams of a fixture draw different streams.
+rows, and counts each batch in one call. Distributions are therefore
+reproducible bit-for-bit whatever the parallelism, and the two teams of a
+fixture draw different streams.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ MAX_REPAIR_ATTEMPTS = 100
 # Replicates randomized together as the rows of one array. Wider batches
 # make fewer numpy calls per replicate; 512 rows and more grew peak RSS.
 BATCH_ROWS = 256
-# Rows of a batch counted together, so that counting's temporaries stay small.
-COUNT_ROWS = 64
 # Rejection rounds of the possession shuffle before the stragglers are
 # drawn from completion counts.
 POSSESSION_ROUNDS = 64
@@ -639,9 +637,9 @@ def _sampled_moments(
 
     The rows come from one random stream seeded from (master seed, match
     id, team id), in batches of ``BATCH_ROWS``, and each batch is counted
-    in slices of ``COUNT_ROWS``. Under the possession shuffle ``codes``
-    holds only the possessions past the counting DP's budget. Counts are
-    accumulated as exact integers before the moments are taken.
+    in one call. Under the possession shuffle ``codes`` holds only the
+    possessions past the counting DP's budget. Counts are accumulated as
+    exact integers before the moments are taken.
     """
     pidx = pattern_index(k)
     window_starts = codes.window_starts(k)
@@ -650,12 +648,10 @@ def _sampled_moments(
     reps = config.replicates
     rng = np.random.default_rng(derive_seed(config.master_seed, codes.match_id, codes.team_id))
     for done in range(0, reps, BATCH_ROWS):
-        n_rows = min(BATCH_ROWS, reps - done)
-        rows = _draw_rows(codes, config.policy, rng, n_rows)
-        for first in range(0, n_rows, COUNT_ROWS):
-            counts = pidx.window_counts(rows[first : first + COUNT_ROWS], window_starts)
-            total += counts.sum(axis=0)
-            total_sq += (counts * counts).sum(axis=0)
+        rows = _draw_rows(codes, config.policy, rng, min(BATCH_ROWS, reps - done))
+        counts = pidx.window_counts(rows, window_starts)
+        total += counts.sum(axis=0)
+        total_sq += (counts * counts).sum(axis=0)
     return _moments(total, total_sq, reps)
 
 

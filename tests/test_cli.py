@@ -649,6 +649,41 @@ def test_fingerprint_rejects_zscores_missing_a_pattern(tmp_path, capsys):
     assert f"error: {zs}: match_id 'm', team_id 'a': k 5 after k 3" in capsys.readouterr().err
 
 
+PATTERNS_K3 = ("ABAB", "ABAC", "ABCA", "ABCB", "ABCD")
+PATTERN_CSVS = {  # command: a per-pattern CSV it reads, header first
+    "fingerprint": [
+        "match_id,team_id,k,pattern,count,null_mean,null_std,z,degenerate",
+        *[f"m,a,3,{p},1,1.0,0.5,{i}.0,false" for i, p in enumerate(PATTERNS_K3)],
+    ],
+    "cluster": [
+        "team_id,k,pattern,mean_z,matches_used",
+        *[f"t{t},3,{p},{t * i}.0,2" for t in range(4) for i, p in enumerate(PATTERNS_K3)],
+    ],
+}
+PATTERN_CSVS["pca"] = PATTERN_CSVS["cluster"]
+
+
+@pytest.mark.parametrize("command", ["fingerprint", "cluster", "pca"])
+@pytest.mark.parametrize("change,fields", [(",EXTRA", "many"), (",", "many"), ("<cut>", "few")])
+def test_pattern_csv_row_with_the_wrong_field_count_exits_2(
+    tmp_path, capsys, command, change, fields
+):
+    # Line 3 gains a cell, gains an empty one, or loses its last; the file
+    # as written reads cleanly.
+    lines = list(PATTERN_CSVS[command])
+    good = tmp_path / "good.csv"
+    good.write_text("\n".join(lines) + "\n")
+    assert main([command, str(good), "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    lines[2] = lines[2].rsplit(",", 1)[0] if change == "<cut>" else lines[2] + change
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main([command, str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 3 has too {fields} fields\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["motifs", "zscores"])
 @pytest.mark.parametrize("k", ["1", "9", "15"])
 def test_k_past_the_alphabet_cap_exits_2(tmp_path, capsys, command, k):

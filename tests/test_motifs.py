@@ -1,11 +1,12 @@
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flowmotif import count_motifs, enumerate_patterns, extract_motifs
-from flowmotif.motifs import MAX_K, pattern_index
+from flowmotif.motifs import MAX_K, _window_starts, pattern_index
 from helpers import (
     chain_possession,
     oracle_alphabet,
@@ -212,3 +213,44 @@ def test_count_motifs_rejects_k_below_two():
     for possessions in ([], [chain_possession(["1", "2", "3"])]):
         with pytest.raises(ValueError, match=f"k must be between 2 and {MAX_K}, got 1"):
             count_motifs(possessions, 1)
+
+
+@st.composite
+def touch_batches(draw):
+    """(k, touch rows, each possession's first touch) for ``window_counts``.
+
+    Every row holds the same possessions, of 1 to 2k + 4 touches, drawn
+    from up to 30 players coded by large, scattered integers. No touch
+    repeats the one before it within a possession; a possession may start
+    with the player who ended the last one.
+    """
+    k = draw(st.integers(2, MAX_K))
+    n_rows = draw(st.sampled_from([1, 63, 64, 65, 256, 300]))
+    n_players = draw(st.integers(2, 30))
+    lengths = draw(st.lists(st.integers(1, 2 * k + 4), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = np.cumsum([0, *lengths[:-1]]) if lengths else np.zeros(0, dtype=np.int64)
+    codes = np.empty((n_rows, sum(lengths)), dtype=np.int64)
+    for t in range(codes.shape[1]):
+        if t in first:
+            codes[:, t] = rng.integers(0, n_players, n_rows)
+        else:
+            codes[:, t] = (codes[:, t - 1] + rng.integers(1, n_players, n_rows)) % n_players
+    names = rng.choice(10**9, n_players, replace=False)
+    return k, names[codes], first
+
+
+@settings(max_examples=150, deadline=None)
+@given(touch_batches())
+def test_window_counts_match_brute_force_oracle(batch):
+    k, rows, first = batch
+    alphabet = enumerate_patterns(k)  # checked against the oracle up to k = 5 above
+    bounds = [*first.tolist(), rows.shape[1]]
+    counts = pattern_index(k).window_counts(rows, _window_starts(first, rows.shape[1], k))
+    assert counts.shape == (rows.shape[0], len(alphabet))
+    for row, got in zip(rows.tolist(), counts.tolist()):
+        expected = Counter(
+            p for a, b in zip(bounds, bounds[1:]) for p in oracle_window_patterns(row[a:b], k)
+        )
+        assert got == [expected[p] for p in alphabet]
+        assert sum(got) == sum(expected.values())
