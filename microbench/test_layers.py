@@ -9,7 +9,10 @@ The inputs are one synthetic league of 20 teams of the README's shape
 80 team-matches. The ingest cases take the path of the ``motifs`` and
 ``zscores`` commands: parsing reads one file per team-match, in CSV or
 JSON lines, through one name index shared by all files, joins their code
-columns with one ``np.concatenate`` and groups them; segmentation takes the
+columns with one ``np.concatenate`` and groups them. The JSON lines come
+compact, as ``serialize_pass_events`` writes them, or in ``json.dumps``'
+spaced form (``jsonl-spaced``), which only the JSON decoder reads, so that
+case times the per-line path. Segmentation takes the
 logs that grouping gives, and counting the possessions that segmentation
 gives, with the ids the CLI passes. The window-count cases classify and
 count the windows of the first team-match at k = 3 and k = 5, for its own
@@ -30,6 +33,7 @@ sampled null to hide it.
 """
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -59,12 +63,18 @@ FILES = {
     fmt: [serialize_pass_events(log.events, fmt).encode() for log in LOGS]
     for fmt in ("csv", "jsonl")
 }
+# The same records in json.dumps' spaced form, which the JSON decoder reads line by line.
+FILES["jsonl-spaced"] = [
+    b"".join(json.dumps(json.loads(line)).encode() + b"\n" for line in data.splitlines())
+    for data in FILES["jsonl"]
+]
 SEGMENTATION = SegmentationConfig()
 
 
-def ingest(fmt):
+def ingest(case):
+    fmt = case.split("-")[0]
     index: dict[str, int] = {}
-    tables = [parse_pass_events(io.BytesIO(data), fmt, index).events for data in FILES[fmt]]
+    tables = [parse_pass_events(io.BytesIO(data), fmt, index).events for data in FILES[case]]
     codes = np.concatenate([table.codes for table in tables], axis=1)
     timestamps = np.concatenate([table.timestamp for table in tables])
     return group_by_match(PassTable(tuple(index), codes, timestamps))
@@ -100,9 +110,9 @@ ALPHABET_CASES = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_parse(benchmark, fmt):
-    result = benchmark(ingest, fmt)
+@pytest.mark.parametrize("case", sorted(FILES))
+def test_parse(benchmark, case):
+    result = benchmark(ingest, case)
     assert len(result) == len(LOGS)
 
 

@@ -235,15 +235,17 @@ def _collect_input_files(paths: list[str], fmt: str) -> list[str]:
 
 
 def _load_match_logs(
-    paths: list[str], fmt: str, digests: dict[str, str]
+    paths: list[str], fmt: str, digests: dict[str, str], counts: dict
 ) -> tuple[PassRuns, bool]:
     """Parse all input files into match logs; True flag means any were corrupt.
 
     Every file is read once, and hashed into ``digests`` as it is read,
     including the files whose framing is broken. Files are parsed one at a
-    time, and only their pass columns are kept.
+    time, and only their pass columns are kept. ``counts`` gains the records
+    kept and rejected over all files.
     """
     had_errors = False
+    rejected = 0
     index: dict[str, int] = {}  # codes every file's names, so the files' codes join as they are
     codes, timestamps = [np.empty((4, 0), dtype=np.int32)], [np.empty(0)]
     for path in _collect_input_files(paths, fmt):
@@ -256,9 +258,11 @@ def _load_match_logs(
         if result.diagnostics:
             print(f"# {path}", *result.diagnostics, sep="\n", file=sys.stderr)
             had_errors = True
+            rejected += len(result.diagnostics)
         codes.append(result.events.codes)
         timestamps.append(result.events.timestamp)
     events = PassTable(tuple(index), np.concatenate(codes, axis=1), np.concatenate(timestamps))
+    counts.update(records=len(events), rejected_records=rejected)
     return group_by_match(events), had_errors
 
 
@@ -296,7 +300,7 @@ def _count_for_log(
 
 def cmd_motifs(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> int:
     segmentation = SegmentationConfig(args.t_max)
-    logs, had_errors = _load_match_logs(args.inputs, args.format, digests)
+    logs, had_errors = _load_match_logs(args.inputs, args.format, digests, counts)
     vectors = _parallel_map(partial(_count_for_log, args.k, segmentation), logs)
     _write_pattern_csv(
         Path(args.out),
@@ -324,7 +328,7 @@ def cmd_zscores(args: argparse.Namespace, digests: dict[str, str], counts: dict)
         policy=args.null_model.replace("-", "_"),
         master_seed=args.seed,
     )
-    logs, had_errors = _load_match_logs(args.inputs, args.format, digests)
+    logs, had_errors = _load_match_logs(args.inputs, args.format, digests, counts)
     results = _parallel_map(partial(_zscore_for_log, args.k, segmentation, config), logs)
     vectors, nulls, profiles, sizes = zip(*results) if results else ((),) * 4
     sampled = sum(null.sampled_possessions for null in nulls)

@@ -4,6 +4,9 @@ Input is a flat stream of directed pass records, one per line, in either
 CSV (fixed header) or JSON-lines form. Records that violate the event
 invariants (self-pass, negative timestamp, malformed fields) are rejected
 individually and reported as diagnostics; they never abort the parse.
+JSON lines in the compact form that ``serialize_pass_events`` writes are
+read by one regular expression over the whole text; the JSON decoder reads
+only the other lines, with the same rows and diagnostics as a result.
 
 Valid records are held as columns (``PassTable``): int32 codes into a
 table of distinct identifiers, and float64 timestamps. ``PassEvent`` and
@@ -17,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable, Iterator, Sequence
@@ -30,6 +34,19 @@ FORMATS = ("csv", "jsonl")
 # JSON's own whitespace; a JSON-lines record may be padded with it.
 _JSON_SPACE = " \t\n\r"
 _decode_json = json.JSONDecoder().raw_decode
+# One match per line of a JSON-lines text. A plain record, the five fields in
+# CSV_HEADER order with ids that decode to their own text and an unsigned
+# number as the timestamp, fills the first five groups; any other line fills
+# the last one.
+_PLAIN_ID = r'"([^"\\\x00-\x1f]+)"'
+_PLAIN_NUMBER = r"((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
+_JSON_LINE = re.compile(
+    r"^(?:[ \t\r]*\{"
+    + ",".join(f'"{name}":{_PLAIN_ID}' for name in CSV_HEADER[:4])
+    + f',"{CSV_HEADER[4]}":{_PLAIN_NUMBER}'
+    + r"\}[ \t\r]*|(.*))$",
+    re.M,
+)
 
 
 class FormatError(ValueError):
@@ -261,14 +278,14 @@ class ParseResult:
     diagnostics: tuple[ParseDiagnostic, ...]
 
 
-def _as_text(stream: IO[bytes] | IO[str]) -> IO[str]:
+def _as_text(stream: IO[bytes] | IO[str]) -> str:
     raw = stream.read()
     if isinstance(raw, bytes):
         try:
             raw = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"not UTF-8 text: {exc}") from None
-    return io.StringIO(raw)
+    return raw
 
 
 def _validate(
@@ -299,8 +316,8 @@ def _validate(
     return match_id, team_id, passer, receiver, timestamp  # type: ignore[return-value]
 
 
-def _parse_csv(text: IO[str]) -> tuple[list, list[ParseDiagnostic]]:
-    reader = csv.reader(text)
+def _parse_csv(text: str) -> tuple[list, list[ParseDiagnostic]]:
+    reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -331,10 +348,31 @@ def _parse_csv(text: IO[str]) -> tuple[list, list[ParseDiagnostic]]:
     return rows, diagnostics
 
 
-def _parse_jsonl(text: IO[str]) -> tuple[list, list[ParseDiagnostic]]:
+def _parse_jsonl(text: str) -> tuple[list, list[ParseDiagnostic]]:
+    """The rows and diagnostics of a JSON-lines text, in line order.
+
+    One leading byte-order mark is dropped. ``_JSON_LINE`` reads the whole
+    text in one pass. A plain record, the compact form that
+    ``serialize_pass_events`` writes, is a row as it stands unless it is a
+    self-pass or its timestamp overflows to infinity. Every other line, and
+    those two, goes through the JSON decoder and then ``_validate``; a JSON
+    boolean timestamp is refused before ``_validate``, which would take it
+    for 1.0 or 0.0.
+    """
     rows: list[tuple[str, str, str, str, float]] = []
     diagnostics: list[ParseDiagnostic] = []
-    for line_num, line in enumerate(text, start=1):
+    text = text.removeprefix("\ufeff")
+    lines = None  # the text split at "\n", as the matches are, once a plain record is refused
+    for line_num, (match_id, team_id, passer, receiver, ts, line) in enumerate(
+        _JSON_LINE.findall(text), start=1
+    ):
+        if match_id:
+            timestamp = float(ts)
+            if passer != receiver and timestamp < math.inf:
+                rows.append((match_id, team_id, passer, receiver, timestamp))
+                continue
+            lines = lines or text.split("\n")
+            line = lines[line_num - 1]
         if not line.strip():
             continue
         # json.loads without its per-call set-up: one value, padded with JSON whitespace
@@ -349,7 +387,11 @@ def _parse_jsonl(text: IO[str]) -> tuple[list, list[ParseDiagnostic]]:
         if not isinstance(obj, dict):
             diagnostics.append(ParseDiagnostic(line_num, "record is not an object"))
             continue
-        out = _validate(list(map(obj.get, CSV_HEADER)), line_num)
+        fields = list(map(obj.get, CSV_HEADER))
+        if type(fields[4]) is bool:
+            diagnostics.append(ParseDiagnostic(line_num, f"invalid timestamp {fields[4]!r}"))
+            continue
+        out = _validate(fields, line_num)
         if type(out) is tuple:
             rows.append(out)
         else:

@@ -193,7 +193,12 @@ def arrangement_table(signature: tuple[int, ...]) -> np.ndarray:
 
 
 def _oracle_event(fields: dict, line: int):
-    """One record's dict of fields as a PassEvent, or the diagnostic that rejects it."""
+    """One record's dict of fields as a PassEvent, or the diagnostic that rejects it.
+
+    A JSON boolean timestamp is refused before any other check.
+    """
+    if isinstance(fields.get("timestamp_s"), bool):
+        return ParseDiagnostic(line, f"invalid timestamp {fields['timestamp_s']!r}")
     for name in CSV_HEADER:
         value = fields.get(name)
         if value is None or value == "":
@@ -217,12 +222,14 @@ def oracle_parse(data: bytes, fmt: str):
     """The object path of ingest: (PassEvents, diagnostics) of a file's bytes.
 
     Each record becomes a dict of its fields and then a PassEvent; JSON
-    lines go through ``json.loads``. Raises FormatError like the library.
+    lines go through ``json.loads``, after one leading byte-order mark is
+    dropped. Raises FormatError like the library.
     """
     try:
-        text = io.StringIO(data.decode("utf-8"))
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc}") from None
+    text = io.StringIO(text if fmt == "csv" else text.removeprefix("\ufeff"))
     events, diagnostics = [], []
     if fmt == "csv":
         reader = csv.reader(text)

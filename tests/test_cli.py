@@ -99,9 +99,11 @@ def test_corrupt_file_reports_diagnostics_and_exits_2(tmp_path, capsys):
     assert main(["motifs", str(tmp_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "line=2" in err and "reason=self-pass" in err
-    # well-formed records are still processed
+    # well-formed records are still processed, and the manifest counts both kinds
     match_ids = {r["match_id"] for r in read_rows(out)}
     assert match_ids == {"M1", "M2"}
+    manifest = json.loads(out.with_name("motifs.csv.manifest.json").read_text())
+    assert manifest["counts"] == {"records": 6, "rejected_records": 1}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -250,7 +252,10 @@ MANIFEST_TEXT = {
     "k": 3,
     "t_max": 5.0
   },
-  "counts": {},
+  "counts": {
+    "records": 5,
+    "rejected_records": 0
+  },
   "duration_s": <masked>,
   "input_digests": {
     "<in>/events.csv": "<sha256>"
@@ -270,6 +275,8 @@ MANIFEST_TEXT = {
   },
   "counts": {
     "exact_possessions": 1,
+    "records": 5,
+    "rejected_records": 0,
     "sampled_possessions": 0
   },
   "duration_s": <masked>,
@@ -603,7 +610,8 @@ MANIFEST_CASES = {
 def test_manifest_config_holds_exactly_the_settings(league_dir, tmp_path, command):
     # Each manifest echoes every setting of its command and nothing else, the
     # null model named as on the command line. It sits inside an output
-    # directory and next to an output file, and only zscores counts anything.
+    # directory and next to an output file. The commands that parse pass logs
+    # count their records, and zscores counts its possessions too.
     league, fps = str(league_dir), str(tmp_path / "f.csv")
     for argv, out in (
         (["motifs", league], "m.csv"),
@@ -617,9 +625,13 @@ def test_manifest_config_holds_exactly_the_settings(league_dir, tmp_path, comman
     manifest = json.loads((tmp_path / place).read_text())
     assert manifest["command"] == command
     assert sorted(manifest["config"]) == settings
+    records = ["records", "rejected_records"]
     if command == "zscores":
         assert manifest["config"]["null_model"] == "uniform-walk"
-        assert sorted(manifest["counts"]) == ["exact_possessions", "sampled_possessions"]
+        assert sorted(manifest["counts"]) == sorted(records + ["exact_possessions",
+                                                               "sampled_possessions"])
+    elif command == "motifs":
+        assert sorted(manifest["counts"]) == records
     else:
         assert manifest["counts"] == {}
 

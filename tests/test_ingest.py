@@ -18,7 +18,7 @@ from flowmotif import (
     segment_possessions,
     serialize_pass_events,
 )
-from flowmotif.events import CSV_HEADER as FIELDS, FORMATS
+from flowmotif.events import _JSON_LINE, CSV_HEADER as FIELDS, FORMATS
 from helpers import make_events, oracle_group, oracle_parse, oracle_segment, oracle_window_patterns
 
 CSV_HEADER = "match_id,team_id,passer,receiver,timestamp_s\n"
@@ -91,6 +91,27 @@ def test_jsonl_parses_and_collects_diagnostics():
     assert "missing field receiver" in result.diagnostics[2].reason
 
 
+def test_jsonl_boolean_timestamp_rejected():
+    body = "".join(
+        json.dumps({"match_id": "M1", "team_id": "T1", "passer": "a", "receiver": "b",
+                    "timestamp_s": value}) + "\n"
+        for value in (True, False)
+    )
+    result = parse_pass_events(io.StringIO(body), "jsonl")
+    assert tuple(result.events) == ()
+    assert [str(d) for d in result.diagnostics] == [
+        "line=1 reason=invalid timestamp True", "line=2 reason=invalid timestamp False"
+    ]
+
+
+def test_jsonl_byte_order_mark_keeps_first_record():
+    events = make_events([("a", "b"), ("b", "c")])
+    data = "\ufeff".encode() + serialize_pass_events(events, "jsonl").encode()
+    result = parse_pass_events(io.BytesIO(data), "jsonl")
+    assert result.diagnostics == ()
+    assert list(result.events) == events
+
+
 def test_pass_event_invariants_enforced():
     with pytest.raises(ValueError, match="self-pass"):
         PassEvent("m", "t", "a", "a", 1.0)
@@ -157,16 +178,22 @@ def test_group_sizes_sum_to_input_size(events):
 
 
 # Identifiers that stress the CSV quoting and JSON-lines framing: commas,
-# quotes and newlines (quoted by the CSV writer), and characters that
-# str.splitlines would take for line breaks.
+# quotes and newlines (quoted by the CSV writer), characters that
+# str.splitlines would take for line breaks, and ids that JSON escapes
+# (a backslash, a control character, and non-ASCII unless ensure_ascii is off).
 ID_POOL = ["m1", "m2", "t1", "t2", "a", "b", "c", "x,y", 'q"z', "l\nb", "f\x0cg", "u\u2028v",
-           "n\x85o", "s\x1ct", ""]
+           "n\x85o", "s\x1ct", "", "b\\s", "c\x01", "\u00e9t\u00e9"]
 TS_TEXT = ["0", "1", "1", "1.5", "2", "5", "6.5", "12", "-1", "-0", "nan", "inf", "12x", "",
            " 5 ", "1e3", "1_0"]
 TS_JSON = [0, 1, 1.5, 2.0, 5, 6.5, 12, -1, True, False, None, "1e3", " 5 ", "x", [1], 1e400,
            10**400]
 ID_JSON = [7, 0, 2.5, True, False, None, [1], {"a": 1}]
+# Timestamps as JSON text: integers, exponents, a signed zero, numbers whose
+# float overflows, an int past float's range, and texts JSON refuses.
+TS_LITERAL = ["7", "0", "1.5e3", "2E-1", "1e+2", "-0.0", "-0", "1e400", "1e-400", "9" * 400,
+              "01", "1.", "Infinity"]
 PAD = ["", " ", "\t", "\r", " \r"]
+COMPACT = (",", ":")
 
 
 @st.composite
@@ -216,8 +243,13 @@ def csv_file(draw, records):
 def jsonl_line(draw, fields):
     shape = draw(st.sampled_from(
         ["object", "object", "object", "retyped", "missing", "null", "array", "number", "truncated",
-         "raw_formfeed", "blank"]))
+         "raw_formfeed", "blank", "literal", "reordered", "duplicated"]))
     obj = dict(zip(FIELDS, fields))
+    if draw(st.booleans()):  # the timestamp as a JSON number, as serialize_pass_events writes it
+        try:
+            obj["timestamp_s"] = float(obj["timestamp_s"])
+        except ValueError:
+            pass
     if shape == "retyped":
         key = draw(st.sampled_from(FIELDS))
         obj[key] = draw(st.sampled_from(TS_JSON if key == "timestamp_s" else ID_JSON))
@@ -225,18 +257,29 @@ def jsonl_line(draw, fields):
         del obj[draw(st.sampled_from(FIELDS))]
     elif shape == "null":
         obj[draw(st.sampled_from(FIELDS))] = None
+    elif shape == "literal":
+        obj["timestamp_s"] = "@ts@"
+    elif shape == "reordered":
+        obj = dict(draw(st.permutations(list(obj.items()))))
+    separators = draw(st.sampled_from([None, COMPACT]))  # json.dumps' spaced form, or ours
     if shape == "array":
-        text = json.dumps(list(obj.values()))
+        text = json.dumps(list(obj.values()), separators=separators)
     elif shape == "number":
         text = draw(st.sampled_from(["3", "null", '"s"', "true"]))
     elif shape == "blank":
         text = draw(st.sampled_from(["", "  ", "\x0c", "\u2028", "\x1c"]))
     else:
-        text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+        text = json.dumps(obj, ensure_ascii=draw(st.booleans()), separators=separators)
         if shape == "truncated":
             text = text[:-3]
         elif shape == "raw_formfeed":
             text = text.replace("\\f", "\x0c")
+        elif shape == "literal":
+            text = text.replace('"@ts@"', draw(st.sampled_from(TS_LITERAL)))
+        elif shape == "duplicated":  # JSON keeps the last of a key's values
+            key = draw(st.sampled_from(FIELDS))
+            value = draw(st.sampled_from(ID_POOL if key != "timestamp_s" else TS_JSON))
+            text = text[:-1] + "," + json.dumps({key: value}, separators=separators)[1:]
     return draw(st.sampled_from(PAD)) + text + draw(st.sampled_from(PAD)) + "\n"
 
 
@@ -308,3 +351,58 @@ def test_columnar_ingest_matches_object_oracle(files, t_max, k):
         )
         counts = count_motifs(possessions, k).counts.tolist()
         assert counts == [windows[p] for p in enumerate_patterns(k)]
+
+
+def compact(ensure_ascii=True, **changes) -> str:
+    record = {"match_id": "m1", "team_id": "t1", "passer": "a", "receiver": "b",
+              "timestamp_s": 1.5, **changes}
+    return json.dumps(record, separators=COMPACT, ensure_ascii=ensure_ascii)
+
+
+def with_timestamp(text: str) -> str:
+    return compact(timestamp_s="@ts@").replace('"@ts@"', text)
+
+
+# (line, whether _JSON_LINE reads it as a plain record)
+JSON_LINES = {
+    "compact": (compact(), True),
+    "padded": (" \t" + compact() + " \r", True),
+    "formfeed-padded": (compact() + "\x0c", False),
+    "formfeed-led": ("\x0c" + compact(), False),
+    "spaced": (json.dumps(json.loads(compact())), False),
+    "quote-id": (compact(passer='q"z'), False),
+    "backslash-id": (compact(passer="b\\s"), False),
+    "control-id": (compact(passer="c\x01"), False),
+    "raw-control-id": (compact(passer="c\x01").replace("\\u0001", "\x01"), False),
+    "raw-tab-id": (compact(passer="c\td").replace("\\t", "\t"), False),
+    "raw-x1f-id": (compact(passer="c\x1f").replace("\\u001f", "\x1f"), False),
+    "non-ascii-escaped": (compact(passer="\u00e9t\u00e9"), False),
+    "non-ascii-raw": (compact(False, passer="\u00e9t\u00e9"), True),
+    "empty-id": (compact(team_id=""), False),
+    "integer": (with_timestamp("12"), True),
+    "exponent": (with_timestamp("1.5E+3"), True),
+    "zero": (with_timestamp("0"), True),
+    "negative-zero": (with_timestamp("-0.0"), False),
+    "negative": (with_timestamp("-1"), False),
+    "overflow-exponent": (with_timestamp("1e400"), True),
+    "underflow-exponent": (with_timestamp("1e-400"), True),
+    "400-digits": (with_timestamp("9" * 400), True),
+    "leading-zero": (with_timestamp("01"), False),
+    "boolean": (with_timestamp("true"), False),
+    "string": (with_timestamp('"1.5"'), False),
+    "reordered": (json.dumps(dict(reversed(json.loads(compact()).items())),
+                             separators=COMPACT), False),
+    "duplicated-key": (compact()[:-1] + ',"receiver":"c"}', False),
+    "duplicated-self-pass": (compact()[:-1] + ',"receiver":"a"}', False),
+    "self-pass": (compact(receiver="a"), True),
+    "trailing-text": (compact() + "x", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_LINES))
+def test_json_line_matches_object_oracle(case):
+    line, plain = JSON_LINES[case]
+    assert bool(_JSON_LINE.match(line)[1]) == plain
+    data = (line + "\n").encode()
+    result = parse_pass_events(io.BytesIO(data), "jsonl")
+    assert (list(result.events), list(result.diagnostics)) == oracle_parse(data, "jsonl")
