@@ -14,7 +14,9 @@ compact, as ``serialize_pass_events`` writes them, or in ``json.dumps``'
 spaced form (``jsonl-spaced``), which only the JSON decoder reads, so that
 case times the per-line path. Segmentation takes the
 logs that grouping gives, and counting the possessions that segmentation
-gives, with the ids the CLI passes. The window-count cases classify and
+gives: one log (or its possessions, with its ids) per call, as ``zscores``
+calls them, and all 80 in one call (``all-logs``), as ``motifs`` does. The
+window-count cases classify and
 count the windows of the first team-match at k = 3 and k = 5, for its own
 touches (one row, as ``count_motifs`` does) and for a batch of 256 rows of
 the match shuffle (as the null model does). Fingerprinting averages one
@@ -82,6 +84,7 @@ def ingest(case):
 
 GROUPED = ingest("csv")
 POSSESSIONS = [segment_possessions(log, SEGMENTATION) for log in GROUPED]
+ALL_POSSESSIONS = segment_possessions(GROUPED, SEGMENTATION)
 WINDOW_CODES = TouchCodes(POSSESSIONS[0])
 WINDOW_ROWS = {
     1: WINDOW_CODES.touches[None, :],
@@ -116,19 +119,29 @@ def test_parse(benchmark, case):
     assert len(result) == len(LOGS)
 
 
-def test_segment(benchmark):
-    result = benchmark(lambda: [segment_possessions(log, SEGMENTATION) for log in GROUPED])
+SEGMENT_CASES = {
+    "per-log": lambda: [segment_possessions(log, SEGMENTATION) for log in GROUPED],
+    "all-logs": lambda: [segment_possessions(GROUPED, SEGMENTATION)],
+}
+COUNT_CASES = {
+    "per-log": lambda: [
+        count_motifs(possessions, 3, match_id=log.match_id, team_id=log.team_id)
+        for log, possessions in zip(GROUPED, POSSESSIONS)
+    ],
+    "all-logs": lambda: [count_motifs(ALL_POSSESSIONS, 3)],
+}
+
+
+@pytest.mark.parametrize("case", SEGMENT_CASES)
+def test_segment(benchmark, case):
+    result = benchmark(SEGMENT_CASES[case])
     assert sum(map(len, result)) == sum(map(len, POSSESSIONS))
 
 
-def test_count(benchmark):
-    result = benchmark(
-        lambda: [
-            count_motifs(possessions, 3, match_id=log.match_id, team_id=log.team_id)
-            for log, possessions in zip(GROUPED, POSSESSIONS)
-        ]
-    )
-    assert len(result) == len(POSSESSIONS)
+@pytest.mark.parametrize("case", COUNT_CASES)
+def test_count(benchmark, case):
+    result = benchmark(COUNT_CASES[case])
+    assert sum(map(len, result)) == len(POSSESSIONS)
 
 
 @pytest.mark.parametrize("rows", WINDOW_ROWS)

@@ -29,6 +29,7 @@ from .events import (
     serialize_pass_events,
 )
 from .motifs import (
+    MotifCounts,
     MotifCountVector,
     MotifPattern,
     count_motifs,
@@ -62,6 +63,7 @@ __all__ = [
     "DegenerateInputError",
     "FormatError",
     "MatchEventLog",
+    "MotifCounts",
     "MotifCountVector",
     "MotifPattern",
     "NullDistribution",

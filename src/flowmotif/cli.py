@@ -6,8 +6,10 @@ counts, and as ``config`` every parsed value but the input and output paths.
 The manifest is ``manifest.json`` inside ``--out`` when that is a directory
 after the command ran, and ``<out>.manifest.json`` next to it otherwise.
 Exit codes: 0 success, 1 internal error, 2 input or domain error.
-Parallelism is capped by the FLOWMOTIF_THREADS environment variable and
-never affects results (per-match seeds are derived, not shared).
+``zscores`` scores team-matches in worker processes, capped by the
+FLOWMOTIF_THREADS environment variable, which never affects results
+(per-match seeds are derived, not shared); ``motifs`` segments and counts
+all team-matches in one call each.
 """
 
 from __future__ import annotations
@@ -234,6 +236,19 @@ def _collect_input_files(paths: list[str], fmt: str) -> list[str]:
     return list(files.values())
 
 
+# The start of each kind of diagnostic reason that ingest gives, and the
+# manifest's count of the records rejected for it.
+_REJECTED = (
+    ("expected", "rejected_fields"),
+    ("missing field", "rejected_missing_field"),
+    ("invalid timestamp", "rejected_invalid_timestamp"),
+    ("negative timestamp", "rejected_negative_timestamp"),
+    ("self-pass", "rejected_self_pass"),
+    ("invalid JSON", "rejected_invalid_json"),
+    ("record is not an object", "rejected_not_an_object"),
+)
+
+
 def _load_match_logs(
     paths: list[str], fmt: str, digests: dict[str, str], counts: dict
 ) -> tuple[PassRuns, bool]:
@@ -241,11 +256,12 @@ def _load_match_logs(
 
     Every file is read once, and hashed into ``digests`` as it is read,
     including the files whose framing is broken. Files are parsed one at a
-    time, and only their pass columns are kept. ``counts`` gains the records
-    kept and rejected over all files.
+    time, and only their pass columns are kept, until they are joined.
+    ``counts`` gains the records kept and rejected over all files, and the
+    rejected ones by the kind of their reason.
     """
     had_errors = False
-    rejected = 0
+    rejected = dict.fromkeys([key for _, key in _REJECTED], 0)
     index: dict[str, int] = {}  # codes every file's names, so the files' codes join as they are
     codes, timestamps = [np.empty((4, 0), dtype=np.int32)], [np.empty(0)]
     for path in _collect_input_files(paths, fmt):
@@ -258,11 +274,13 @@ def _load_match_logs(
         if result.diagnostics:
             print(f"# {path}", *result.diagnostics, sep="\n", file=sys.stderr)
             had_errors = True
-            rejected += len(result.diagnostics)
+            for diagnostic in result.diagnostics:
+                rejected[next(k for p, k in _REJECTED if diagnostic.reason.startswith(p))] += 1
         codes.append(result.events.codes)
         timestamps.append(result.events.timestamp)
     events = PassTable(tuple(index), np.concatenate(codes, axis=1), np.concatenate(timestamps))
-    counts.update(records=len(events), rejected_records=rejected)
+    del codes, timestamps  # each file's columns, now joined: free them before grouping copies
+    counts.update(records=len(events), rejected_records=sum(rejected.values()), **rejected)
     return group_by_match(events), had_errors
 
 
@@ -291,23 +309,18 @@ def _parallel_map(func, payloads: Sequence) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _count_for_log(
-    k: int, segmentation: SegmentationConfig, log: MatchEventLog
-) -> MotifCountVector:
-    possessions = segment_possessions(log, segmentation)
-    return count_motifs(possessions, k, match_id=log.match_id, team_id=log.team_id)
-
-
 def cmd_motifs(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> int:
     segmentation = SegmentationConfig(args.t_max)
     logs, had_errors = _load_match_logs(args.inputs, args.format, digests, counts)
-    vectors = _parallel_map(partial(_count_for_log, args.k, segmentation), logs)
+    possessions = segment_possessions(logs, segmentation)
+    found = count_motifs(possessions, args.k)
+    rows = len(logs)  # with no logs, not even the zero row of no possessions
     _write_pattern_csv(
         Path(args.out),
         ("match_id", "team_id"),
         ("count",),
-        [(vec.match_id, vec.team_id, vec.k) for vec in vectors],
-        [_flat([vec.counts for vec in vectors])],
+        [(m, t, args.k) for m, t in zip(found.match_ids[:rows], found.team_ids[:rows])],
+        [found.counts[:rows].ravel().tolist()],
     )
     return 2 if had_errors else 0
 
@@ -316,7 +329,7 @@ def _zscore_for_log(
     k: int, segmentation: SegmentationConfig, config: NullModelConfig, log: MatchEventLog
 ) -> tuple[MotifCountVector, NullDistribution, ZScoreProfile, int]:
     possessions = segment_possessions(log, segmentation)
-    counts = count_motifs(possessions, k, match_id=log.match_id, team_id=log.team_id)
+    counts = count_motifs(possessions, k, match_id=log.match_id, team_id=log.team_id)[0]
     null = null_distribution(possessions, k, config)
     return counts, null, z_scores(counts, null), len(possessions)
 

@@ -289,12 +289,15 @@ def _as_text(stream: IO[bytes] | IO[str]) -> str:
 
 
 def _validate(
-    fields: Sequence[object], line: int
+    fields: Sequence[object], line: int, screen: bool
 ) -> tuple[str, str, str, str, float] | ParseDiagnostic:
     """A record's five fields, in ``CSV_HEADER`` order, as ids and a timestamp.
 
     A field is missing when it is None or ""; the timestamp goes through
-    ``float`` and every id through ``str``.
+    ``float`` and every id through ``str``. With ``screen``, a timestamp
+    text that ``float`` reads but no data format writes, with an underscore
+    or a character past ASCII (``1_0``, ``١٢``, ``５``), is refused too; a
+    caller may pass False only for records whose text has neither.
     """
     match_id, team_id, passer, receiver, ts_raw = fields
     if not (match_id and team_id and passer and receiver and ts_raw):  # None and "" are falsy
@@ -305,7 +308,9 @@ def _validate(
         timestamp = float(ts_raw)  # type: ignore[arg-type]
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float's range
         return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
-    if not math.isfinite(timestamp):
+    if not math.isfinite(timestamp) or (
+        screen and type(ts_raw) is str and ("_" in ts_raw or not ts_raw.isascii())
+    ):
         return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
     if timestamp < 0.0:
         return ParseDiagnostic(line, f"negative timestamp at line {line}")
@@ -333,6 +338,7 @@ def _parse_csv(text: str) -> tuple[list, list[ParseDiagnostic]]:
     rows: list[tuple[str, str, str, str, float]] = []
     diagnostics: list[ParseDiagnostic] = []
     n_fields = len(CSV_HEADER)
+    screen = "_" in text or not text.isascii()  # per file, so plain files skip it per record
     for row in reader:
         if not row:
             continue
@@ -340,7 +346,7 @@ def _parse_csv(text: str) -> tuple[list, list[ParseDiagnostic]]:
         if len(row) != n_fields:
             diagnostics.append(ParseDiagnostic(line, f"expected {n_fields} fields, got {len(row)}"))
             continue
-        out = _validate(row, line)
+        out = _validate(row, line, screen)
         if type(out) is tuple:
             rows.append(out)
         else:
@@ -391,7 +397,7 @@ def _parse_jsonl(text: str) -> tuple[list, list[ParseDiagnostic]]:
         if type(fields[4]) is bool:
             diagnostics.append(ParseDiagnostic(line_num, f"invalid timestamp {fields[4]!r}"))
             continue
-        out = _validate(fields, line_num)
+        out = _validate(fields, line_num, True)
         if type(out) is tuple:
             rows.append(out)
         else:

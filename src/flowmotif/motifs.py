@@ -9,19 +9,23 @@ One index per k (``pattern_index``) owns the alphabet, as rows of label
 codes with their strings, and is the one classifier: a team-match's touches
 are laid out as integer codes once, and it gives every window its pattern
 at once. Other modules never parse a pattern's letters.
-``count_motifs`` counts them, ``extract_motifs`` lists them for one
-possession, and the null model's ``TouchCodes`` re-codes the same layout by
-first appearance and counts its randomized replicates the same way.
+``count_motifs`` counts them for the possessions of any number of
+team-matches at once: one call classifies all their windows, and one
+``bincount`` sums them per team-match into ``MotifCounts``.
+``extract_motifs`` lists them for one possession, and the null model's
+``TouchCodes`` re-codes the same layout by first appearance and counts its
+randomized replicates the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from .events import PassRuns
 from .possessions import Possession, possession_runs
 
 DEFAULT_K = 3
@@ -52,40 +56,49 @@ def extract_motifs(possession: Possession, k: int = DEFAULT_K) -> list[MotifPatt
     span possession boundaries.
     """
     index = pattern_index(k)
-    _, _, _, touches, first = _touch_layout([possession], "", "")
+    touches, first = _touch_layout(possession_runs([possession]))
     window_starts = _window_starts(first, touches.size, k)
     found = index.window_patterns(touches[None, :], window_starts)[0]
     return [index.patterns[i] for i in found.tolist()]
 
 
-def _touch_layout(
-    possessions: Iterable[Possession], match_id: str, team_id: str
-) -> tuple[str, str, tuple[str, ...], np.ndarray, np.ndarray]:
+def _touch_layout(runs: PassRuns) -> tuple[np.ndarray, np.ndarray]:
     """Every possession's touches back to back, in the codes of their pass table.
 
-    Returns the team-match's ids, the table's names, the touches and the
-    index of each possession's first touch. The ids are the possessions'
-    own, which must all agree, and the given ones when there are none.
+    Returns the touches and the index of each possession's first touch.
     """
-    runs = possession_runs(possessions)
     passes, starts = runs.passes, runs.starts
-    names = passes.names
-    if len(passes):
-        match_id, team_id = names[passes.match[0]], names[passes.team[0]]
-        i = passes.outsider(match_id, team_id)
-        if i is not None:
-            raise ValueError(
-                f"possession ({names[passes.match[i]]!r}, {names[passes.team[i]]!r}) "
-                f"mixed into ({match_id!r}, {team_id!r})"
-            )
     size = len(passes) + len(starts)
     first = starts + np.arange(len(starts))
-    touches = np.empty(size, dtype=np.int64)
+    touches = np.empty(size, dtype=passes.codes.dtype)
     touches[first] = passes.passer[starts]
     received = np.ones(size, dtype=bool)
     received[first] = False
     touches[received] = passes.receiver
-    return match_id, team_id, names, touches, first
+    return touches, first
+
+
+def _team_matches(
+    runs: PassRuns, most: int | None = None
+) -> tuple[list[str], list[str], np.ndarray]:
+    """The ids of the team-matches of possessions, and where each but the first begins.
+
+    The array holds the index of the first possession of every team-match
+    after the first. A team-match's possessions must be consecutive, and
+    there may be at most ``most`` team-matches when it is given.
+    """
+    names = runs.passes.names
+    # each possession's match and team codes, side by side, read as one int64
+    key = runs.passes.codes[:2].T.take(runs.starts, axis=0).view(np.int64).ravel()
+    later = (key[1:] != key[:-1]).nonzero()[0] + 1
+    keys = key[:1].tolist() + key[later].tolist()
+    codes = np.array(keys, dtype=np.int64).view(np.int32).tolist()
+    match_ids, team_ids = [names[c] for c in codes[::2]], [names[c] for c in codes[1::2]]
+    if len(set(keys)) < len(keys) or len(keys) > (most or len(keys)):
+        i = next(i for i in range(1, len(keys)) if keys[i] in keys[:i] or i == most)
+        ids, before = [(match_ids[j], team_ids[j]) for j in (i, i - 1)]
+        raise ValueError(f"possessions of {ids!r} mixed with those of {before!r}")
+    return match_ids, team_ids, later
 
 
 def _window_starts(first: np.ndarray, size: int, k: int) -> np.ndarray:
@@ -113,7 +126,10 @@ class TouchCodes:
     """
 
     def __init__(self, possessions: Iterable[Possession]) -> None:
-        match_id, team_id, names, touches, first = _touch_layout(possessions, "", "")
+        runs = possession_runs(possessions)
+        match_ids, team_ids, _ = _team_matches(runs, most=1)
+        touches, first = _touch_layout(runs)
+        names = runs.passes.names
         # A stable sort puts each player's first touch ahead of their others;
         # ranking the players by that touch gives their codes.
         order = touches.argsort(kind="stable")
@@ -126,8 +142,8 @@ class TouchCodes:
         self.touches = np.empty_like(order)
         self.touches[order] = code[new.cumsum() - 1]
         self.players = tuple([names[c] for c in ranked[new][appear].tolist()])
-        self.match_id = match_id
-        self.team_id = team_id
+        self.match_id = match_ids[0] if match_ids else ""
+        self.team_id = team_ids[0] if team_ids else ""
         self.starts = first
         self.lengths = np.diff(first, append=touches.size)
 
@@ -225,20 +241,60 @@ class MotifCountVector:
         return int(self.counts.sum())
 
 
+@dataclass(slots=True)
+class MotifCounts:
+    """Motif counts of consecutive team-matches: a sized sequence of ``MotifCountVector`` rows.
+
+    ``counts`` is a (team-matches x patterns) int64 array, a row per
+    team-match aligned with ``enumerate_patterns(k)``; ``match_ids`` and
+    ``team_ids`` key its rows. Indexing or iterating builds the rows, each
+    over a view of its row of ``counts``.
+    """
+
+    match_ids: list[str]
+    team_ids: list[str]
+    k: int
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, i: int) -> MotifCountVector:
+        return MotifCountVector(self.match_ids[i], self.team_ids[i], self.k, self.counts[i])
+
+    def __iter__(self) -> Iterator[MotifCountVector]:
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+
 def count_motifs(
     possessions: Iterable[Possession],
     k: int = DEFAULT_K,
     *,
     match_id: str = "",
     team_id: str = "",
-) -> MotifCountVector:
-    """Aggregate motif counts over possessions of one match and team.
+) -> MotifCounts:
+    """Aggregate motif counts over possessions, one row per team-match in possession order.
 
-    ``match_id``/``team_id`` are only used when ``possessions`` is empty;
-    otherwise they are taken from the possessions, which must all agree.
+    Each team-match's possessions must be consecutive, as segmentation gives
+    them. Every window is classified in one call over all touches, and the
+    windows are summed per team-match in one ``bincount``. With no
+    possessions the result is one row of zeros, keyed by
+    ``match_id``/``team_id``; otherwise the ids are the possessions' own.
     """
     index = pattern_index(k)
-    match_id, team_id, _, touches, first = _touch_layout(possessions, match_id, team_id)
+    n_patterns = len(index.patterns)
+    runs = possession_runs(possessions)
+    if not len(runs):
+        return MotifCounts([match_id], [team_id], k, np.zeros((1, n_patterns), dtype=np.int64))
+    match_ids, team_ids, later = _team_matches(runs)
+    touches, first = _touch_layout(runs)
     window_starts = _window_starts(first, touches.size, k)
-    counts = index.window_counts(touches[None, :], window_starts)
-    return MotifCountVector(match_id, team_id, k, counts[0])
+    found = index.window_patterns(touches[None, :], window_starts)[0]
+    if later.size:  # each window of a later team-match moves to that team-match's row
+        found += np.searchsorted(first[later], window_starts, side="right") * n_patterns
+    counts = np.bincount(found, minlength=len(match_ids) * n_patterns)
+    return MotifCounts(match_ids, team_ids, k, counts.reshape(-1, n_patterns))

@@ -1,9 +1,10 @@
-"""Possession segmentation: split a match log into consecutive-pass chains.
+"""Possession segmentation: split match logs into consecutive-pass chains.
 
 A possession is a maximal run of passes in which each receiver makes the
 next pass and the gap between consecutive passes never exceeds ``t_max``
 seconds. Segmentation is greedy left-to-right, so no possession can
-absorb the first pass of its successor.
+absorb the first pass of its successor. One call cuts one log, or every
+log of a command at once.
 """
 
 from __future__ import annotations
@@ -71,19 +72,24 @@ class Possession:
 
 
 def segment_possessions(
-    log: MatchEventLog, config: SegmentationConfig = SegmentationConfig()
+    logs: MatchEventLog | PassRuns, config: SegmentationConfig = SegmentationConfig()
 ) -> PassRuns:
-    """Greedy maximal segmentation of a sorted match log into ``Possession`` rows.
+    """Greedy maximal segmentation of sorted match logs into ``Possession`` rows.
 
-    Every input pass lands in exactly one possession and concatenating the
-    possessions in order reproduces the input sequence.
+    ``logs`` is one log, or the runs of logs that ``group_by_match`` returns;
+    one log is the case of a single run. Every log is cut in one pass over
+    their pass table, with a cut at every log's first pass, so a possession
+    never spans two logs. Every input pass lands in exactly one possession,
+    and concatenating the possessions in order reproduces the input sequence.
     """
-    passes = log.events
-    if not len(passes):
-        return PassRuns(passes, np.empty(0, dtype=np.int64), Possession)
+    passes = logs.passes if isinstance(logs, PassRuns) else logs.events
+    cut = np.ones(len(passes), dtype=bool)
     chained = passes.receiver[:-1] == passes.passer[1:]
     in_time = np.diff(passes.timestamp) <= config.t_max
-    return PassRuns(passes, np.flatnonzero(np.r_[True, ~(chained & in_time)]), Possession)
+    cut[1:] = ~(chained & in_time)
+    if isinstance(logs, PassRuns):
+        cut[logs.starts] = True
+    return PassRuns(passes, np.flatnonzero(cut), Possession)
 
 
 def possession_runs(possessions: Iterable[Possession]) -> PassRuns:

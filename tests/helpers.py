@@ -195,7 +195,9 @@ def arrangement_table(signature: tuple[int, ...]) -> np.ndarray:
 def _oracle_event(fields: dict, line: int):
     """One record's dict of fields as a PassEvent, or the diagnostic that rejects it.
 
-    A JSON boolean timestamp is refused before any other check.
+    A JSON boolean timestamp is refused before any other check. A timestamp
+    text that ``float`` reads is refused when it holds an underscore or a
+    character past ASCII, as ``float`` takes them and no data format does.
     """
     if isinstance(fields.get("timestamp_s"), bool):
         return ParseDiagnostic(line, f"invalid timestamp {fields['timestamp_s']!r}")
@@ -209,6 +211,8 @@ def _oracle_event(fields: dict, line: int):
     except (TypeError, ValueError, OverflowError):
         return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
     if not math.isfinite(timestamp):
+        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
+    if isinstance(ts_raw, str) and any(c == "_" or ord(c) > 127 for c in ts_raw):
         return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
     if timestamp < 0.0:
         return ParseDiagnostic(line, f"negative timestamp at line {line}")

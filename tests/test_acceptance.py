@@ -80,7 +80,7 @@ def _league_match_z(args: tuple[int, int, int]) -> tuple[int, list[float]]:
         params, match_index, derive_seed(master, params.team_id, match_index)
     )
     possessions = segment_possessions(log)
-    counts = count_motifs(possessions, K)
+    counts = count_motifs(possessions, K)[0]
     null = null_distribution(
         possessions, K, NullModelConfig(replicates=LEAGUE_REPLICATES, master_seed=master)
     )
@@ -161,7 +161,7 @@ def test_criterion_5_null_self_consistency():
     for r in range(reps):
         seed = derive_seed(42, match_id, r)
         replicate = randomize_possessions(possessions, "touch_shuffle_match", seed)
-        counts[r] = count_motifs(replicate, K).counts
+        counts[r] = count_motifs(replicate, K)[0].counts
     total = counts.sum(axis=0)
     total_sq = (counts * counts).sum(axis=0)
     zs = []

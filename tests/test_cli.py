@@ -103,7 +103,55 @@ def test_corrupt_file_reports_diagnostics_and_exits_2(tmp_path, capsys):
     match_ids = {r["match_id"] for r in read_rows(out)}
     assert match_ids == {"M1", "M2"}
     manifest = json.loads(out.with_name("motifs.csv.manifest.json").read_text())
-    assert manifest["counts"] == {"records": 6, "rejected_records": 1}
+    assert manifest["counts"] == {
+        **dict.fromkeys(REJECTED_KINDS, 0), "records": 6, "rejected_records": 1,
+        "rejected_self_pass": 1,
+    }
+
+
+REJECTED_KINDS = [
+    f"rejected_{kind}"
+    for kind in ("fields", "invalid_json", "invalid_timestamp", "missing_field",
+                 "negative_timestamp", "not_an_object", "self_pass")
+]
+# format: (header, records, rejected records by kind), every kind that the
+# format can reject among valid records; 1_0 is refused as a timestamp
+REJECTION_FILES = {
+    "csv": (
+        "match_id,team_id,passer,receiver,timestamp_s\n",
+        ["M1,T1,a,b,1.0", "M1,T1,a,b", "M1,T1,a,b,1.0,x", "M1,T1,a,b,1_0", "M1,T1,a,b,x",
+         "M1,T1,a,b,nan", "M1,,a,b,1.0", "M1,T1,a,b,", "M1,T1,a,b,-1.0", "M1,T1,a,a,1.0",
+         "M1,T1,b,c,2.0"],
+        {"fields": 2, "invalid_timestamp": 3, "missing_field": 2, "negative_timestamp": 1,
+         "self_pass": 1},
+    ),
+    "jsonl": (
+        "",
+        ['{"match_id":"M1","team_id":"T1","passer":"a","receiver":"b","timestamp_s":1.0}',
+         "{", "[1]", "7", '{"match_id":"M1"}', '{"match_id":"M1","team_id":"T1","passer":"a",'
+         '"receiver":"b","timestamp_s":true}', '{"match_id":"M1","team_id":"T1","passer":"a",'
+         '"receiver":"a","timestamp_s":2.0}', '{"match_id":"M1","team_id":"T1","passer":"a",'
+         '"receiver":"b","timestamp_s":-2.0}'],
+        {"invalid_json": 1, "not_an_object": 2, "missing_field": 1, "invalid_timestamp": 1,
+         "self_pass": 1, "negative_timestamp": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REJECTION_FILES))
+def test_manifest_counts_rejected_records_by_kind(tmp_path, capsys, fmt):
+    header, records, kinds = REJECTION_FILES[fmt]
+    src = tmp_path / f"events.{fmt}"
+    src.write_text(header + "".join(line + "\n" for line in records))
+    out = tmp_path / "m.csv"
+    assert main(["motifs", str(src), "--format", fmt, "--out", str(out)]) == 2
+    rejected = capsys.readouterr().err.count(" reason=")
+    counts = json.loads(out.with_name("m.csv.manifest.json").read_text())["counts"]
+    expected = dict.fromkeys(REJECTED_KINDS, 0)
+    expected.update({f"rejected_{kind}": n for kind, n in kinds.items()})
+    assert {key: counts[key] for key in REJECTED_KINDS} == expected
+    assert counts["rejected_records"] == sum(kinds.values()) == rejected
+    assert counts["records"] == len(records) - rejected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -254,7 +302,14 @@ MANIFEST_TEXT = {
   },
   "counts": {
     "records": 5,
-    "rejected_records": 0
+    "rejected_fields": 0,
+    "rejected_invalid_json": 0,
+    "rejected_invalid_timestamp": 0,
+    "rejected_missing_field": 0,
+    "rejected_negative_timestamp": 0,
+    "rejected_not_an_object": 0,
+    "rejected_records": 0,
+    "rejected_self_pass": 0
   },
   "duration_s": <masked>,
   "input_digests": {
@@ -276,7 +331,14 @@ MANIFEST_TEXT = {
   "counts": {
     "exact_possessions": 1,
     "records": 5,
+    "rejected_fields": 0,
+    "rejected_invalid_json": 0,
+    "rejected_invalid_timestamp": 0,
+    "rejected_missing_field": 0,
+    "rejected_negative_timestamp": 0,
+    "rejected_not_an_object": 0,
     "rejected_records": 0,
+    "rejected_self_pass": 0,
     "sampled_possessions": 0
   },
   "duration_s": <masked>,
@@ -625,13 +687,13 @@ def test_manifest_config_holds_exactly_the_settings(league_dir, tmp_path, comman
     manifest = json.loads((tmp_path / place).read_text())
     assert manifest["command"] == command
     assert sorted(manifest["config"]) == settings
-    records = ["records", "rejected_records"]
+    records = ["records", "rejected_records", *REJECTED_KINDS]
     if command == "zscores":
         assert manifest["config"]["null_model"] == "uniform-walk"
         assert sorted(manifest["counts"]) == sorted(records + ["exact_possessions",
                                                                "sampled_possessions"])
     elif command == "motifs":
-        assert sorted(manifest["counts"]) == records
+        assert sorted(manifest["counts"]) == sorted(records)
     else:
         assert manifest["counts"] == {}
 

@@ -112,6 +112,34 @@ def test_jsonl_byte_order_mark_keeps_first_record():
     assert list(result.events) == events
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_timestamps_only_float_reads_are_rejected(fmt):
+    # float() takes underscores, non-ASCII digits and non-ASCII spaces; no data
+    # format writes them. A negative one is invalid before it is negative.
+    texts = ["1_0", "\u0661\u0662", "\uff15", "\u00a05", "-1_0", " 5 ", "1e3"]
+    records = [("M1", "T1", "a", "b", text) for text in texts]
+    if fmt == "csv":
+        body = CSV_HEADER + "".join(",".join(r) + "\n" for r in records)
+    else:
+        body = "".join(json.dumps(dict(zip(FIELDS, r))) + "\n" for r in records)
+    result = parse_pass_events(io.BytesIO(body.encode()), fmt)
+    first = 2 if fmt == "csv" else 1
+    assert [str(d) for d in result.diagnostics] == [
+        f"line={first + i} reason=invalid timestamp {text!r}" for i, text in enumerate(texts[:5])
+    ]
+    assert result.events.timestamp.tolist() == [5.0, 1000.0]
+
+
+def test_csv_underscore_ids_keep_plain_timestamps():
+    # A file with an underscore or a non-ASCII character anywhere screens every
+    # timestamp; its plain timestamps still parse.
+    result = parse_csv(CSV_HEADER + "M_1,T1,\u00e9,b,1.5\nM_1,T1,b,c,2\n")
+    assert result.diagnostics == ()
+    assert list(result.events) == [
+        PassEvent("M_1", "T1", "\u00e9", "b", 1.5), PassEvent("M_1", "T1", "b", "c", 2.0)
+    ]
+
+
 def test_pass_event_invariants_enforced():
     with pytest.raises(ValueError, match="self-pass"):
         PassEvent("m", "t", "a", "a", 1.0)
@@ -184,7 +212,7 @@ def test_group_sizes_sum_to_input_size(events):
 ID_POOL = ["m1", "m2", "t1", "t2", "a", "b", "c", "x,y", 'q"z', "l\nb", "f\x0cg", "u\u2028v",
            "n\x85o", "s\x1ct", "", "b\\s", "c\x01", "\u00e9t\u00e9"]
 TS_TEXT = ["0", "1", "1", "1.5", "2", "5", "6.5", "12", "-1", "-0", "nan", "inf", "12x", "",
-           " 5 ", "1e3", "1_0"]
+           " 5 ", "1e3", "1_0", "-1_0", "\u0661\u0662", "\uff15", "\u00a05"]
 TS_JSON = [0, 1, 1.5, 2.0, 5, 6.5, 12, -1, True, False, None, "1e3", " 5 ", "x", [1], 1e400,
            10**400]
 ID_JSON = [7, 0, 2.5, True, False, None, [1], {"a": 1}]
@@ -339,18 +367,28 @@ def test_columnar_ingest_matches_object_oracle(files, t_max, k):
     groups = oracle_group(oracle_events)
     assert [(log.match_id, log.team_id, list(log.events)) for log in logs] == groups
     config = SegmentationConfig(t_max)
-    for log, (_, _, events) in zip(logs, groups):
+    # Every log at once, as the motifs command segments and counts them.
+    batched = segment_possessions(logs, config)
+    found = count_motifs(batched, k)
+    assert len(found) == max(len(logs), 1)
+    all_possessions = []
+    for log, (_, _, events), row in zip(logs, groups, found):
         possessions = segment_possessions(log, config)
         expected_possessions = oracle_segment(events, t_max)
         assert [list(pos.passes) for pos in possessions] == expected_possessions
         assert all((p.match_id, p.team_id) == (log.match_id, log.team_id) for p in possessions)
+        all_possessions += expected_possessions
         windows = Counter(
             pattern
             for run in expected_possessions
             for pattern in oracle_window_patterns([run[0].passer] + [e.receiver for e in run], k)
         )
-        counts = count_motifs(possessions, k).counts.tolist()
-        assert counts == [windows[p] for p in enumerate_patterns(k)]
+        expected_counts = [windows[p] for p in enumerate_patterns(k)]
+        assert count_motifs(possessions, k)[0].counts.tolist() == expected_counts
+        assert (row.match_id, row.team_id, row.counts.tolist()) == (
+            log.match_id, log.team_id, expected_counts
+        )
+    assert [list(pos.passes) for pos in batched] == all_possessions
 
 
 def compact(ensure_ascii=True, **changes) -> str:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowmotif import count_motifs, enumerate_patterns, extract_motifs
-from flowmotif.motifs import MAX_K, _window_starts, pattern_index
+from flowmotif.motifs import MAX_K, TouchCodes, _window_starts, pattern_index
 from helpers import (
     chain_possession,
     oracle_alphabet,
@@ -162,14 +162,16 @@ def test_extracted_patterns_are_in_alphabet(walk, k):
 
 
 def test_count_motifs_paper_example():
-    vec = count_motifs([chain_possession(["2", "4", "5", "6", "4", "6"])], 3)
+    vec = count_motifs([chain_possession(["2", "4", "5", "6", "4", "6"])], 3)[0]
     # aligned with ["ABAB", "ABAC", "ABCA", "ABCB", "ABCD"]
     assert vec.counts.tolist() == [0, 0, 1, 1, 1]
 
 
 def test_count_motifs_empty_is_all_zero():
-    vec = count_motifs([], 3, match_id="m", team_id="t")
-    assert vec.match_id == "m"
+    found = count_motifs([], 3, match_id="m", team_id="t")
+    (vec,) = found
+    assert (vec.match_id, vec.team_id) == ("m", "t")
+    assert found.counts.shape == (1, len(enumerate_patterns(3))) and found.total == 0
     assert vec.counts.tolist() == [0] * len(enumerate_patterns(3))
     assert vec.total == 0
 
@@ -183,11 +185,14 @@ def test_count_motifs_window_total():
 
 
 def test_count_motifs_rejects_mixed_ids():
-    with pytest.raises(ValueError, match="mixed"):
+    # Two team-matches give two rows; one whose possessions come back after
+    # another's is mixed with it.
+    with pytest.raises(ValueError, match=r"\('m1', 't1'\) mixed with those of \('m2', 't1'\)"):
         count_motifs(
             [
                 chain_possession(["1", "2"], match_id="m1"),
                 chain_possession(["1", "2"], match_id="m2"),
+                chain_possession(["1", "2"], match_id="m1"),
             ],
             3,
         )
@@ -196,7 +201,7 @@ def test_count_motifs_rejects_mixed_ids():
 @given(st.lists(touch_walks(), max_size=8), st.integers(2, 4))
 def test_count_conservation(walks, k):
     possessions = [chain_possession(w) for w in walks]
-    vec = count_motifs(possessions, k)
+    vec = count_motifs(possessions, k)[0]
     assert vec.total == sum(max(0, len(p) - k + 1) for p in possessions)
     assert len(vec.counts) == len(enumerate_patterns(k))
 
@@ -205,8 +210,51 @@ def test_count_conservation(walks, k):
 def test_count_motifs_matches_brute_force_oracle(walks, k):
     possessions = [chain_possession(w) for w in walks]
     expected = Counter(p for w in walks for p in oracle_window_patterns(w, k))
-    vec = count_motifs(possessions, k)
+    vec = count_motifs(possessions, k)[0]
     assert vec.counts.tolist() == [expected[p] for p in enumerate_patterns(k)]
+
+
+def test_touch_codes_reject_a_second_team_match():
+    with pytest.raises(ValueError, match=r"\('m2', 't1'\) mixed with those of \('m1', 't1'\)"):
+        TouchCodes([chain_possession(["1", "2"], match_id=m) for m in ("m1", "m2")])
+
+
+@given(st.lists(st.lists(touch_walks(), min_size=1, max_size=4), max_size=5), st.integers(2, 5))
+def test_count_motifs_rows_match_the_oracle_per_team_match(team_matches, k):
+    # Each team-match's possessions in one run, team-matches in the given order.
+    possessions = [
+        chain_possession(w, match_id=f"m{i}", team_id="t" if i % 2 else "u")
+        for i, walks in enumerate(team_matches)
+        for w in walks
+    ]
+    found = count_motifs(possessions, k)
+    alphabet = enumerate_patterns(k)
+    assert found.counts.dtype == np.int64
+    assert found.counts.shape == (max(len(team_matches), 1), len(alphabet))
+    for i, (row, walks) in enumerate(zip(found, team_matches)):
+        expected = Counter(p for w in walks for p in oracle_window_patterns(w, k))
+        assert (row.match_id, row.team_id, row.k) == (f"m{i}", "t" if i % 2 else "u", k)
+        assert row.counts.tolist() == [expected[p] for p in alphabet]
+    assert found.total == sum(max(0, len(w) - k) for walks in team_matches for w in walks)
+
+
+def test_count_motifs_rows_follow_the_possessions_order():
+    # Rows come in the order of the team-matches' first possessions, not by id.
+    possessions = [
+        chain_possession(["1", "2", "1", "2"], match_id="m2"),
+        chain_possession(["1", "2", "3", "1"], match_id="m2"),
+        chain_possession(["1", "2", "3", "4"], match_id="m1", team_id="t2"),
+        chain_possession(["1", "2", "3"], match_id="m1", team_id="t1"),
+    ]
+    found = count_motifs(possessions, 3)
+    assert len(found) == 3 and len(list(found)) == 3
+    assert [(row.match_id, row.team_id) for row in found] == [
+        ("m2", "t1"), ("m1", "t2"), ("m1", "t1")
+    ]
+    # aligned with ["ABAB", "ABAC", "ABCA", "ABCB", "ABCD"]
+    assert found.counts.tolist() == [[1, 0, 1, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]]
+    assert found.total == sum(row.total for row in found) == 3
+    assert found[-1].match_id == "m1" and found[-1].counts.tolist() == [0] * 5
 
 
 def test_count_motifs_rejects_k_below_two():

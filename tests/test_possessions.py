@@ -8,12 +8,15 @@ from flowmotif import (
     PassEvent,
     Possession,
     SegmentationConfig,
+    count_motifs,
+    enumerate_patterns,
     group_by_match,
     randomize_possessions,
     segment_possessions,
     touch_sequence,
 )
-from helpers import make_log, make_possession
+from flowmotif.motifs import MAX_K
+from helpers import make_log, make_possession, oracle_window_patterns
 
 
 def test_time_gap_splits_possessions():
@@ -109,6 +112,49 @@ def random_logs(draw):
         events.append(PassEvent("m", "t", passer, receiver, t))
         prev_receiver = receiver
     return MatchEventLog("m", "t", tuple(events))
+
+
+@st.composite
+def consecutive_logs(draw):
+    """Logs of up to six team-matches, as grouping orders them, of 1 to 12 passes each.
+
+    A log may open with a pass by the last receiver of the log before it, at
+    that log's last timestamp, so that only the log boundary parts them.
+    """
+    players = [f"p{i}" for i in range(5)]
+    logs, last = [], None  # (receiver, timestamp) that ended the log before
+    for i in range(draw(st.integers(0, 6))):
+        join = last is not None and draw(st.booleans())
+        holder, t = last if join else (None, draw(st.sampled_from([0.0, 3.0])))
+        events = []
+        for j in range(draw(st.integers(1, 12))):
+            passer = holder if holder and (j == 0 or draw(st.booleans())) else None
+            passer = passer or draw(st.sampled_from(players))
+            holder = draw(st.sampled_from([p for p in players if p != passer]))
+            t += draw(st.sampled_from([0.0, 1.0, 5.0, 5.5])) if j else 0.0
+            events.append(PassEvent(f"m{i // 2}", f"t{i % 2}", passer, holder, t))
+        logs.append(events)
+        last = (holder, t)
+    return logs
+
+
+@given(consecutive_logs(), st.integers(2, MAX_K))
+def test_segmenting_all_logs_at_once_matches_each_log(logs, k):
+    grouped = group_by_match([ev for log in logs for ev in log])
+    assert [list(log.events) for log in grouped] == logs
+    config = SegmentationConfig()
+    batched = segment_possessions(grouped, config)
+    each = [segment_possessions(log, config) for log in grouped]
+    assert [(p.match_id, p.team_id, list(p.passes)) for p in batched] == [
+        (p.match_id, p.team_id, list(p.passes)) for runs in each for p in runs
+    ]
+    found = count_motifs(batched, k)
+    assert len(found) == max(len(logs), 1)
+    alphabet = enumerate_patterns(k)
+    for row, log, runs in zip(found, grouped, each):
+        windows = Counter(p for pos in runs for p in oracle_window_patterns(touch_sequence(pos), k))
+        assert (row.match_id, row.team_id) == (log.match_id, log.team_id)
+        assert row.counts.tolist() == [windows[p] for p in alphabet]
 
 
 @given(random_logs())

@@ -58,7 +58,7 @@ def test_full_back_pass_bias_gives_only_abab():
         params(back_pass_bias=1.0, mean_possession_length=6.0), 0, seed=9
     )
     possessions = segment_possessions(log)
-    counts = count_motifs(possessions, 3)
+    counts = count_motifs(possessions, 3)[0]
     assert counts.total > 0
     assert counts.counts[0] == counts.total  # ABAB is the first pattern of the alphabet
 
@@ -88,7 +88,7 @@ def test_abab_rate_monotone_in_bias():
         totals = []
         for seed in range(5):
             log = generate_match(params(back_pass_bias=bias), 0, seed=seed)
-            totals.append(count_motifs(segment_possessions(log), 3).counts[0])  # ABAB
+            totals.append(count_motifs(segment_possessions(log), 3)[0].counts[0])  # ABAB
         return np.mean(totals)
 
     rates = [mean_abab(b) for b in (0.0, 0.3, 0.6, 0.9)]
