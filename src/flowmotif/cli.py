@@ -40,6 +40,7 @@ from .analytics import (
 )
 from .events import (
     FORMATS,
+    REJECTED_KINDS,
     FormatError,
     MatchEventLog,
     PassRuns,
@@ -236,19 +237,6 @@ def _collect_input_files(paths: list[str], fmt: str) -> list[str]:
     return list(files.values())
 
 
-# The start of each kind of diagnostic reason that ingest gives, and the
-# manifest's count of the records rejected for it.
-_REJECTED = (
-    ("expected", "rejected_fields"),
-    ("missing field", "rejected_missing_field"),
-    ("invalid timestamp", "rejected_invalid_timestamp"),
-    ("negative timestamp", "rejected_negative_timestamp"),
-    ("self-pass", "rejected_self_pass"),
-    ("invalid JSON", "rejected_invalid_json"),
-    ("record is not an object", "rejected_not_an_object"),
-)
-
-
 def _load_match_logs(
     paths: list[str], fmt: str, digests: dict[str, str], counts: dict
 ) -> tuple[PassRuns, bool]:
@@ -258,10 +246,10 @@ def _load_match_logs(
     including the files whose framing is broken. Files are parsed one at a
     time, and only their pass columns are kept, until they are joined.
     ``counts`` gains the records kept and rejected over all files, and the
-    rejected ones by the kind of their reason.
+    rejected ones by their diagnostics' kind.
     """
     had_errors = False
-    rejected = dict.fromkeys([key for _, key in _REJECTED], 0)
+    rejected = dict.fromkeys(REJECTED_KINDS, 0)
     index: dict[str, int] = {}  # codes every file's names, so the files' codes join as they are
     codes, timestamps = [np.empty((4, 0), dtype=np.int32)], [np.empty(0)]
     for path in _collect_input_files(paths, fmt):
@@ -275,12 +263,13 @@ def _load_match_logs(
             print(f"# {path}", *result.diagnostics, sep="\n", file=sys.stderr)
             had_errors = True
             for diagnostic in result.diagnostics:
-                rejected[next(k for p, k in _REJECTED if diagnostic.reason.startswith(p))] += 1
+                rejected[diagnostic.kind] += 1
         codes.append(result.events.codes)
         timestamps.append(result.events.timestamp)
     events = PassTable(tuple(index), np.concatenate(codes, axis=1), np.concatenate(timestamps))
     del codes, timestamps  # each file's columns, now joined: free them before grouping copies
-    counts.update(records=len(events), rejected_records=sum(rejected.values()), **rejected)
+    counts.update(records=len(events), rejected_records=sum(rejected.values()))
+    counts.update({f"rejected_{kind}": n for kind, n in rejected.items()})
     return group_by_match(events), had_errors
 
 

@@ -31,6 +31,12 @@ CSV_HEADER = ("match_id", "team_id", "passer", "receiver", "timestamp_s")
 
 FORMATS = ("csv", "jsonl")
 
+# The kinds of reason for which a record is rejected, as ``ParseDiagnostic.kind``.
+REJECTED_KINDS = (
+    "fields", "missing_field", "invalid_timestamp", "negative_timestamp", "self_pass",
+    "invalid_json", "not_an_object",
+)
+
 # JSON's own whitespace; a JSON-lines record may be padded with it.
 _JSON_SPACE = " \t\n\r"
 _decode_json = json.JSONDecoder().raw_decode
@@ -263,10 +269,19 @@ class MatchEventLog:
 
 @dataclass(frozen=True, slots=True)
 class ParseDiagnostic:
-    """A rejected input record: 1-based line number plus the reason."""
+    """A rejected input record: 1-based line number, the reason and its kind.
+
+    ``kind`` is one of ``REJECTED_KINDS``, so a caller can count rejections
+    without reading ``reason``.
+    """
 
     line: int
     reason: str
+    kind: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in REJECTED_KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}, expected one of {REJECTED_KINDS}")
 
     def __str__(self) -> str:
         return f"line={self.line} reason={self.reason}"
@@ -289,35 +304,34 @@ def _as_text(stream: IO[bytes] | IO[str]) -> str:
 
 
 def _validate(
-    fields: Sequence[object], line: int, screen: bool
+    fields: Sequence[object], line: int
 ) -> tuple[str, str, str, str, float] | ParseDiagnostic:
     """A record's five fields, in ``CSV_HEADER`` order, as ids and a timestamp.
 
     A field is missing when it is None or ""; the timestamp goes through
-    ``float`` and every id through ``str``. With ``screen``, a timestamp
-    text that ``float`` reads but no data format writes, with an underscore
-    or a character past ASCII (``1_0``, ``١٢``, ``５``), is refused too; a
-    caller may pass False only for records whose text has neither.
+    ``float`` and every id through ``str``. A timestamp text that ``float``
+    reads but no data format writes, with an underscore or a character past
+    ASCII (``1_0``, ``١٢``, ``５``), is refused too.
     """
     match_id, team_id, passer, receiver, ts_raw = fields
     if not (match_id and team_id and passer and receiver and ts_raw):  # None and "" are falsy
         for name, value in zip(CSV_HEADER, fields):
             if value is None or value == "":
-                return ParseDiagnostic(line, f"missing field {name}")
+                return ParseDiagnostic(line, f"missing field {name}", "missing_field")
     try:
         timestamp = float(ts_raw)  # type: ignore[arg-type]
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float's range
-        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
+        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}", "invalid_timestamp")
     if not math.isfinite(timestamp) or (
-        screen and type(ts_raw) is str and ("_" in ts_raw or not ts_raw.isascii())
+        type(ts_raw) is str and ("_" in ts_raw or not ts_raw.isascii())
     ):
-        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
+        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}", "invalid_timestamp")
     if timestamp < 0.0:
-        return ParseDiagnostic(line, f"negative timestamp at line {line}")
+        return ParseDiagnostic(line, f"negative timestamp at line {line}", "negative_timestamp")
     if not type(match_id) is type(team_id) is type(passer) is type(receiver) is str:  # JSON
         match_id, team_id, passer, receiver = map(str, (match_id, team_id, passer, receiver))
     if passer == receiver:
-        return ParseDiagnostic(line, f"self-pass at line {line}")
+        return ParseDiagnostic(line, f"self-pass at line {line}", "self_pass")
     return match_id, team_id, passer, receiver, timestamp  # type: ignore[return-value]
 
 
@@ -338,15 +352,16 @@ def _parse_csv(text: str) -> tuple[list, list[ParseDiagnostic]]:
     rows: list[tuple[str, str, str, str, float]] = []
     diagnostics: list[ParseDiagnostic] = []
     n_fields = len(CSV_HEADER)
-    screen = "_" in text or not text.isascii()  # per file, so plain files skip it per record
     for row in reader:
         if not row:
             continue
         line = reader.line_num
         if len(row) != n_fields:
-            diagnostics.append(ParseDiagnostic(line, f"expected {n_fields} fields, got {len(row)}"))
+            diagnostics.append(
+                ParseDiagnostic(line, f"expected {n_fields} fields, got {len(row)}", "fields")
+            )
             continue
-        out = _validate(row, line, screen)
+        out = _validate(row, line)
         if type(out) is tuple:
             rows.append(out)
         else:
@@ -388,16 +403,20 @@ def _parse_jsonl(text: str) -> tuple[list, list[ParseDiagnostic]]:
         except ValueError:  # JSONDecodeError, or an integer past Python's digit limit
             end = -1
         if end != len(body):
-            diagnostics.append(ParseDiagnostic(line_num, "invalid JSON"))
+            diagnostics.append(ParseDiagnostic(line_num, "invalid JSON", "invalid_json"))
             continue
         if not isinstance(obj, dict):
-            diagnostics.append(ParseDiagnostic(line_num, "record is not an object"))
+            diagnostics.append(
+                ParseDiagnostic(line_num, "record is not an object", "not_an_object")
+            )
             continue
         fields = list(map(obj.get, CSV_HEADER))
         if type(fields[4]) is bool:
-            diagnostics.append(ParseDiagnostic(line_num, f"invalid timestamp {fields[4]!r}"))
+            diagnostics.append(
+                ParseDiagnostic(line_num, f"invalid timestamp {fields[4]!r}", "invalid_timestamp")
+            )
             continue
-        out = _validate(fields, line_num, True)
+        out = _validate(fields, line_num)
         if type(out) is tuple:
             rows.append(out)
         else:

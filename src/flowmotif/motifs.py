@@ -78,14 +78,11 @@ def _touch_layout(runs: PassRuns) -> tuple[np.ndarray, np.ndarray]:
     return touches, first
 
 
-def _team_matches(
-    runs: PassRuns, most: int | None = None
-) -> tuple[list[str], list[str], np.ndarray]:
+def _team_matches(runs: PassRuns) -> tuple[list[str], list[str], np.ndarray]:
     """The ids of the team-matches of possessions, and where each but the first begins.
 
     The array holds the index of the first possession of every team-match
-    after the first. A team-match's possessions must be consecutive, and
-    there may be at most ``most`` team-matches when it is given.
+    after the first. A team-match's possessions must be consecutive.
     """
     names = runs.passes.names
     # each possession's match and team codes, side by side, read as one int64
@@ -94,11 +91,16 @@ def _team_matches(
     keys = key[:1].tolist() + key[later].tolist()
     codes = np.array(keys, dtype=np.int64).view(np.int32).tolist()
     match_ids, team_ids = [names[c] for c in codes[::2]], [names[c] for c in codes[1::2]]
-    if len(set(keys)) < len(keys) or len(keys) > (most or len(keys)):
-        i = next(i for i in range(1, len(keys)) if keys[i] in keys[:i] or i == most)
-        ids, before = [(match_ids[j], team_ids[j]) for j in (i, i - 1)]
-        raise ValueError(f"possessions of {ids!r} mixed with those of {before!r}")
+    if len(set(keys)) < len(keys):
+        i = next(i for i in range(1, len(keys)) if keys[i] in keys[:i])
+        _raise_mixed(match_ids, team_ids, i)
     return match_ids, team_ids, later
+
+
+def _raise_mixed(match_ids: list[str], team_ids: list[str], i: int) -> None:
+    """Refuse possessions whose ``i``-th team-match follows one it must not."""
+    ids, before = [(match_ids[j], team_ids[j]) for j in (i, i - 1)]
+    raise ValueError(f"possessions of {ids!r} mixed with those of {before!r}")
 
 
 def _window_starts(first: np.ndarray, size: int, k: int) -> np.ndarray:
@@ -127,7 +129,9 @@ class TouchCodes:
 
     def __init__(self, possessions: Iterable[Possession]) -> None:
         runs = possession_runs(possessions)
-        match_ids, team_ids, _ = _team_matches(runs, most=1)
+        match_ids, team_ids, _ = _team_matches(runs)
+        if len(match_ids) > 1:
+            _raise_mixed(match_ids, team_ids, 1)
         touches, first = _touch_layout(runs)
         names = runs.passes.names
         # A stable sort puts each player's first touch ahead of their others;

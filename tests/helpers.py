@@ -200,25 +200,26 @@ def _oracle_event(fields: dict, line: int):
     character past ASCII, as ``float`` takes them and no data format does.
     """
     if isinstance(fields.get("timestamp_s"), bool):
-        return ParseDiagnostic(line, f"invalid timestamp {fields['timestamp_s']!r}")
+        ts_raw = fields["timestamp_s"]
+        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}", "invalid_timestamp")
     for name in CSV_HEADER:
         value = fields.get(name)
         if value is None or value == "":
-            return ParseDiagnostic(line, f"missing field {name}")
+            return ParseDiagnostic(line, f"missing field {name}", "missing_field")
     ts_raw = fields["timestamp_s"]
     try:
         timestamp = float(ts_raw)
     except (TypeError, ValueError, OverflowError):
-        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
+        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}", "invalid_timestamp")
     if not math.isfinite(timestamp):
-        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
+        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}", "invalid_timestamp")
     if isinstance(ts_raw, str) and any(c == "_" or ord(c) > 127 for c in ts_raw):
-        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}")
+        return ParseDiagnostic(line, f"invalid timestamp {ts_raw!r}", "invalid_timestamp")
     if timestamp < 0.0:
-        return ParseDiagnostic(line, f"negative timestamp at line {line}")
+        return ParseDiagnostic(line, f"negative timestamp at line {line}", "negative_timestamp")
     passer, receiver = str(fields["passer"]), str(fields["receiver"])
     if passer == receiver:
-        return ParseDiagnostic(line, f"self-pass at line {line}")
+        return ParseDiagnostic(line, f"self-pass at line {line}", "self_pass")
     return PassEvent(str(fields["match_id"]), str(fields["team_id"]), passer, receiver, timestamp)
 
 
@@ -258,7 +259,9 @@ def oracle_parse(data: bytes, fmt: str):
                 continue
             if len(record) != len(CSV_HEADER):
                 diagnostics.append(
-                    ParseDiagnostic(line, f"expected {len(CSV_HEADER)} fields, got {len(record)}")
+                    ParseDiagnostic(
+                        line, f"expected {len(CSV_HEADER)} fields, got {len(record)}", "fields"
+                    )
                 )
                 continue
             fields = dict(zip(CSV_HEADER, record))
@@ -268,10 +271,12 @@ def oracle_parse(data: bytes, fmt: str):
             try:
                 fields = json.loads(record)
             except ValueError:
-                diagnostics.append(ParseDiagnostic(line, "invalid JSON"))
+                diagnostics.append(ParseDiagnostic(line, "invalid JSON", "invalid_json"))
                 continue
             if not isinstance(fields, dict):
-                diagnostics.append(ParseDiagnostic(line, "record is not an object"))
+                diagnostics.append(
+                    ParseDiagnostic(line, "record is not an object", "not_an_object")
+                )
                 continue
         out = _oracle_event(fields, line)
         (diagnostics if isinstance(out, ParseDiagnostic) else events).append(out)

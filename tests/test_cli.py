@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowmotif import TeamFingerprint, pca_project
 from flowmotif.cli import _write_pattern_csv, main
+from flowmotif.events import REJECTED_KINDS as REJECTED_DIAGNOSTIC_KINDS
 from helpers import oracle_pattern_csv
 
 TEAMS = [
@@ -152,6 +153,12 @@ def test_manifest_counts_rejected_records_by_kind(tmp_path, capsys, fmt):
     assert {key: counts[key] for key in REJECTED_KINDS} == expected
     assert counts["rejected_records"] == sum(kinds.values()) == rejected
     assert counts["records"] == len(records) - rejected
+
+
+def test_rejection_files_cover_every_diagnostic_kind():
+    kinds = {kind for _, _, by_kind in REJECTION_FILES.values() for kind in by_kind}
+    assert sorted(kinds) == sorted(REJECTED_DIAGNOSTIC_KINDS)
+    assert sorted(f"rejected_{kind}" for kind in kinds) == REJECTED_KINDS
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

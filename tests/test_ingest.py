@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowmotif import (
     FormatError,
+    ParseDiagnostic,
     PassEvent,
     PassTable,
     SegmentationConfig,
@@ -127,17 +128,24 @@ def test_timestamps_only_float_reads_are_rejected(fmt):
     assert [str(d) for d in result.diagnostics] == [
         f"line={first + i} reason=invalid timestamp {text!r}" for i, text in enumerate(texts[:5])
     ]
+    assert {d.kind for d in result.diagnostics} == {"invalid_timestamp"}
     assert result.events.timestamp.tolist() == [5.0, 1000.0]
 
 
 def test_csv_underscore_ids_keep_plain_timestamps():
-    # A file with an underscore or a non-ASCII character anywhere screens every
-    # timestamp; its plain timestamps still parse.
+    # Every CSV timestamp is screened; ids with an underscore or a non-ASCII
+    # character leave plain timestamps as they parse.
     result = parse_csv(CSV_HEADER + "M_1,T1,\u00e9,b,1.5\nM_1,T1,b,c,2\n")
     assert result.diagnostics == ()
     assert list(result.events) == [
         PassEvent("M_1", "T1", "\u00e9", "b", 1.5), PassEvent("M_1", "T1", "b", "c", 2.0)
     ]
+
+
+def test_diagnostic_kinds_are_checked():
+    assert ParseDiagnostic(3, "invalid JSON", "invalid_json").kind == "invalid_json"
+    with pytest.raises(ValueError, match="unknown kind 'invalid JSON'"):
+        ParseDiagnostic(3, "invalid JSON", "invalid JSON")
 
 
 def test_pass_event_invariants_enforced():
