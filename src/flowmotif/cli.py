@@ -8,8 +8,11 @@ after the command ran, and ``<out>.manifest.json`` next to it otherwise.
 Exit codes: 0 success, 1 internal error, 2 input or domain error.
 ``zscores`` scores team-matches in worker processes, capped by the
 FLOWMOTIF_THREADS environment variable, which never affects results
-(per-match seeds are derived, not shared); ``motifs`` segments and counts
-all team-matches in one call each.
+(per-match seeds are derived, not shared). Each task is a plain pickle of
+a chunk of team-matches, ``Pool.map``'s default of about a quarter of a
+worker's share; on 2 cores the default costs about what one thread does
+under the walk and less under both shuffles (CHANGES.md). ``motifs``
+segments and counts all team-matches in one call each.
 """
 
 from __future__ import annotations
@@ -285,12 +288,12 @@ def _thread_count() -> int:
 
 def _parallel_map(func, payloads: Sequence) -> list:
     threads = min(_thread_count(), len(payloads))
-    if threads <= 1 or len(payloads) <= 1:
+    if threads <= 1:
         return [func(p) for p in payloads]
     import multiprocessing  # here, so that single-threaded runs never load it
 
     with multiprocessing.Pool(threads) as pool:
-        return pool.map(func, payloads, chunksize=1)
+        return pool.map(func, payloads)
 
 
 # ---------------------------------------------------------------------------

@@ -87,8 +87,7 @@ class PassTable:
     ``passer`` and ``receiver`` (views of those rows), so two passes share
     an identifier exactly when they share its code. ``timestamp`` is a
     float64 array. An integer index builds one row; a slice or an index
-    array gives a table of those rows. A pickled table keeps only the
-    names its rows use.
+    array gives a table of those rows.
     """
 
     __slots__ = ("names", "codes", "timestamp")
@@ -169,12 +168,6 @@ class PassTable:
 
     def __repr__(self) -> str:
         return f"PassTable({list(self)!r})"
-
-    def __reduce__(self):
-        used, codes = np.unique(self.codes, return_inverse=True)
-        names = tuple([self.names[c] for c in used.tolist()])
-        codes = codes.astype(np.int32).reshape(self.codes.shape)
-        return PassTable, (names, codes, self.timestamp)
 
     def outsider(self, match_id: str, team_id: str) -> int | None:
         """Index of the first pass not of this match and team, or None."""

@@ -379,25 +379,43 @@ def test_manifest_text_is_pinned(tmp_path, command):
     assert text == expected
 
 
-def test_zscores_deterministic_across_runs_and_threads(league_dir, tmp_path, monkeypatch):
+# Two possessions past EXACT_TOUCHES[3]: the possession shuffle samples both,
+# through rejection rounds, and draws most rows of the first from arrangement
+# counts.
+LONG_POSSESSIONS = ("AFABAFACAFADAFAEAFAGF", "ABCDEFGHIJABCDEFGHIJA")
+
+
+@pytest.fixture()
+def threads_dir(tmp_path):
+    """A league of its own, and one team-match of the long possessions."""
+    spec = tmp_path / "teams.json"
+    spec.write_text(json.dumps([dict(team, matches=2) for team in TEAMS]))
+    out = tmp_path / "threads"
+    assert main(["synth", "--teams", str(spec), "--seed", "19", "--out", str(out)]) == 0
+    rows, t = [], 0.0
+    for touches in LONG_POSSESSIONS:
+        for passer, receiver in zip(touches, touches[1:]):
+            rows.append(f"L1,long,{passer},{receiver},{t}\n")
+            t += 1.0
+        t += 10.0
+    (out / "long.csv").write_text(WORKED_EXAMPLE_CSV.splitlines(True)[0] + "".join(rows))
+    return out
+
+
+@pytest.mark.parametrize(
+    "policy", ["touch-shuffle-match", "touch-shuffle-possession", "uniform-walk"]
+)
+def test_zscores_deterministic_across_runs_and_threads(threads_dir, tmp_path, monkeypatch, policy):
     outputs = []
     for name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
         monkeypatch.setenv("FLOWMOTIF_THREADS", threads)
         out = tmp_path / f"z_{name}.csv"
-        code = main(
-            [
-                "zscores",
-                str(league_dir),
-                "--replicates",
-                "25",
-                "--seed",
-                "11",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+        argv = ["zscores", str(threads_dir), "--null-model", policy, "--replicates", "25"]
+        assert main(argv + ["--seed", "11", "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        sampled = manifest["counts"]["sampled_possessions"]
+        assert sampled > 0 if policy != "uniform-walk" else sampled == 0
     assert outputs[0] == outputs[1] == outputs[2]
 
 

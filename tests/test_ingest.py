@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -205,6 +206,22 @@ def test_group_by_match_keeps_duplicates():
 
 def test_group_by_match_empty():
     assert list(group_by_match([])) == []
+
+
+def test_pass_tables_and_their_rows_survive_pickling():
+    # zscores hands team-matches to worker processes as plain pickles. The
+    # rows of one pickled list come back sharing one names tuple, as pickle's
+    # memo writes what they share once.
+    events = PassTable.from_events(
+        make_events([("a", "b"), ("b", "c"), ("x", "y")], "M1", "T1", [0.0, 1.0, 20.0])
+        + make_events([("c", "d"), ("d", "c")], "M2", "T2")
+    )
+    assert pickle.loads(pickle.dumps(events)) == events
+    logs = group_by_match(events)
+    for rows, field in ((list(logs), "events"), (list(segment_possessions(logs)), "passes")):
+        back = pickle.loads(pickle.dumps(rows))
+        assert back == rows
+        assert len({id(getattr(row, field).names) for row in back}) == 1 < len(back)
 
 
 @given(st.lists(valid_events(), max_size=40))

@@ -13,6 +13,7 @@ from flowmotif import (
     MotifCountVector,
     NullDistribution,
     NullModelConfig,
+    count_motifs,
     derive_seed,
     enumerate_patterns,
     extract_motifs,
@@ -31,7 +32,7 @@ from flowmotif.nullmodel import (
     _draw_rows,
     _moments,
 )
-from flowmotif.synth import TeamStyleParams, generate_match
+from flowmotif.synth import TeamStyleParams, generate_league, generate_match
 from helpers import (
     arrangement_table,
     chain_possession,
@@ -863,6 +864,55 @@ def test_walk_joint_needs_only_the_alphabet():
         tracemalloc.stop()
     assert peak < 2**20
     assert joint.shape == (8, 877) and joint[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "policy,mean_length,replicates",
+    [
+        ("uniform_walk", 3.2, 1000),
+        ("uniform_walk", 5.0, 1000),
+        ("touch_shuffle_possession", 3.2, 1000),
+        # 105 possessions, past EXACT_TOUCHES[3], are sampled: through
+        # rejection rounds and draws from arrangement counts (4 at length 3.2)
+        ("touch_shuffle_possession", 5.0, 250),
+    ],
+)
+def test_z_scores_of_teams_drawn_from_the_null_are_standard(policy, mean_length, replicates):
+    # A synth team with no back-pass bias is a uniform walk with no
+    # self-pass, so every valid arrangement of a team-match's possessions is
+    # equally likely: its data are a draw from the walk, and from the
+    # possession shuffle given each possession's touches. So each pattern's z
+    # over 300 team-matches has mean 0 and variance 1, within 4 standard
+    # errors; that of the variance comes from the sample's fourth moment.
+    # Squads of 4 let every player appear in a team-match, as the walk's
+    # player count assumes. A z with no null spread is no draw, and is left out.
+    teams = [
+        TeamStyleParams(
+            squad_size=4,
+            possessions_per_match=25,
+            mean_possession_length=mean_length,
+            back_pass_bias=0.0,
+            matches=30,
+            team_id=f"cal{i}",
+        )
+        for i in range(10)
+    ]
+    config = NullModelConfig(replicates, policy, master_seed=3)
+    z, sampled = [], 0
+    for log in generate_league(teams, 11):
+        possessions = segment_possessions(log)
+        null = null_distribution(possessions, 3, config)
+        counts = count_motifs(possessions, 3, match_id=log.match_id, team_id=log.team_id)[0]
+        z.append(np.where(null.std > 0, z_scores(counts, null).z, np.nan))
+        sampled += null.sampled_possessions
+    assert (sampled > 0) == (policy == "touch_shuffle_possession")
+    for pattern, column in zip(pattern_index(3).patterns, np.array(z).T):
+        column = column[~np.isnan(column)]
+        n, mean, var = len(column), column.mean(), column.var(ddof=1)
+        fourth = ((column - mean) ** 4).mean()
+        assert n >= 250, pattern
+        assert abs(mean) <= 4 * math.sqrt(var / n), (pattern, mean)
+        assert abs(var - 1) <= 4 * math.sqrt((fourth - var**2) / n), (pattern, var)
 
 
 def test_moments_do_not_overflow():
