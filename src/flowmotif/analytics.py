@@ -189,18 +189,9 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 def _relabel_by_first_use(assign: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Cosmetic canonical labels: cluster 0 is the first team's cluster, etc.
-    mapping: dict[int, int] = {}
-    for a in assign.tolist():
-        if a not in mapping:
-            mapping[a] = len(mapping)
-    for c in range(centers.shape[0]):
-        if c not in mapping:
-            mapping[c] = len(mapping)
-    new_assign = np.array([mapping[a] for a in assign.tolist()])
-    new_centers = np.empty_like(centers)
-    for old, new in mapping.items():
-        new_centers[new] = centers[old]
-    return new_assign, new_centers
+    # order[new] is the old label, so argsort(order) maps old labels to new.
+    order = list(dict.fromkeys([*assign.tolist(), *range(centers.shape[0])]))
+    return np.argsort(order)[assign], centers[order]
 
 
 def kmeans(
@@ -215,15 +206,9 @@ def kmeans(
     n = len(teams)
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
-    best: tuple[float, int, np.ndarray, np.ndarray] | None = None
-    for r in range(RESTARTS):
-        rng = np.random.default_rng(derive_seed(seed, "kmeans", r))
-        centers = _kmeans_pp_init(x, n_clusters, rng)
-        assign, centers, within = _lloyd(x, centers.copy())
-        if best is None or within < best[0]:
-            best = (within, r, assign, centers)
-    assert best is not None
-    within_ss, _, assign, centers = best
+    rngs = (np.random.default_rng(derive_seed(seed, "kmeans", r)) for r in range(RESTARTS))
+    runs = [_lloyd(x, _kmeans_pp_init(x, n_clusters, rng)) for rng in rngs]
+    assign, centers, within_ss = min(runs, key=lambda run: run[2])  # first of equal runs wins
     assign, centers = _relabel_by_first_use(assign, centers)
     total_ss = float(((x - x.mean(axis=0)) ** 2).sum())
     within_over_total = within_ss / total_ss if total_ss > 0.0 else 1.0
@@ -252,41 +237,27 @@ def ward_cluster(fingerprints: Iterable[TeamFingerprint]) -> Dendrogram:
     if len(teams) < 2:
         raise ValueError("ward clustering needs at least 2 teams")
 
+    # Each cluster is keyed by the index of its smallest team id. Teams are
+    # sorted, so a cost key (a, b) has a < b and is its own tie-break.
+    n = len(teams)
     nodes = {i: DendrogramNode(height=0.0, size=1, team_id=t) for i, t in enumerate(teams)}
-    reps = {i: t for i, t in enumerate(teams)}
-    sizes = {i: 1 for i in nodes}
-    cost: dict[tuple[int, int], float] = {}
-    for i in range(len(teams)):
-        for j in range(i + 1, len(teams)):
-            cost[(i, j)] = float(((x[i] - x[j]) ** 2).sum()) / 2.0
-
+    cost = {
+        (i, j): float(((x[i] - x[j]) ** 2).sum()) / 2.0 for i in range(n) for j in range(i + 1, n)
+    }
     heights: list[float] = []
-    next_id = len(teams)
     while len(nodes) > 1:
-        (a, b) = min(
-            cost,
-            key=lambda ij: (cost[ij], tuple(sorted((reps[ij[0]], reps[ij[1]])))),
-        )
+        a, b = min(cost, key=lambda pair: (cost[pair], pair))
         d_ab = cost.pop((a, b))
         heights.append(d_ab)
         left, right = nodes.pop(a), nodes.pop(b)
-        if reps[b] < reps[a]:
-            left, right = right, left
-        merged = DendrogramNode(
-            height=d_ab, size=sizes[a] + sizes[b], left=left, right=right
-        )
-        n_a, n_b = sizes[a], sizes[b]
-        for c in list(nodes):
-            d_ac = cost.pop((min(a, c), max(a, c)))
-            d_bc = cost.pop((min(b, c), max(b, c)))
-            n_c = sizes[c]
-            cost[(c, next_id)] = (
-                (n_a + n_c) * d_ac + (n_b + n_c) * d_bc - n_c * d_ab
+        n_a, n_b = left.size, right.size
+        for c, node in nodes.items():
+            ac, bc = (min(a, c), max(a, c)), (min(b, c), max(b, c))
+            n_c = node.size
+            cost[ac] = (
+                (n_a + n_c) * cost[ac] + (n_b + n_c) * cost.pop(bc) - n_c * d_ab
             ) / (n_a + n_b + n_c)
-        nodes[next_id] = merged
-        reps[next_id] = min(reps[a], reps[b])
-        sizes[next_id] = n_a + n_b
-        next_id += 1
+        nodes[a] = DendrogramNode(height=d_ab, size=n_a + n_b, left=left, right=right)
 
     (root,) = nodes.values()
     return Dendrogram(root=root, merge_heights=tuple(heights))
@@ -320,11 +291,8 @@ def pca_project(
         scale[scale == 0.0] = 1.0
         centered = centered / scale
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    for i in range(vt.shape[0]):
-        lead = int(np.abs(vt[i]).argmax())
-        if vt[i, lead] < 0.0:
-            vt[i] = -vt[i]
-            u[:, i] = -u[:, i]
+    flip = vt[np.arange(vt.shape[0]), np.abs(vt).argmax(axis=1)] < 0.0
+    u[:, flip] = -u[:, flip]
     avail = min(n_components, s.size)
     coords = np.zeros((n, n_components))
     coords[:, :avail] = u[:, :avail] * s[:avail]

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -12,6 +13,7 @@ from flowmotif import (
     team_fingerprint,
     ward_cluster,
 )
+from flowmotif.analytics import _lloyd
 from helpers import oracle_ess
 
 PATTERNS = enumerate_patterns(3)
@@ -62,6 +64,33 @@ def test_fingerprint_rejects_empty_and_mixed():
         team_fingerprint([])
     with pytest.raises(ValueError, match="mixed"):
         team_fingerprint([profile("a", 1.0), profile("b", 1.0)])
+
+
+@pytest.mark.parametrize(
+    "matches,features,message",
+    [
+        (0, (0.0,) * DIM, "matches_used must be >= 1"),
+        (1, (0.0,) * (DIM - 1), "feature dimension 4 does not match the k=3 alphabet"),
+        (1, (float("nan"),) + (0.0,) * (DIM - 1), "fingerprint features must be finite"),
+    ],
+)
+def test_fingerprint_checks_its_fields(matches, features, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TeamFingerprint("t", 3, features, matches)
+
+
+@pytest.mark.parametrize(
+    "fingerprints,message",
+    [
+        ([], "no fingerprints given"),
+        ([fp("a"), TeamFingerprint("b", 2, (0.0,) * 2, 1)], "mixed k: 'b' has k=2, expected 3"),
+        ([fp("b"), fp("a"), fp("b", 1.0)], "duplicate team id 'b'"),
+    ],
+)
+def test_every_analysis_checks_the_fingerprints(fingerprints, message):
+    for analysis in (lambda f: kmeans(f, 1), ward_cluster, pca_project):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            analysis(fingerprints)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +188,16 @@ def test_kmeans_is_deterministic():
     rng = np.random.default_rng(8)
     fingerprints = [fp(f"t{i:02d}", *rng.normal(size=DIM)) for i in range(10)]
     assert kmeans(fingerprints, 3, seed=9) == kmeans(fingerprints, 3, seed=9)
+
+
+def test_lloyd_reseeds_an_empty_cluster_with_the_farthest_point():
+    # No point is nearest to the center at 100, so Lloyd's step hands that
+    # cluster the point farthest from its own center, 10.
+    x = np.array([[0.0], [1.0], [10.0]])
+    assign, centers, within = _lloyd(x, np.array([[0.5], [100.0]]))
+    assert assign.tolist() == [0, 0, 1]
+    assert centers.tolist() == [[0.5], [10.0]]
+    assert within == 0.5
 
 
 def test_kmeans_rejects_bad_k():

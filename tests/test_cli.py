@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,6 +264,16 @@ def test_replicates_below_one_exit_2_before_any_input_is_read(tmp_path, capsys, 
     assert "input not found" not in err
 
 
+def test_replicates_not_an_integer_exit_2_before_any_input_is_read(tmp_path, capsys):
+    argv = ["zscores", str(tmp_path / "missing"), "--replicates", "abc"]
+    with pytest.raises(SystemExit) as exit:
+        main(argv + ["--out", str(tmp_path / "z.csv")])
+    assert exit.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --replicates: invalid int value: 'abc'" in err
+    assert "input not found" not in err
+
+
 @pytest.mark.parametrize("command", ["motifs", "zscores"])
 def test_a_t_max_segmentation_refuses_exits_2_before_any_input_is_read(tmp_path, capsys, command):
     # Checked once per command, up front: once per team-match, an empty
@@ -377,6 +388,15 @@ def test_manifest_text_is_pinned(tmp_path, command):
         .replace("<version>", __version__)
     )
     assert text == expected
+
+
+def test_package_version_matches_pyproject():
+    # The manifest reports __version__; pyproject.toml must carry the same one.
+    # A regex rather than tomllib, which Python 3.10 lacks.
+    from flowmotif import __version__
+
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'(?m)^version = "([^"]+)"$', text)[1] == __version__
 
 
 # Two possessions past EXACT_TOUCHES[3]: the possession shuffle samples both,
@@ -781,6 +801,34 @@ def test_pattern_csv_row_with_the_wrong_field_count_exits_2(
     assert main([command, str(bad), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {bad}: line 3 has too {fields} fields\n"
     assert not out.exists()
+
+
+def test_pattern_csv_blank_line_is_skipped(tmp_path):
+    lines = PATTERN_CSVS["fingerprint"]
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("\n".join(lines) + "\n")
+    blank.write_text("\n".join([*lines[:3], "", *lines[3:]]) + "\n")
+    for src in (plain, blank):
+        assert main(["fingerprint", str(src), "--out", str(tmp_path / f"f-{src.name}")]) == 0
+    assert (tmp_path / "f-blank.csv").read_bytes() == (tmp_path / "f-plain.csv").read_bytes()
+
+
+def test_cluster_and_pca_of_identical_teams(tmp_path):
+    # No spread at all: every team is in cluster 0, the ratios are 0, the
+    # dendrogram is flat and the scatter plots one point; both plots are drawn.
+    fps = tmp_path / "fingerprints.csv"
+    rows = [f"{t},3,{p},1.5,2" for t in ("a", "b", "c") for p in PATTERNS_K3]
+    fps.write_text("\n".join(["team_id,k,pattern,mean_z,matches_used", *rows]) + "\n")
+    cluster_dir, pca_dir = tmp_path / "cluster", tmp_path / "pca"
+    assert main(["cluster", str(fps), "--clusters", "2", "--out", str(cluster_dir)]) == 0
+    assert main(["pca", str(fps), "--out", str(pca_dir)]) == 0
+    stats = json.loads((cluster_dir / "cluster_stats.json").read_text())
+    assert (stats["between_over_total"], stats["within_over_total"]) == (0.0, 1.0)
+    assert {r["cluster"] for r in read_rows(cluster_dir / "clusters.csv")} == {"0"}
+    explained = json.loads((pca_dir / "pca_explained.json").read_text())
+    assert explained["explained_variance_ratio"] == [0.0, 0.0]
+    for svg in ("cluster/dendrogram.svg", "cluster/pca_scatter.svg", "pca/pca_scatter.svg"):
+        assert (tmp_path / svg).read_text().startswith("<svg "), svg
 
 
 @pytest.mark.parametrize("command", ["motifs", "zscores"])

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import pickle
+import re
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowmotif import (
     FormatError,
+    MatchEventLog,
     ParseDiagnostic,
     PassEvent,
     PassTable,
@@ -154,6 +156,26 @@ def test_pass_event_invariants_enforced():
         PassEvent("m", "t", "a", "a", 1.0)
     with pytest.raises(ValueError, match="timestamp"):
         PassEvent("m", "t", "a", "b", -0.5)
+
+
+def test_match_event_log_refuses_a_first_pass_of_another_team_match():
+    events = make_events([("a", "b"), ("b", "c")], "m2", "t")
+    message = "event ('m2', 't') does not belong to log ('m', 't')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MatchEventLog("m", "t", events)
+
+
+def test_match_event_log_refuses_a_later_pass_of_another_team_match():
+    events = make_events([("a", "b"), ("b", "c")], "m", "t") + make_events([("c", "d")], "m", "u")
+    message = "event ('m', 'u') does not belong to log ('m', 't')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MatchEventLog("m", "t", events)
+
+
+def test_match_event_log_refuses_unsorted_timestamps():
+    events = make_events([("a", "b"), ("b", "c")], "m", "t", times=[2.0, 1.0])
+    with pytest.raises(ValueError, match="^events not sorted by timestamp$"):
+        MatchEventLog("m", "t", events)
 
 
 ids = st.text(

@@ -81,6 +81,7 @@ def test_shapes_and_timestamps_preserved(policy):
         assert len(rnd) == len(orig)
         assert [p.timestamp for p in rnd.passes] == [p.timestamp for p in orig.passes]
         assert (rnd.match_id, rnd.team_id) == (orig.match_id, orig.team_id)
+    assert list(randomize_possessions([], policy, seed=3)) == []
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -866,29 +867,42 @@ def test_walk_joint_needs_only_the_alphabet():
     assert joint.shape == (8, 877) and joint[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
+CALIBRATION = [  # policy, k, squad, mean possession length, replicates
+    ("uniform_walk", 3, 4, 3.2, 1000),
+    ("uniform_walk", 3, 4, 5.0, 1000),
+    ("touch_shuffle_possession", 3, 4, 3.2, 1000),
+    # 105 possessions, past EXACT_TOUCHES[3], are sampled: through
+    # rejection rounds and draws from arrangement counts (4 at length 3.2)
+    ("touch_shuffle_possession", 3, 4, 5.0, 250),
+    # A pattern of k + 1 distinct players needs a squad of k + 1; the
+    # possession shuffle samples 193 possessions at k = 4 and 1015 at k = 5.
+    # The walk at k = 5 sees ABABAB about 9 times in 300 team-matches, too
+    # few for the fourth-moment SE of the variance, so it is not checked.
+    ("uniform_walk", 4, 5, 3.2, 1000),
+    ("touch_shuffle_possession", 4, 5, 4.0, 250),
+    ("touch_shuffle_possession", 5, 6, 5.0, 250),
+]
+
+
 @pytest.mark.parametrize(
-    "policy,mean_length,replicates",
-    [
-        ("uniform_walk", 3.2, 1000),
-        ("uniform_walk", 5.0, 1000),
-        ("touch_shuffle_possession", 3.2, 1000),
-        # 105 possessions, past EXACT_TOUCHES[3], are sampled: through
-        # rejection rounds and draws from arrangement counts (4 at length 3.2)
-        ("touch_shuffle_possession", 5.0, 250),
-    ],
+    "policy,k,squad,mean_length,replicates",
+    CALIBRATION,
+    ids=[f"{p}-{length}-{r}" + (f"-k{k}" if k > 3 else "") for p, k, _, length, r in CALIBRATION],
 )
-def test_z_scores_of_teams_drawn_from_the_null_are_standard(policy, mean_length, replicates):
+def test_z_scores_of_teams_drawn_from_the_null_are_standard(
+    policy, k, squad, mean_length, replicates
+):
     # A synth team with no back-pass bias is a uniform walk with no
     # self-pass, so every valid arrangement of a team-match's possessions is
     # equally likely: its data are a draw from the walk, and from the
     # possession shuffle given each possession's touches. So each pattern's z
     # over 300 team-matches has mean 0 and variance 1, within 4 standard
     # errors; that of the variance comes from the sample's fourth moment.
-    # Squads of 4 let every player appear in a team-match, as the walk's
+    # Small squads let every player appear in a team-match, as the walk's
     # player count assumes. A z with no null spread is no draw, and is left out.
     teams = [
         TeamStyleParams(
-            squad_size=4,
+            squad_size=squad,
             possessions_per_match=25,
             mean_possession_length=mean_length,
             back_pass_bias=0.0,
@@ -901,12 +915,12 @@ def test_z_scores_of_teams_drawn_from_the_null_are_standard(policy, mean_length,
     z, sampled = [], 0
     for log in generate_league(teams, 11):
         possessions = segment_possessions(log)
-        null = null_distribution(possessions, 3, config)
-        counts = count_motifs(possessions, 3, match_id=log.match_id, team_id=log.team_id)[0]
+        null = null_distribution(possessions, k, config)
+        counts = count_motifs(possessions, k, match_id=log.match_id, team_id=log.team_id)[0]
         z.append(np.where(null.std > 0, z_scores(counts, null).z, np.nan))
         sampled += null.sampled_possessions
     assert (sampled > 0) == (policy == "touch_shuffle_possession")
-    for pattern, column in zip(pattern_index(3).patterns, np.array(z).T):
+    for pattern, column in zip(pattern_index(k).patterns, np.array(z).T):
         column = column[~np.isnan(column)]
         n, mean, var = len(column), column.mean(), column.var(ddof=1)
         fourth = ((column - mean) ** 4).mean()
@@ -933,11 +947,16 @@ def test_single_replicate_is_degenerate():
 
 
 def test_motif_free_match_has_zero_moments():
-    null = null_distribution(
-        [chain_possession(["1", "2"])], 3, NullModelConfig(replicates=25)
-    )
-    assert not null.mean.any() and not null.std.any()
-    assert not null.degenerate
+    # No possession has more than k = 3 touches, so no policy has a window
+    # to count: the moments are 0, and so is every z, none of them flagged.
+    possessions = [chain_possession(["1", "2"]), chain_possession(["2", "1", "3"], start_t=10.0)]
+    counts = count_motifs(possessions, 3, match_id="m1", team_id="t1")[0]
+    for policy in POLICIES:
+        null = null_distribution(possessions, 3, NullModelConfig(replicates=25, policy=policy))
+        assert not null.mean.any() and not null.std.any()
+        assert not null.degenerate
+        profile = z_scores(counts, null)
+        assert not profile.z.any() and not profile.degenerate.any()
 
 
 def make_null(mean, std, replicates=100, degenerate=False, k=3):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -16,7 +17,7 @@ from flowmotif import (
     touch_sequence,
 )
 from flowmotif.motifs import MAX_K
-from helpers import make_log, make_possession, oracle_window_patterns
+from helpers import make_events, make_log, make_possession, oracle_window_patterns
 
 
 def test_time_gap_splits_possessions():
@@ -68,6 +69,18 @@ def test_possession_invariants_enforced():
         make_possession([("1", "2"), ("3", "4")])
     with pytest.raises(ValueError, match="at least one"):
         make_possession([])
+
+
+def test_possession_refuses_a_pass_of_another_team_match():
+    (foreign,) = make_events([("2", "3")], "m1", "t2", times=[1.0])
+    message = f"pass {foreign!r} is not of ('m1', 't1')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Possession("m1", "t1", tuple(make_events([("1", "2")])) + (foreign,))
+
+
+def test_possession_refuses_an_intact_chain_out_of_time_order():
+    with pytest.raises(ValueError, match="^passes not in time order$"):
+        make_possession([("1", "2"), ("2", "3")], times=[1.0, 0.0])
 
 
 def test_rows_of_grouped_and_segmented_runs_skip_the_checks(monkeypatch):
