@@ -13,10 +13,11 @@ columns with one ``np.concatenate`` and groups them. The JSON lines come
 compact, as ``serialize_pass_events`` writes them, or in ``json.dumps``'
 spaced form (``jsonl-spaced``), which only the JSON decoder reads, so that
 case times the per-line path. Segmentation takes the
-logs that grouping gives, and counting the possessions that segmentation
-gives: one log (or its possessions, with its ids) per call, as ``zscores``
-calls them, and all 80 in one call (``all-logs``), as ``motifs`` does. The
-window-count cases classify and
+logs that grouping gives, and counting and the null model (the walk and
+the possession shuffle, at 250 replicates) the possessions that
+segmentation gives, and z-scores their counts and moments: one log (or its
+possessions) per call (``per-log``), and all 80 in one call (``all-logs``),
+as ``motifs`` and ``zscores`` call them. The window-count cases classify and
 count the windows of the first team-match at k = 3 and k = 5, for its own
 touches (one row, as ``count_motifs`` does) and for a batch of 256 rows of
 the match shuffle (as the null model does). Fingerprinting averages one
@@ -41,6 +42,7 @@ import numpy as np
 import pytest
 
 from flowmotif import (
+    NullModelConfig,
     PassTable,
     SegmentationConfig,
     ZScoreProfile,
@@ -48,11 +50,13 @@ from flowmotif import (
     enumerate_patterns,
     group_by_match,
     kmeans,
+    null_distribution,
     parse_pass_events,
     segment_possessions,
     serialize_pass_events,
     team_fingerprint,
     ward_cluster,
+    z_scores,
 )
 from flowmotif.cli import main
 from flowmotif.motifs import TouchCodes, pattern_index
@@ -124,11 +128,17 @@ SEGMENT_CASES = {
     "all-logs": lambda: [segment_possessions(GROUPED, SEGMENTATION)],
 }
 COUNT_CASES = {
-    "per-log": lambda: [
-        count_motifs(possessions, 3, match_id=log.match_id, team_id=log.team_id)
-        for log, possessions in zip(GROUPED, POSSESSIONS)
-    ],
+    "per-log": lambda: [count_motifs(possessions, 3) for possessions in POSSESSIONS],
     "all-logs": lambda: [count_motifs(ALL_POSSESSIONS, 3)],
+}
+NULL_CASES = {
+    "per-log": lambda config: [null_distribution(p, 3, config) for p in POSSESSIONS],
+    "all-logs": lambda config: [null_distribution(ALL_POSSESSIONS, 3, config)],
+}
+WALK = NullModelConfig(replicates=250, policy="uniform_walk", master_seed=3)
+SCORED = {
+    "per-log": [(count_motifs(p, 3), null_distribution(p, 3, WALK)) for p in POSSESSIONS],
+    "all-logs": [(count_motifs(ALL_POSSESSIONS, 3), null_distribution(ALL_POSSESSIONS, 3, WALK))],
 }
 
 
@@ -141,6 +151,20 @@ def test_segment(benchmark, case):
 @pytest.mark.parametrize("case", COUNT_CASES)
 def test_count(benchmark, case):
     result = benchmark(COUNT_CASES[case])
+    assert sum(map(len, result)) == len(POSSESSIONS)
+
+
+@pytest.mark.parametrize("case", NULL_CASES)
+@pytest.mark.parametrize("policy", ["uniform_walk", "touch_shuffle_possession"])
+def test_null(benchmark, policy, case):
+    config = NullModelConfig(replicates=250, policy=policy, master_seed=3)
+    result = benchmark(NULL_CASES[case], config)
+    assert sum(map(len, result)) == len(POSSESSIONS)
+
+
+@pytest.mark.parametrize("case", SCORED)
+def test_zscores(benchmark, case):
+    result = benchmark(lambda: [z_scores(counts, null) for counts, null in SCORED[case]])
     assert sum(map(len, result)) == len(POSSESSIONS)
 
 

@@ -39,8 +39,10 @@ from .motifs import (
 from .nullmodel import (
     DegenerateInputError,
     NullDistribution,
+    NullDistributions,
     NullModelConfig,
     ZScoreProfile,
+    ZScoreProfiles,
     null_distribution,
     randomize_possessions,
     z_scores,
@@ -54,7 +56,7 @@ from .possessions import (
 from .seeding import derive_seed
 from .synth import TeamStyleParams, generate_league, generate_match
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "ClusterAssignment",
@@ -67,6 +69,7 @@ __all__ = [
     "MotifCountVector",
     "MotifPattern",
     "NullDistribution",
+    "NullDistributions",
     "NullModelConfig",
     "ParseDiagnostic",
     "ParseResult",
@@ -79,6 +82,7 @@ __all__ = [
     "TeamFingerprint",
     "TeamStyleParams",
     "ZScoreProfile",
+    "ZScoreProfiles",
     "count_motifs",
     "derive_seed",
     "enumerate_patterns",

@@ -56,6 +56,7 @@ class ClusterAssignment:
     centroids: tuple[tuple[float, ...], ...]
     within_ss: float
     total_ss: float
+    within_over_total: float
     between_over_total: float
 
 
@@ -217,6 +218,7 @@ def kmeans(
         centroids=tuple(tuple(row) for row in centers.tolist()),
         within_ss=within_ss,
         total_ss=total_ss,
+        within_over_total=within_over_total,
         between_over_total=1.0 - within_over_total,
     )
 

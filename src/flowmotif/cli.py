@@ -6,13 +6,13 @@ counts, and as ``config`` every parsed value but the input and output paths.
 The manifest is ``manifest.json`` inside ``--out`` when that is a directory
 after the command ran, and ``<out>.manifest.json`` next to it otherwise.
 Exit codes: 0 success, 1 internal error, 2 input or domain error.
-``zscores`` scores team-matches in worker processes, capped by the
-FLOWMOTIF_THREADS environment variable, which never affects results
-(per-match seeds are derived, not shared). Each task is a plain pickle of
-a chunk of team-matches, ``Pool.map``'s default of about a quarter of a
-worker's share; on 2 cores the default costs about what one thread does
-under the walk and less under both shuffles (CHANGES.md). ``motifs``
-segments and counts all team-matches in one call each.
+``motifs`` segments and counts all team-matches in one call each, and
+``zscores`` also takes their null moments and z-scores in one call each.
+With FLOWMOTIF_THREADS above 1 (by default the CPU count) ``zscores`` makes
+those calls on consecutive chunks of the team-matches in worker processes,
+about four chunks a worker as ``Pool.map`` forms them by default, and each
+worker returns plain arrays. The thread count never affects results
+(per-match seeds are derived, not shared).
 """
 
 from __future__ import annotations
@@ -45,18 +45,16 @@ from .events import (
     FORMATS,
     REJECTED_KINDS,
     FormatError,
-    MatchEventLog,
     PassRuns,
     PassTable,
     group_by_match,
     parse_pass_events,
     serialize_pass_events,
 )
-from .motifs import DEFAULT_K, MAX_K, MotifCountVector, count_motifs, pattern_index
+from .motifs import DEFAULT_K, MAX_K, count_motifs, pattern_index
 from .nullmodel import (
     DEFAULT_REPLICATES,
     POLICIES,
-    NullDistribution,
     NullModelConfig,
     ZScoreProfile,
     null_distribution,
@@ -286,14 +284,17 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _parallel_map(func, payloads: Sequence) -> list:
-    threads = min(_thread_count(), len(payloads))
+def _parallel_map(func, logs: PassRuns) -> list:
+    """``func`` of all ``logs``, or of chunks of them in workers (four a worker), in order."""
+    threads = min(_thread_count(), len(logs))
     if threads <= 1:
-        return [func(p) for p in payloads]
+        return [func(logs)]
     import multiprocessing  # here, so that single-threaded runs never load it
 
+    size = -(-len(logs) // (4 * threads))
+    chunks = [logs[i : i + size] for i in range(0, len(logs), size)]
     with multiprocessing.Pool(threads) as pool:
-        return pool.map(func, payloads)
+        return pool.map(func, chunks, chunksize=1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +318,20 @@ def cmd_motifs(args: argparse.Namespace, digests: dict[str, str], counts: dict) 
     return 2 if had_errors else 0
 
 
-def _zscore_for_log(
-    k: int, segmentation: SegmentationConfig, config: NullModelConfig, log: MatchEventLog
-) -> tuple[MotifCountVector, NullDistribution, ZScoreProfile, int]:
-    possessions = segment_possessions(log, segmentation)
-    counts = count_motifs(possessions, k, match_id=log.match_id, team_id=log.team_id)[0]
-    null = null_distribution(possessions, k, config)
-    return counts, null, z_scores(counts, null), len(possessions)
+def _zscore_columns(
+    k: int, segmentation: SegmentationConfig, config: NullModelConfig, logs: PassRuns
+) -> tuple:
+    """Every team-match of ``logs`` scored by one call of each layer, as plain arrays.
+
+    The (team-matches x patterns) counts, null means and stds, z-scores and
+    degenerate flags, then the possessions in all and those sampled.
+    """
+    possessions = segment_possessions(logs, segmentation)
+    found = count_motifs(possessions, k)
+    nulls = null_distribution(possessions, k, config)
+    profiles = z_scores(found, nulls)
+    columns = found.counts, nulls.mean, nulls.std, profiles.z, profiles.degenerate
+    return *columns, len(possessions), int(nulls.sampled_possessions.sum())
 
 
 def cmd_zscores(args: argparse.Namespace, digests: dict[str, str], counts: dict) -> int:
@@ -334,21 +342,23 @@ def cmd_zscores(args: argparse.Namespace, digests: dict[str, str], counts: dict)
         master_seed=args.seed,
     )
     logs, had_errors = _load_match_logs(args.inputs, args.format, digests, counts)
-    results = _parallel_map(partial(_zscore_for_log, args.k, segmentation, config), logs)
-    vectors, nulls, profiles, sizes = zip(*results) if results else ((),) * 4
-    sampled = sum(null.sampled_possessions for null in nulls)
-    counts.update(exact_possessions=sum(sizes) - sampled, sampled_possessions=sampled)
+    results = _parallel_map(partial(_zscore_columns, args.k, segmentation, config), logs)
+    *columns, sizes, sampled = zip(*results)
+    rows = len(logs)  # with no logs, not even the zero row of no possessions
+    found, mean, std, z, degenerate = [np.concatenate(c)[:rows] for c in columns]
+    counts.update(exact_possessions=sum(sizes) - sum(sampled), sampled_possessions=sum(sampled))
+    names, (match, team) = logs.passes.names, logs.passes.codes[:2, logs.starts].tolist()
     _write_pattern_csv(
         Path(args.out),
         ("match_id", "team_id"),
         ("count", "null_mean", "null_std", "z", "degenerate"),
-        [(vec.match_id, vec.team_id, vec.k) for vec in vectors],
+        [(names[m], names[t], args.k) for m, t in zip(match, team)],
         [
-            _flat([vec.counts for vec in vectors]),
-            _flat([null.mean for null in nulls]),
-            _flat([null.std for null in nulls]),
-            _flat([prof.z for prof in profiles]),
-            ["true" if d else "false" for d in _flat([prof.degenerate for prof in profiles])],
+            found.ravel().tolist(),
+            mean.ravel().tolist(),
+            std.ravel().tolist(),
+            z.ravel().tolist(),
+            ["true" if d else "false" for d in degenerate.ravel().tolist()],
         ],
     )
     return 2 if had_errors else 0
@@ -438,7 +448,7 @@ def cmd_cluster(args: argparse.Namespace, digests: dict[str, str], counts: dict)
         "n_clusters": args.clusters,
         "within_ss": clustering.within_ss,
         "total_ss": clustering.total_ss,
-        "within_over_total": 1.0 - clustering.between_over_total,
+        "within_over_total": clustering.within_over_total,
         "between_over_total": clustering.between_over_total,
         "centroids": [list(c) for c in clustering.centroids],
     }

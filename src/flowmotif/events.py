@@ -190,7 +190,9 @@ class PassRuns:
     first pass and the run's slice of ``passes``. The row skips its
     ``__post_init__`` checks: whoever cuts the runs guarantees them, as
     grouping and segmentation guarantee one team-match per run in time
-    order, and segmentation the chain.
+    order, and segmentation the chain. A slice (step 1) is a ``PassRuns``
+    of those runs over their own slice of ``passes``, so its last run ends
+    where the next run began.
     """
 
     __slots__ = ("passes", "starts", "row")
@@ -218,12 +220,19 @@ class PassRuns:
             set_passes(out, PassTable(names, codes[:, start:end], timestamp[start:end]))
             yield out
 
+    def _edge(self, i: int) -> int:
+        """Where run ``i`` starts, or the end of the passes for the run after the last."""
+        return int(self.starts[i]) if i < len(self) else len(self.passes)
+
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+            runs = range(len(self))[i]
+            if runs.step != 1:
+                raise ValueError("runs are sliced with step 1 only")
+            first, end = self._edge(runs.start), self._edge(max(runs.start, runs.stop))
+            return PassRuns(self.passes[first:end], self.starts[i] - first, self.row)
         i = range(len(self))[i]
-        end = int(self.starts[i + 1]) if i + 1 < len(self) else len(self.passes)
-        return next(self._rows([int(self.starts[i])], [end]))
+        return next(self._rows([self._edge(i)], [self._edge(i + 1)]))
 
     def __iter__(self) -> Iterator:
         starts = self.starts.tolist()

@@ -274,26 +274,20 @@ class MotifCounts:
         return int(self.counts.sum())
 
 
-def count_motifs(
-    possessions: Iterable[Possession],
-    k: int = DEFAULT_K,
-    *,
-    match_id: str = "",
-    team_id: str = "",
-) -> MotifCounts:
+def count_motifs(possessions: Iterable[Possession], k: int = DEFAULT_K) -> MotifCounts:
     """Aggregate motif counts over possessions, one row per team-match in possession order.
 
     Each team-match's possessions must be consecutive, as segmentation gives
     them. Every window is classified in one call over all touches, and the
     windows are summed per team-match in one ``bincount``. With no
-    possessions the result is one row of zeros, keyed by
-    ``match_id``/``team_id``; otherwise the ids are the possessions' own.
+    possessions the result is one row of zeros with empty ids; otherwise
+    the ids are the possessions' own.
     """
     index = pattern_index(k)
     n_patterns = len(index.patterns)
     runs = possession_runs(possessions)
     if not len(runs):
-        return MotifCounts([match_id], [team_id], k, np.zeros((1, n_patterns), dtype=np.int64))
+        return MotifCounts([""], [""], k, np.zeros((1, n_patterns), dtype=np.int64))
     match_ids, team_ids, later = _team_matches(runs)
     touches, first = _touch_layout(runs)
     window_starts = _window_starts(first, touches.size, k)

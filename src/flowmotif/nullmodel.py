@@ -43,6 +43,12 @@ from (master_seed, match_id, team_id), in batches of ``BATCH_ROWS``
 rows, and counts each batch in one call. Distributions are therefore
 reproducible bit-for-bit whatever the parallelism, and the two teams of a
 fixture draw different streams.
+
+``null_distribution`` and ``z_scores`` take any number of consecutive
+team-matches, as ``count_motifs`` does, and return a row per team-match
+(``NullDistributions``, ``ZScoreProfiles``; one team-match is row 0).
+Each team-match is scored on its own slice of the passes, so its row is
+the same whatever team-matches come with it.
 """
 
 from __future__ import annotations
@@ -51,12 +57,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial, perm, prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .events import PassRuns, PassTable
-from .motifs import MotifCountVector, TouchCodes, pattern_index
+from .motifs import MotifCounts, TouchCodes, _team_matches, pattern_index
 from .possessions import Possession, possession_runs
 from .seeding import derive_seed
 
@@ -136,6 +142,37 @@ class NullDistribution:
 
 
 @dataclass(frozen=True, slots=True)
+class NullDistributions:
+    """Null moments of consecutive team-matches: a sized sequence of ``NullDistribution`` rows.
+
+    ``mean`` and ``std`` are (team-matches x patterns) float arrays, a row
+    per team-match aligned with ``enumerate_patterns(k)``, and
+    ``sampled_possessions`` an int64 array with each team-match's count;
+    ``replicates`` and ``degenerate`` hold for every row. Indexing or
+    iterating builds the rows, each over views of its rows of the arrays.
+    """
+
+    k: int
+    mean: np.ndarray
+    std: np.ndarray
+    replicates: int
+    degenerate: bool
+    sampled_possessions: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.mean)
+
+    def __getitem__(self, i: int) -> NullDistribution:
+        sampled = int(self.sampled_possessions[i])
+        return NullDistribution(
+            self.k, self.mean[i], self.std[i], self.replicates, self.degenerate, sampled
+        )
+
+    def __iter__(self) -> Iterator[NullDistribution]:
+        return map(self.__getitem__, range(len(self)))
+
+
+@dataclass(frozen=True, slots=True)
 class ZScoreProfile:
     """Standardized motif prevalence of one team in one match.
 
@@ -150,6 +187,34 @@ class ZScoreProfile:
     k: int
     z: np.ndarray
     degenerate: np.ndarray
+
+
+@dataclass(frozen=True, slots=True)
+class ZScoreProfiles:
+    """Z-scores of consecutive team-matches: a sized sequence of ``ZScoreProfile`` rows.
+
+    ``z`` is a (team-matches x patterns) float array and ``degenerate`` a
+    bool array of the same shape, a row per team-match keyed by
+    ``match_ids`` and ``team_ids``. Indexing or iterating builds the rows,
+    each over views of its rows of the arrays.
+    """
+
+    match_ids: list[str]
+    team_ids: list[str]
+    k: int
+    z: np.ndarray
+    degenerate: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+    def __getitem__(self, i: int) -> ZScoreProfile:
+        return ZScoreProfile(
+            self.match_ids[i], self.team_ids[i], self.k, self.z[i], self.degenerate[i]
+        )
+
+    def __iter__(self) -> Iterator[ZScoreProfile]:
+        return map(self.__getitem__, range(len(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +747,8 @@ def randomize_possessions(
     return PassRuns(PassTable(passes.names, ids, passes.timestamp), runs.starts, Possession)
 
 
-def null_distribution(
-    possessions: Sequence[Possession],
-    k: int,
-    config: NullModelConfig,
-) -> NullDistribution:
-    """Per-pattern moments of the team-match's motif counts under ``config.policy``.
+def _null_moments(runs: PassRuns, k: int, config: NullModelConfig) -> tuple:
+    """Mean and variance of one team-match's counts, and how many possessions were sampled.
 
     The walk's moments are exact, and so are those of every possession
     within the counting DP's budget under the possession shuffle
@@ -697,7 +758,6 @@ def null_distribution(
     of a team-match are independent under the possession shuffle, so the
     moments of the two parts add.
     """
-    runs = possession_runs(possessions)
     codes = TouchCodes(runs)
     n = len(pattern_index(k).patterns)
     mean, var = np.zeros(n), np.zeros(n)
@@ -724,21 +784,42 @@ def null_distribution(
         sampled_mean, sampled_var = _sampled_moments(codes, k, config)
         mean += sampled_mean
         var += sampled_var
+    return mean, var, sampled
+
+
+def null_distribution(
+    possessions: Sequence[Possession], k: int, config: NullModelConfig
+) -> NullDistributions:
+    """Per-pattern moments of each team-match's motif counts under ``config.policy``.
+
+    The rows come one per team-match in possession order, as ``count_motifs``
+    gives them, and each team-match's possessions must be consecutive; with
+    no possessions the result is one row of zeros. Each team-match is scored
+    on its own slice of the passes, with its own player codes and random
+    stream, so its row is the same whatever team-matches come with it.
+    """
+    runs = possession_runs(possessions)
+    _, _, later = _team_matches(runs)
+    bounds = [0, *later.tolist(), len(runs)]
+    rows = [_null_moments(runs[a:b], k, config) for a, b in zip(bounds, bounds[1:])]
+    mean, var, sampled = map(np.array, zip(*rows))
     reps = config.replicates
-    std = np.sqrt(np.maximum(var, 0.0)) if reps > 1 else np.zeros(n)
-    return NullDistribution(k, mean, std, reps, reps < 2, sampled)
+    std = np.sqrt(np.maximum(var, 0.0)) if reps > 1 else np.zeros_like(mean)
+    return NullDistributions(k, mean, std, reps, reps < 2, sampled)
 
 
-def z_scores(real: MotifCountVector, null: NullDistribution) -> ZScoreProfile:
-    """Standard scores of the real counts against the null distribution.
+def z_scores(real: MotifCounts, null: NullDistributions) -> ZScoreProfiles:
+    """Standard scores of each team-match's real counts against its null moments, a row each.
 
     Zero-variance patterns get z=0 when the real count matches the null
     mean and a sign-capped z=±Z_CAP (flagged) when it does not.
     """
     if real.k != null.k:
         raise ValueError(f"k mismatch: counts have k={real.k}, null has k={null.k}")
+    if len(real) != len(null):
+        raise ValueError(f"{len(real)} team-matches of counts against {len(null)} null rows")
     diff = real.counts - null.mean
     spread = null.std > 0.0
     z = np.divide(diff, null.std, out=np.sign(diff) * Z_CAP, where=spread)
     degenerate = (~spread & (diff != 0.0)) | null.degenerate
-    return ZScoreProfile(real.match_id, real.team_id, real.k, z, degenerate)
+    return ZScoreProfiles(real.match_ids, real.team_ids, real.k, z, degenerate)

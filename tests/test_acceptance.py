@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from flowmotif import (
-    MotifCountVector,
-    NullDistribution,
+    MotifCounts,
+    NullDistributions,
     NullModelConfig,
     TeamFingerprint,
     count_motifs,
@@ -80,11 +80,11 @@ def _league_match_z(args: tuple[int, int, int]) -> tuple[int, list[float]]:
         params, match_index, derive_seed(master, params.team_id, match_index)
     )
     possessions = segment_possessions(log)
-    counts = count_motifs(possessions, K)[0]
+    counts = count_motifs(possessions, K)
     null = null_distribution(
         possessions, K, NullModelConfig(replicates=LEAGUE_REPLICATES, master_seed=master)
     )
-    profile = z_scores(counts, null)
+    profile = z_scores(counts, null)[0]
     return team_index, profile.z.tolist()
 
 
@@ -172,11 +172,12 @@ def test_criterion_5_null_self_consistency():
         mean = s / rest
         var = (rest * sq - s * s) / (rest * (rest - 1))
         std = np.sqrt(np.maximum(var, 0.0))
-        held_out = MotifCountVector(match_id, "tA", K, counts[i])
-        null = NullDistribution(
-            k=K, mean=mean, std=std, replicates=rest, degenerate=False
+        held_out = MotifCounts([match_id], ["tA"], K, counts[i][None])
+        null = NullDistributions(
+            k=K, mean=mean[None], std=std[None], replicates=rest, degenerate=False,
+            sampled_possessions=np.zeros(1, dtype=np.int64),
         )
-        profile = z_scores(held_out, null)
+        profile = z_scores(held_out, null)[0]
         zs.extend(profile.z[~profile.degenerate].tolist())
     zs = np.array(zs)
     mean_z, std_z = float(zs.mean()), float(zs.std(ddof=1))

@@ -831,6 +831,19 @@ def test_cluster_and_pca_of_identical_teams(tmp_path):
         assert (tmp_path / svg).read_text().startswith("<svg "), svg
 
 
+def test_cluster_stats_write_the_within_quotient(tmp_path):
+    # within_over_total is within_ss / total_ss itself; on these teams
+    # 1 - between_over_total differs from it in the last bit.
+    features = {"a": [0.0] * 5, "b": [0.0] + [1.0] * 4, "c": [0.0] * 5, "d": [1.5] + [1.0] * 4}
+    rows = [f"{t},3,{p},{z},2" for t, zs in features.items() for p, z in zip(PATTERNS_K3, zs)]
+    fps = tmp_path / "fingerprints.csv"
+    fps.write_text("\n".join(["team_id,k,pattern,mean_z,matches_used", *rows]) + "\n")
+    assert main(["cluster", str(fps), "--clusters", "2", "--out", str(tmp_path / "c")]) == 0
+    stats = json.loads((tmp_path / "c" / "cluster_stats.json").read_text())
+    quotient = stats["within_ss"] / stats["total_ss"]
+    assert stats["within_over_total"] == quotient != 1.0 - stats["between_over_total"]
+
+
 @pytest.mark.parametrize("command", ["motifs", "zscores"])
 @pytest.mark.parametrize("k", ["1", "9", "15"])
 def test_k_past_the_alphabet_cap_exits_2(tmp_path, capsys, command, k):

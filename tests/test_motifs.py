@@ -168,9 +168,9 @@ def test_count_motifs_paper_example():
 
 
 def test_count_motifs_empty_is_all_zero():
-    found = count_motifs([], 3, match_id="m", team_id="t")
+    found = count_motifs([], 3)
     (vec,) = found
-    assert (vec.match_id, vec.team_id) == ("m", "t")
+    assert (vec.match_id, vec.team_id) == ("", "")
     assert found.counts.shape == (1, len(enumerate_patterns(3))) and found.total == 0
     assert vec.counts.tolist() == [0] * len(enumerate_patterns(3))
     assert vec.total == 0

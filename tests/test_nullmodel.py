@@ -7,11 +7,12 @@ from math import factorial, prod
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flowmotif import (
     DegenerateInputError,
-    MotifCountVector,
-    NullDistribution,
+    MotifCounts,
+    NullDistributions,
     NullModelConfig,
     count_motifs,
     derive_seed,
@@ -199,8 +200,8 @@ def test_match_shuffle_reshuffles_rows_inside_a_batch(monkeypatch):
 def test_null_distribution_is_bitwise_deterministic():
     possessions = synth_possessions()
     config = NullModelConfig(replicates=50, master_seed=9)
-    a = null_distribution(possessions, 3, config)
-    b = null_distribution(possessions, 3, config)
+    a = null_distribution(possessions, 3, config)[0]
+    b = null_distribution(possessions, 3, config)[0]
     assert (a.k, a.replicates, a.degenerate) == (b.k, b.replicates, b.degenerate)
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
 
@@ -237,7 +238,7 @@ def test_null_distribution_matches_object_path_recomputation():
     reps = 300
     possessions = synth_possessions(possessions=10)
     config = NullModelConfig(replicates=reps, policy="touch_shuffle_match", master_seed=17)
-    null = null_distribution(possessions, 3, config)
+    null = null_distribution(possessions, 3, config)[0]
     mean, var = object_path_moments(TouchCodes(possessions), config.policy, 17, reps)
     assert null.sampled_possessions == len(possessions)
     assert null.mean == pytest.approx(mean, abs=1e-12)
@@ -247,7 +248,7 @@ def test_null_distribution_matches_object_path_recomputation():
     assert all(map(sampled_at, long))
     possessions = [chain_possession(list(t)) for t in exact[:1] + long + exact[1:]]
     config = NullModelConfig(replicates=reps, policy="touch_shuffle_possession", master_seed=17)
-    null = null_distribution(possessions, 3, config)
+    null = null_distribution(possessions, 3, config)[0]
     rest = TouchCodes([chain_possession(list(t)) for t in long])
     mean, var = object_path_moments(rest, config.policy, 17, reps)
     exact_mean, exact_var = enumerated_moments(exact, "touch_shuffle_possession")
@@ -259,8 +260,8 @@ def test_null_distribution_matches_object_path_recomputation():
 def test_two_teams_of_a_match_draw_different_streams():
     touches = ["1", "2", "3", "1", "2", "4", "1"]
     config = NullModelConfig(replicates=200, master_seed=3)
-    home = null_distribution([chain_possession(touches, team_id="home")], 3, config)
-    away = null_distribution([chain_possession(touches, team_id="away")], 3, config)
+    home = null_distribution([chain_possession(touches, team_id="home")], 3, config)[0]
+    away = null_distribution([chain_possession(touches, team_id="away")], 3, config)[0]
     assert not np.array_equal(home.mean, away.mean)
 
 
@@ -526,13 +527,13 @@ def test_possession_routes_follow_the_signature(monkeypatch, fresh_moments):
     assert rejected == [2, 4, 9, 21, 801]
     rejected.clear()
     config = NullModelConfig(replicates=8, policy="touch_shuffle_possession")
-    assert null_distribution(possessions, 3, config).sampled_possessions == 1
+    assert null_distribution(possessions, 3, config)[0].sampled_possessions == 1
     assert rejected == [21]
 
     monkeypatch.setattr(nullmodel, "EXACT_TOUCHES", (0,) * len(EXACT_TOUCHES))
     monkeypatch.setattr(nullmodel, "STATE_VALUES", 0)
     nullmodel._signature_moments.cache_clear()
-    assert null_distribution(possessions, 3, config).sampled_possessions == 3
+    assert null_distribution(possessions, 3, config)[0].sampled_possessions == 3
     assert rejected == [21, 4, 9, 21]
 
 
@@ -579,7 +580,7 @@ def test_possession_shuffle_takes_more_players_than_int8_codes(players, repeated
             assert all(a != b for a, b in zip(seq, seq[1:]))
             assert Counter(seq) == Counter(touch_sequence(orig))
     config = NullModelConfig(replicates=8, policy="touch_shuffle_possession")
-    assert null_distribution(possessions, 3, config).sampled_possessions == 1
+    assert null_distribution(possessions, 3, config)[0].sampled_possessions == 1
 
 
 def test_possession_shuffle_takes_a_player_with_hundreds_of_touches():
@@ -600,7 +601,7 @@ def test_possession_shuffle_takes_a_player_with_hundreds_of_touches():
         [chain_possession(["A", "B"] * 260)],
         3,
         NullModelConfig(replicates=4, policy="touch_shuffle_possession"),
-    )
+    )[0]
     assert null.sampled_possessions == 1
     assert null.mean.tolist() == [517.0, 0.0, 0.0, 0.0, 0.0]
 
@@ -712,13 +713,13 @@ def test_walk_moments_match_enumeration(n_players, k):
     layout = ["".join(letters[i % n_players] for i in range(n)) for n in range(2, 8)]
     possessions = [chain_possession(list(t)) for t in layout]
     mean, var = enumerated_moments(layout, "uniform_walk", k)
-    null = null_distribution(possessions, k, NullModelConfig(replicates=2, policy="uniform_walk"))
+    null = null_distribution(possessions, k, NullModelConfig(replicates=2, policy="uniform_walk"))[0]
     assert null.sampled_possessions == 0 and not null.degenerate
     assert null.mean == pytest.approx(mean, abs=1e-12)
     assert null.std**2 == pytest.approx(var, abs=1e-12)
     # one replicate leaves the exact mean but no variance
     config = NullModelConfig(replicates=1, policy="uniform_walk")
-    single = null_distribution(possessions, k, config)
+    single = null_distribution(possessions, k, config)[0]
     assert single.degenerate and not single.std.any()
     assert np.array_equal(single.mean, null.mean)
 
@@ -729,7 +730,7 @@ def test_possession_shuffle_moments_match_enumeration(layout):
     possessions = [chain_possession(list(t)) for t in layout]
     mean, var = enumerated_moments(layout, "touch_shuffle_possession")
     config = NullModelConfig(replicates=2, policy="touch_shuffle_possession")
-    null = null_distribution(possessions, 3, config)
+    null = null_distribution(possessions, 3, config)[0]
     assert null.sampled_possessions == 0
     assert null.mean == pytest.approx(mean, abs=1e-12)
     assert null.std**2 == pytest.approx(var, abs=1e-12)
@@ -744,7 +745,7 @@ def test_possession_shuffle_samples_only_the_long_possessions():
     assert len(layout[1]) > EXACT_TOUCHES[3]
     reps = 4000
     config = NullModelConfig(replicates=reps, policy="touch_shuffle_possession", master_seed=5)
-    null = null_distribution([chain_possession(list(t)) for t in layout], 3, config)
+    null = null_distribution([chain_possession(list(t)) for t in layout], 3, config)[0]
     assert null.sampled_possessions == 1
     exact_mean, exact_var = enumerated_moments(layout[:1], "touch_shuffle_possession")
     rest_mean, rest_var, fourth = table_moments(signature_of(layout[1]), 3)
@@ -774,7 +775,7 @@ def test_possession_shuffle_sampled_stream_is_pinned(replicates, digest):
     # gave the same bytes.
     assert all(map(sampled_at, LONG))
     config = NullModelConfig(replicates, "touch_shuffle_possession", master_seed=3)
-    null = null_distribution([chain_possession(list(t)) for t in LONG], 3, config)
+    null = null_distribution([chain_possession(list(t)) for t in LONG], 3, config)[0]
     assert null.sampled_possessions == 3
     assert hashlib.sha256(null.mean.tobytes() + null.std.tobytes()).hexdigest() == digest
     drawn = randomize_possessions([chain_possession(list(t)) for t in LONG], config.policy, 3)
@@ -782,6 +783,40 @@ def test_possession_shuffle_sampled_stream_is_pinned(replicates, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "892a1ba1890a30497614b1233e85902450a1ed11d81b59ef6a1c74f2ba4ab97f"
     )
+
+
+# Possessions of the batched calls' team-matches: two of no window at k = 3,
+# a 20-touch one of four players, and LONG[0], past the DP's budget, whose
+# rows reach the arrangement counts.
+BATCHED = ["AB", "BCA", "ACBA", "CABCBA", "ABCD" * 5, LONG[0]]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(BATCHED), min_size=1, max_size=3), min_size=1, max_size=4))
+@example([["ACBA", "ABCD" * 5], ["AB", "BCA"], ["ACBA", LONG[0]], ["CABCBA"]])
+def test_batched_rows_equal_calls_per_team_match(policy, team_matches):
+    # Each row of a batched null_distribution and z_scores is the call on
+    # that team-match alone, to the bit. The example's first team-match ends
+    # on a long possession, the next has no window, and the third samples
+    # under both shuffles, with straggler rows under the possession shuffle.
+    config = NullModelConfig(replicates=12, policy=policy, master_seed=4)
+    alone = [
+        [chain_possession(list(t), match_id=f"m{i}") for t in touches]
+        for i, touches in enumerate(team_matches)
+    ]
+    possessions = [p for own in alone for p in own]
+    null = null_distribution(possessions, 3, config)
+    profiles = z_scores(count_motifs(possessions, 3), null)
+    assert len(null) == len(profiles) == len(team_matches)
+    for own, row, profile in zip(alone, null, profiles):
+        single = null_distribution(own, 3, config)
+        expected = z_scores(count_motifs(own, 3), single)[0]
+        assert np.array_equal(row.mean, single.mean[0]) and np.array_equal(row.std, single.std[0])
+        assert row.sampled_possessions == single[0].sampled_possessions
+        assert (profile.match_id, profile.team_id) == (expected.match_id, expected.team_id)
+        assert np.array_equal(profile.z, expected.z)
+        assert np.array_equal(profile.degenerate, expected.degenerate)
 
 
 @pytest.mark.parametrize("policy", ["uniform_walk", "touch_shuffle_possession"])
@@ -798,7 +833,7 @@ def test_exact_nulls_are_symmetric_under_reversal(policy, k):
     if k < 4:
         layout.append("ABCDEFABCDEFGHAB")
     possessions = [chain_possession(list(t)) for t in layout]
-    null = null_distribution(possessions, k, NullModelConfig(replicates=2, policy=policy))
+    null = null_distribution(possessions, k, NullModelConfig(replicates=2, policy=policy))[0]
     assert null.sampled_possessions == 0
     patterns = list(enumerate_patterns(k))
     reverse = [patterns.index(oracle_canonical(p[::-1])) for p in patterns]
@@ -824,7 +859,7 @@ def test_uniform_walk_mean_matches_closed_form():
     reps = 4000
     null = null_distribution(
         possessions, 3, NullModelConfig(replicates=reps, policy="uniform_walk", master_seed=2)
-    )
+    )[0]
     n_players = len(set(all_touches(possessions)))
     windows = sum(max(0, len(touch_sequence(p)) - 3) for p in possessions)
     expected = [windows * walk_probability(p, n_players) for p in enumerate_patterns(3)]
@@ -876,12 +911,14 @@ CALIBRATION = [  # policy, k, squad, mean possession length, replicates
     ("touch_shuffle_possession", 3, 4, 5.0, 250),
     # A pattern of k + 1 distinct players needs a squad of k + 1; the
     # possession shuffle samples 193 possessions at k = 4 and 1015 at k = 5.
-    # The walk at k = 5 sees ABABAB about 9 times in 300 team-matches, too
-    # few for the fourth-moment SE of the variance, so it is not checked.
     ("uniform_walk", 4, 5, 3.2, 1000),
     ("touch_shuffle_possession", 4, 5, 4.0, 250),
     ("touch_shuffle_possession", 5, 6, 5.0, 250),
+    # ABABAB is expected about 9 times in all, ABCDCD about 107
+    ("uniform_walk", 5, 6, 3.2, 1000),
 ]
+# Replicates drawn per team-match for the fourth moment of z under the null.
+CALIBRATION_DRAWS = 64
 
 
 @pytest.mark.parametrize(
@@ -897,9 +934,16 @@ def test_z_scores_of_teams_drawn_from_the_null_are_standard(
     # equally likely: its data are a draw from the walk, and from the
     # possession shuffle given each possession's touches. So each pattern's z
     # over 300 team-matches has mean 0 and variance 1, within 4 standard
-    # errors; that of the variance comes from the sample's fourth moment.
-    # Small squads let every player appear in a team-match, as the walk's
-    # player count assumes. A z with no null spread is no draw, and is left out.
+    # errors. Small squads let every player appear in a team-match, as the
+    # walk's player count assumes. A z with no null spread is no draw, and
+    # is left out.
+    # The SE of the variance needs z's fourth moment. A pattern seen a few
+    # times per team-match or less has one dominated by its rare team-matches
+    # of several occurrences, so the sample's own understates it whenever
+    # those happen to be few: the walk at k = 5 read ABABAB (8.9 expected,
+    # 4 seen) 5.8 and ABCDCD (107 expected, 92 seen) 4.3 such SEs low. So the
+    # fourth moment is taken under the null, from CALIBRATION_DRAWS replicates
+    # of every team-match drawn by the policy's own sampler.
     teams = [
         TeamStyleParams(
             squad_size=squad,
@@ -912,21 +956,25 @@ def test_z_scores_of_teams_drawn_from_the_null_are_standard(
         for i in range(10)
     ]
     config = NullModelConfig(replicates, policy, master_seed=3)
-    z, sampled = [], 0
+    index, rng = pattern_index(k), np.random.default_rng(5)
+    z, fourth, sampled = [], [], 0
     for log in generate_league(teams, 11):
         possessions = segment_possessions(log)
         null = null_distribution(possessions, k, config)
-        counts = count_motifs(possessions, k, match_id=log.match_id, team_id=log.team_id)[0]
-        z.append(np.where(null.std > 0, z_scores(counts, null).z, np.nan))
-        sampled += null.sampled_possessions
+        std = np.where(null.std > 0, null.std, np.nan)[0]
+        z.append((count_motifs(possessions, k).counts[0] - null.mean[0]) / std)
+        codes = TouchCodes(possessions)
+        rows = _draw_rows(codes, policy, rng, CALIBRATION_DRAWS)
+        drawn = index.window_counts(rows, codes.window_starts(k))
+        fourth.append((((drawn - null.mean[0]) / std) ** 4).mean(axis=0))
+        sampled += null[0].sampled_possessions
     assert (sampled > 0) == (policy == "touch_shuffle_possession")
-    for pattern, column in zip(pattern_index(k).patterns, np.array(z).T):
+    for pattern, column, m4 in zip(index.patterns, np.array(z).T, np.nanmean(fourth, axis=0)):
         column = column[~np.isnan(column)]
         n, mean, var = len(column), column.mean(), column.var(ddof=1)
-        fourth = ((column - mean) ** 4).mean()
         assert n >= 250, pattern
         assert abs(mean) <= 4 * math.sqrt(var / n), (pattern, mean)
-        assert abs(var - 1) <= 4 * math.sqrt((fourth - var**2) / n), (pattern, var)
+        assert abs(var - 1) <= 4 * math.sqrt((m4 - 1) / n), (pattern, var)
 
 
 def test_moments_do_not_overflow():
@@ -941,7 +989,7 @@ def test_moments_do_not_overflow():
 
 
 def test_single_replicate_is_degenerate():
-    null = null_distribution(synth_possessions(), 3, NullModelConfig(replicates=1))
+    null = null_distribution(synth_possessions(), 3, NullModelConfig(replicates=1))[0]
     assert null.degenerate
     assert not null.std.any()
 
@@ -950,68 +998,72 @@ def test_motif_free_match_has_zero_moments():
     # No possession has more than k = 3 touches, so no policy has a window
     # to count: the moments are 0, and so is every z, none of them flagged.
     possessions = [chain_possession(["1", "2"]), chain_possession(["2", "1", "3"], start_t=10.0)]
-    counts = count_motifs(possessions, 3, match_id="m1", team_id="t1")[0]
+    counts = count_motifs(possessions, 3)
     for policy in POLICIES:
         null = null_distribution(possessions, 3, NullModelConfig(replicates=25, policy=policy))
         assert not null.mean.any() and not null.std.any()
         assert not null.degenerate
-        profile = z_scores(counts, null)
+        profile = z_scores(counts, null)[0]
         assert not profile.z.any() and not profile.degenerate.any()
 
 
 def make_null(mean, std, replicates=100, degenerate=False, k=3):
+    """The null moments of one team-match, every pattern alike."""
     n = len(enumerate_patterns(k))
-    return NullDistribution(
+    return NullDistributions(
         k=k,
-        mean=np.full(n, float(mean)),
-        std=np.full(n, float(std)),
+        mean=np.full((1, n), float(mean)),
+        std=np.full((1, n), float(std)),
         replicates=replicates,
         degenerate=degenerate,
+        sampled_possessions=np.zeros(1, dtype=np.int64),
     )
 
 
 def make_counts(value, k=3):
+    """The counts of one team-match, every pattern alike."""
     n = len(enumerate_patterns(k))
-    return MotifCountVector(match_id="m", team_id="t", k=k, counts=np.full(n, value))
+    return MotifCounts(["m"], ["t"], k, np.full((1, n), value))
 
 
 def test_z_score_formula():
-    profile = z_scores(make_counts(8), make_null(mean=4.0, std=2.0))
+    profile = z_scores(make_counts(8), make_null(mean=4.0, std=2.0))[0]
     assert profile.z.tolist() == [2.0] * 5
     assert not profile.degenerate.any()
 
 
 def test_z_score_zero_variance_matching_mean():
-    profile = z_scores(make_counts(4), make_null(mean=4.0, std=0.0))
+    profile = z_scores(make_counts(4), make_null(mean=4.0, std=0.0))[0]
     assert profile.z.tolist() == [0.0] * 5
     assert not profile.degenerate.any()
 
 
 def test_z_score_zero_variance_capped_and_flagged():
-    profile = z_scores(make_counts(5), make_null(mean=4.0, std=0.0))
+    profile = z_scores(make_counts(5), make_null(mean=4.0, std=0.0))[0]
     assert profile.z.tolist() == [10.0] * 5
     assert profile.degenerate.all()
-    below = z_scores(make_counts(3), make_null(mean=4.0, std=0.0))
+    below = z_scores(make_counts(3), make_null(mean=4.0, std=0.0))[0]
     assert below.z.tolist() == [-10.0] * 5
 
 
 def test_z_score_mixes_the_cases_pattern_by_pattern():
-    counts = MotifCountVector("m", "t", 3, np.array([8, 4, 5, 3, 4]))
-    null = NullDistribution(
+    counts = MotifCounts(["m"], ["t"], 3, np.array([[8, 4, 5, 3, 4]]))
+    null = NullDistributions(
         k=3,
-        mean=np.array([4.0, 4.0, 4.0, 4.0, 4.5]),
-        std=np.array([2.0, 0.0, 0.0, 0.0, 0.5]),
+        mean=np.array([[4.0, 4.0, 4.0, 4.0, 4.5]]),
+        std=np.array([[2.0, 0.0, 0.0, 0.0, 0.5]]),
         replicates=100,
         degenerate=False,
+        sampled_possessions=np.zeros(1, dtype=np.int64),
     )
-    profile = z_scores(counts, null)
+    profile = z_scores(counts, null)[0]
     assert profile.z.tolist() == [2.0, 0.0, 10.0, -10.0, -1.0]
     assert profile.degenerate.tolist() == [False, False, True, True, False]
 
 
 def test_z_score_single_replicate_flags_everything():
     null = make_null(mean=4.0, std=0.0, replicates=1, degenerate=True)
-    profile = z_scores(make_counts(4), null)
+    profile = z_scores(make_counts(4), null)[0]
     assert profile.degenerate.tolist() == [True] * 5
     assert profile.z.tolist() == [0.0] * 5
 
@@ -1019,6 +1071,12 @@ def test_z_score_single_replicate_flags_everything():
 def test_z_score_k_mismatch_rejected():
     with pytest.raises(ValueError, match="k mismatch"):
         z_scores(make_counts(1, k=2), make_null(1.0, 1.0, k=3))
+
+
+def test_z_score_row_count_mismatch_rejected():
+    two = MotifCounts(["m1", "m2"], ["t", "t"], 3, np.zeros((2, 5), dtype=np.int64))
+    with pytest.raises(ValueError, match="2 team-matches of counts against 1 null rows"):
+        z_scores(two, make_null(1.0, 1.0))
 
 
 def test_config_validation():

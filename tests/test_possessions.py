@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from flowmotif import (
     MatchEventLog,
     PassEvent,
+    PassRuns,
     Possession,
     SegmentationConfig,
     count_motifs,
@@ -194,3 +195,18 @@ def test_touch_sequences_have_no_adjacent_duplicates(log):
         seq = touch_sequence(pos)
         assert len(seq) == len(pos) + 1
         assert all(a != b for a, b in zip(seq, seq[1:]))
+
+
+def test_a_slice_of_runs_ends_where_the_slice_does():
+    # Four possessions, cut by broken chains: a slice is runs over its own
+    # passes, so its last run does not run on into the next one.
+    log = make_log([("1", "2"), ("2", "3"), ("5", "6"), ("7", "8"), ("8", "9"), ("4", "1")])
+    runs = segment_possessions(log)
+    assert [len(p) for p in runs] == [2, 1, 2, 1]
+    middle = runs[1:3]
+    assert isinstance(middle, PassRuns) and middle.starts.tolist() == [0, 1]
+    assert list(middle) == list(runs)[1:3] and len(middle.passes) == 3
+    assert list(runs[-1:]) == list(runs)[3:] and len(runs[-1:].passes) == 1
+    assert len(runs[3:1]) == 0 and len(runs[3:1].passes) == 0
+    with pytest.raises(ValueError, match="step 1"):
+        runs[::2]
